@@ -38,12 +38,11 @@ from .quiver import (
 )
 from .gklo import (
     GKLOContext,
+    InternalError,
     d_identity_check,
     dressing_basis,
-    chevalley,
     fmo,
-    fmo_minus,
-    fmo_plus,
+    involution_fmo_report,
     make_context,
     orientation_flip_sign,
 )
@@ -53,7 +52,7 @@ from .defect_embed import (
     verify_adding_defect_theorem,
     verify_restriction,
 )
-from .km_embedding import ChainReport, ConicityError, compose_embedding
+from .km_embedding import ConicityError, compose_embedding
 from .monopole_hilbert import (
     BadTheoryError,
     classify_theory,
@@ -287,15 +286,12 @@ def _verify_adding_defect(args, ctx, cases):
 def _verify_involution(args, ctx, cases):
     for m in _sweep_m(ctx, args):
         for f in _sweep_f(ctx, args, m):
-            plus = fmo_plus(ctx, m, f)
-            minus = fmo_minus(ctx, m, f)
-            image = chevalley(ctx, plus)
-            twice = chevalley(ctx, image)
+            rep = involution_fmo_report(ctx, m, f)
             cases.append({
                 "m": list(m), "f": poly_text(f.value),
-                "holds": image.value == minus.value and twice.value == plus.value,
-                "lhs": _ratfunc_json(image.value),
-                "rhs": _ratfunc_json(minus.value),
+                "holds": rep.swaps and rep.involutive,
+                "lhs": _ratfunc_json(rep.image),
+                "rhs": _ratfunc_json(rep.minus),
             })
 
 
@@ -444,6 +440,9 @@ def main(argv=None) -> int:
     except BadTheoryError as exc:
         print("refused: %s" % exc, file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

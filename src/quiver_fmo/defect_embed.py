@@ -15,6 +15,7 @@ from .multipoly import (
     RatFunc,
     U_KIND,
     W_KIND,
+    identity_holds,
     ratfunc_sum,
     sweedler,
     tilde,
@@ -22,7 +23,7 @@ from .multipoly import (
     wv,
 )
 from .quiver import DimData, mat_vec
-from .gklo import GKLOContext, chevalley, fmo, fmo_minus, fmo_plus
+from .gklo import GKLOContext, chevalley, fmo, fmo_plus
 
 
 @dataclass(frozen=True)
@@ -143,26 +144,20 @@ def verify_adding_defect_theorem(ctx: GKLOContext, split: DefectSplit, m, f) -> 
     decomposes subset by subset; each piece is an exact polynomial identity
     over its own denominators.  The reduced sides are only materialized for
     the report."""
-    from .multipoly import terms_sum_to_zero
     from .gklo import fmo_plus_terms
 
     m = tuple(m)
     if not isinstance(f, PartialSymPoly):
         f = PartialSymPoly.make(f, m, ctx.v)
-    groups = {}
-    for gamma, num, dfac in phi_fmo_terms(ctx, split, m, f, with_u=False):
-        groups.setdefault(gamma, []).append((num, dfac))
-    if any(mi > vp for mi, vp in zip(m, split.v_prime)):
-        rhs = RatFunc.zero()
-    else:
+    keyed = list(phi_fmo_terms(ctx, split, m, f, with_u=False))
+    rhs = RatFunc.zero()
+    if all(mi <= vp for mi, vp in zip(m, split.v_prime)):
         sub_ctx = GKLOContext(ctx.quiver, DimData.make(ctx.w, split.v_prime))
-        rhs = RatFunc.zero()
         for f1, f2 in sweedler(f, split.v_prime):
-            part = fmo_plus(sub_ctx, m, f1).value
-            rhs = rhs + part * f2
-            for gamma, num, dfac in fmo_plus_terms(sub_ctx, m, f1, with_u=False):
-                groups.setdefault(gamma, []).append((-num * f2, dfac))
-    holds = all(terms_sum_to_zero(items) for items in groups.values())
+            rhs = rhs + fmo_plus(sub_ctx, m, f1).value * f2
+            keyed.extend((gamma, -num * f2, dfac) for gamma, num, dfac
+                         in fmo_plus_terms(sub_ctx, m, f1, with_u=False))
+    holds = identity_holds(keyed)
     lhs = rhs if holds else phi_fmo_plus(ctx, split, m, f)
     return VerifyReport(holds, lhs, rhs)
 
@@ -232,30 +227,24 @@ def _plus_restriction_route(quiver, v, v_prime, m, f: PartialSymPoly):
     """Framing-independent positive-side comparison: the tail-at-zero defect
     route against the direct truncated operator, decomposed per subset.
     Returns (holds, route)."""
-    from .multipoly import terms_sum_to_zero
-    from .gklo import fmo_plus, fmo_plus_terms
+    from .gklo import fmo_plus_terms
 
     ctx = GKLOContext(quiver, DimData.make((0,) * quiver.n, v))
     split = DefectSplit.make(v, v_prime)
-    groups = {}
+    keyed = []
     for gamma, num, dfac in phi_fmo_terms(ctx, split, m, f, with_u=False):
         t = _tail_zero_term(num, dfac, split)
         if t is not None:
-            groups.setdefault(gamma, []).append(t)
+            keyed.append((gamma,) + t)
     if any(mi > vp for mi, vp in zip(m, v_prime)):
         plus_rhs = RatFunc.zero()
     else:
         sub_ctx = GKLOContext(quiver, DimData.make((0,) * quiver.n, v_prime))
         ft = tilde(f, v_prime)
         plus_rhs = fmo_plus(sub_ctx, m, ft).value
-        if any(m):
-            for gamma, num, dfac in fmo_plus_terms(sub_ctx, m, ft, with_u=False):
-                groups.setdefault(gamma, []).append((-num, dfac))
-        else:
-            groups.setdefault(tuple(() for _ in v), []).append(
-                (-ft.value, {}))
-    holds = all(terms_sum_to_zero(items) for items in groups.values())
-    if not holds:
+        keyed.extend((gamma, -num, dfac) for gamma, num, dfac
+                     in fmo_plus_terms(sub_ctx, m, ft, with_u=False))
+    if not identity_holds(keyed):
         lhs_terms = []
         for gamma, num, dfac in phi_fmo_terms(ctx, split, m, f):
             t = _tail_zero_term(num, dfac, split)

@@ -17,12 +17,13 @@ from .multipoly import (
     RatFunc,
     ZVAR,
     diff_key,
+    identity_holds,
     ratfunc_sum,
     restrict_to_gamma,
     uv,
     wv,
 )
-from .quiver import DimData, Quiver, cartan_matrix
+from .quiver import DimData, Quiver, cartan_matrix, compositions
 
 
 @dataclass(frozen=True)
@@ -369,69 +370,64 @@ def involution_on_generators(ctx: GKLOContext) -> bool:
 def involution_fmo_report(ctx: GKLOContext, m, f: PartialSymPoly) -> InvolutionReport:
     """The two involution properties on one dressed operator, cached.
 
-    Distinct subsets carry distinct u-monomials, so the swap identity
-    decomposes subset by subset; each piece is an exact cross-multiplied
-    polynomial identity, with no common-denominator blowup.  Involutivity is
-    checked on the ring generators (the involution fixes the w's).  The
-    element values in the report are recomputed through the substitution path
-    only when the termwise route fails."""
-    from .multipoly import terms_sum_to_zero
-
+    The involution sends the subset-Gamma term of M^+_m(f) to a multiple of
+    u_Gamma^{-1}, the u-monomial of the subset-Gamma term of M^-_m(f), so the
+    swap identity splits into one exact polynomial identity per subset.  The
+    reported image is the sum of those transformed terms.  Involutivity is
+    checked on the ring generators (the involution fixes the w's)."""
     m = tuple(m)
     minus = fmo_minus(ctx, m, f)
-    involutive = involution_on_generators(ctx)
-    if not any(m):
-        plus = fmo_plus(ctx, m, f)
-        return InvolutionReport(plus.value, minus.value,
-                                plus.value == minus.value, involutive)
-    minus_by_gamma = {g: (num, dfac)
-                      for g, num, dfac in fmo_minus_terms(ctx, m, f, with_u=False)}
-    swaps = True
+    iota_terms = []
     for gamma, num, dfac in fmo_plus_terms(ctx, m, f, with_u=False):
-        iota_num = num
-        iota_dfac = dict(dfac)
+        dfac = dict(dfac)
         for i, g in enumerate(gamma):
             for r in g:
                 sg, x, y_fac = _chevalley_parts(ctx, i, r)
-                iota_num = iota_num * x * sg
+                num = num * x * sg
                 for k, e in y_fac.items():
-                    iota_dfac[k] = iota_dfac.get(k, 0) + e
-        mnum, mdfac = minus_by_gamma[gamma]
-        if not terms_sum_to_zero([(iota_num, iota_dfac), (-mnum, mdfac)]):
-            swaps = False
-            break
+                    dfac[k] = dfac.get(k, 0) + e
+        iota_terms.append((gamma, num, dfac))
+    swaps = identity_holds(iota_terms + [
+        (gamma, -num, dfac)
+        for gamma, num, dfac in fmo_minus_terms(ctx, m, f, with_u=False)])
     if swaps:
         image = minus.value
     else:
-        image = chevalley(ctx, fmo_plus(ctx, m, f)).value
-        swaps = image == minus.value
-    return InvolutionReport(image, minus.value, swaps, involutive)
+        image = ratfunc_sum((num * _u_gamma(gamma, -1), dfac)
+                            for gamma, num, dfac in iota_terms)
+    return InvolutionReport(image, minus.value, swaps, involution_on_generators(ctx))
 
 
 # ---------------------------------------------------------------------------
 # orientation change
 
 
+class InternalError(RuntimeError):
+    """A consistency check that the library itself guarantees came out false."""
+
+
 @dataclass(frozen=True)
 class OrientationReport:
     sign: int
     matches: bool
-    original: GKLOElement
-    flipped_transported: RatFunc
 
 
 def orientation_flip_sign(ctx: GKLOContext, edge_index: int, m, f=None) -> OrientationReport:
-    """Compare M^+_m(f) computed with one edge reversed against the original.
+    """Compare M^+_m(f) computed with one edge s -> t reversed against the
+    original.
 
     The flipped operator is transported back along the matter identification
     u_{s,p} |-> prod_q (w_{t,q} - w_{s,p}) u_{s,p},
     u_{t,q} |-> u_{t,q} / prod_p (w_{t,q} - w_{s,p});
-    the two then agree up to (-1)^{m_t (v_s - m_s)}, which is also computed
-    here from the weights of the reversed summand.
+    the two then agree up to (-1)^{m_t (v_s - m_s)}, which is computed here
+    from the weights of the reversed summand.  The transport rescales each
+    u-monomial, so the comparison splits into one exact polynomial identity
+    per subset: the flipped subset-Gamma term picks up the factors
+    (w_{t,q} - w_{s,p}) with p in Gamma_s in its numerator and those with
+    q in Gamma_t in its denominator.
     """
     m = _check_m(ctx, m)
-    if f is None:
-        f = MPoly.one()
+    f = _as_dressing(ctx, m, MPoly.one() if f is None else f)
     s, t = ctx.quiver.edges[edge_index]
     # Fourier sign from the weights x_{t,q} - x_{s,p} of the reversed summand
     exponent = 0
@@ -440,26 +436,27 @@ def orientation_flip_sign(ctx: GKLOContext, edge_index: int, m, f=None) -> Orien
             pairing = (1 if q <= m[t] else 0) - (1 if p <= m[s] else 0)
             if pairing > 0:
                 exponent += pairing
-    assert exponent == m[t] * (ctx.v[s] - m[s])
+    if exponent != m[t] * (ctx.v[s] - m[s]):
+        raise InternalError("Fourier exponent disagrees with m_t (v_s - m_s)")
     sign = (-1) ** exponent
 
     flipped_ctx = GKLOContext(ctx.quiver.flip_edge(edge_index), ctx.dims)
-    flipped = fmo_plus(flipped_ctx, m, f)
-    original = fmo_plus(ctx, m, f)
-    transition = {}
-    for p in range(1, ctx.v[s] + 1):
-        fac = RatFunc.one()
-        for q in range(1, ctx.v[t] + 1):
-            fac = fac * (MPoly.var(wv(t, q)) - MPoly.var(wv(s, p)))
-        transition[uv(s, p)] = fac * RatFunc.from_poly(MPoly.var(uv(s, p)))
-    for q in range(1, ctx.v[t] + 1):
-        den = MPoly.one()
-        for p in range(1, ctx.v[s] + 1):
-            den = den * (MPoly.var(wv(t, q)) - MPoly.var(wv(s, p)))
-        transition[uv(t, q)] = RatFunc.make(MPoly.var(uv(t, q)), den)
-    transported = flipped.value.subs_u(transition)
-    matches = transported == original.value * sign
-    return OrientationReport(sign, matches, original, transported)
+    keyed = []
+    for gamma, num, dfac in fmo_plus_terms(flipped_ctx, m, f, with_u=False):
+        dfac = dict(dfac)
+        for p in gamma[s]:
+            for q in range(1, ctx.v[t] + 1):
+                num = num * (MPoly.var(wv(t, q)) - MPoly.var(wv(s, p)))
+        for q in gamma[t]:
+            for p in range(1, ctx.v[s] + 1):
+                key, sg = diff_key(wv(t, q), wv(s, p))
+                dfac[key] = dfac.get(key, 0) + 1
+                if sg < 0:
+                    num = -num
+        keyed.append((gamma, num, dfac))
+    keyed.extend((gamma, num * -sign, dfac)
+                 for gamma, num, dfac in fmo_plus_terms(ctx, m, f, with_u=False))
+    return OrientationReport(sign, identity_holds(keyed))
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +491,7 @@ def dressing_basis(v, m, max_degree: int = 2):
 
     out = []
     for total in range(max_degree + 1):
-        for split in _compositions(total, len(blocks)):
+        for split in compositions(total, len(blocks)):
             pattern_choices = [block_patterns(len(slots), d)
                                for (_, slots), d in zip(blocks, split)]
             for choice in itertools.product(*pattern_choices):
@@ -503,16 +500,6 @@ def dressing_basis(v, m, max_degree: int = 2):
                     poly = poly * _orbit_sum(i, slots, pat)
                 out.append(PartialSymPoly.make(poly, m, v))
     return tuple(out)
-
-
-def _compositions(total, parts):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def _orbit_sum(i, slots, pattern) -> MPoly:

@@ -21,7 +21,7 @@ from .multipoly import (
     tilde,
     wv,
 )
-from .quiver import DimData, check_conicity, mat_vec
+from .quiver import DimData, check_conicity
 from .gklo import GKLOContext, fmo, fmo_sign
 from .defect_embed import DefectSplit, restrict_fmo_slice, slice_target_context
 
@@ -55,10 +55,6 @@ def omega(m, v, sign: int):
     """The coweight +-omega_m: sign in the first m_i slots of each vertex."""
     return tuple(tuple(sign if r <= mi else 0 for r in range(1, vi + 1))
                  for mi, vi in zip(m, v))
-
-
-def dominant_sort(gamma):
-    return tuple(tuple(sorted(tup, reverse=True)) for tup in gamma)
 
 
 @dataclass(frozen=True)
@@ -220,14 +216,6 @@ def weights_n1_mix(quiver, v_prime, v_dprime):
     for (s, t) in quiver.edges:
         for p in range(1, v_prime[s] + 1):
             out.append(((s, p, -1), v_dprime[t]))
-    return out
-
-
-def weights_n2_mix(quiver, v_prime, v_dprime):
-    out = []
-    for (s, t) in quiver.edges:
-        for q in range(1, v_prime[t] + 1):
-            out.append(((t, q, +1), v_dprime[s]))
     return out
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .quiver import DimData, dot, mat_vec, two_delta_minuscule
+from .quiver import compositions, two_delta_minuscule
 from .gklo import GKLOContext
 
 
@@ -77,9 +77,6 @@ class TruncSeries:
             if i + k <= self.order:
                 out[i + k] = a
         return TruncSeries(tuple(out), self.order)
-
-    def pad_to(self, order: int) -> "TruncSeries":
-        return TruncSeries.make(self.coeffs, order)
 
 
 def geometric(k: int, order: int) -> TruncSeries:
@@ -204,21 +201,10 @@ def _decreasing_tuples(length: int, norm: int):
 
 def dominant_shell(v, norm: int):
     """Dominant coweights (weakly decreasing per vertex) of total L1 norm."""
-    per_vertex_norms = _compositions(norm, len(v))
     out = []
-    for split in per_vertex_norms:
+    for split in compositions(norm, len(v)):
         choices = [_decreasing_tuples(vi, n) for vi, n in zip(v, split)]
         out.extend(itertools.product(*choices))
-    return out
-
-
-def _compositions(total, parts):
-    if parts == 0:
-        return [()] if total == 0 else []
-    out = []
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            out.append((first,) + rest)
     return out
 
 

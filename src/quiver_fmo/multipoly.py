@@ -185,19 +185,6 @@ class MPoly:
                 out.add(v)
         return out
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(mon_degree(m) for m in self.terms)
-
-    def degree_in(self, var) -> int:
-        d = 0
-        for m in self.terms:
-            for v, e in m:
-                if v == var:
-                    d = max(d, e)
-        return d
-
     def min_exponent(self, var) -> int:
         """Smallest exponent of ``var`` over all terms (0 if absent somewhere)."""
         lo = None
@@ -339,25 +326,6 @@ class MPoly:
                 del out[m]
         return MPoly(out)
 
-    def subs(self, mapping: dict) -> "MPoly":
-        """Substitute polynomials for variables (non-negative exponents only)."""
-        out = MPoly.zero()
-        pow_cache = {}
-        for m, c in self.terms.items():
-            term = MPoly.const(c)
-            for v, e in m:
-                if v in mapping:
-                    if e < 0:
-                        raise ValueError("polynomial substitution into negative power")
-                    key = (v, e)
-                    if key not in pow_cache:
-                        pow_cache[key] = mapping[v] ** e
-                    term = term * pow_cache[key]
-                else:
-                    term = term * MPoly.var(v, e)
-            out = out + term
-        return out
-
     def split_u(self):
         """Decompose as {u-monomial: coefficient polynomial in w,z}."""
         groups = {}
@@ -375,10 +343,11 @@ class MPoly:
 # exact division and gcd (non-Laurent polynomials only)
 
 
-def _assert_plain(f: MPoly):
+def _require_plain(f: MPoly):
     for m in f.terms:
         for _, e in m:
-            assert e >= 0, "Laurent exponent reached the gcd kernel"
+            if e < 0:
+                raise ValueError("Laurent exponent reached the gcd kernel")
 
 
 def try_div(f: MPoly, g: MPoly):
@@ -540,8 +509,8 @@ def poly_gcd(f: MPoly, g: MPoly) -> MPoly:
         return MPoly.one()
     if f.terms == g.terms:
         return primitive(f)
-    _assert_plain(f)
-    _assert_plain(g)
+    _require_plain(f)
+    _require_plain(g)
     # split off monomial factors; the recursion only sees monomial-free parts
     mf, f = _strip_monomial(f)
     mg, g = _strip_monomial(g)
@@ -1048,6 +1017,17 @@ def terms_sum_to_zero(terms) -> bool:
     zero.  No factor cancellation is ever needed."""
     N, _ = _terms_over_lcm(terms)
     return N.is_zero()
+
+
+def identity_holds(keyed_terms) -> bool:
+    """Exact test of an identity that splits by key: the (key, numerator,
+    factored-denominator) triples are grouped by key, and the identity holds
+    when every group sums to zero.  Keys stand for distinct u-monomials, so
+    the whole sum vanishes exactly when each group does."""
+    groups = {}
+    for key, num, dfac in keyed_terms:
+        groups.setdefault(key, []).append((num, dfac))
+    return all(terms_sum_to_zero(items) for items in groups.values())
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,18 @@ def dot(x, y):
     return sum(a * b for a, b in zip(x, y))
 
 
+def compositions(total: int, parts: int):
+    """List of the ordered tuples of ``parts`` non-negative integers summing
+    to ``total``, in lexicographic order."""
+    if parts == 0:
+        return [()] if total == 0 else []
+    out = []
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            out.append((first,) + rest)
+    return out
+
+
 @dataclass(frozen=True)
 class DimData:
     """Framing vector w and gauge vector v, both componentwise >= 0."""

@@ -160,3 +160,45 @@ def test_output_deterministic(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+def _raise(*args, **kwargs):
+    raise RuntimeError("substitution route taken")
+
+
+def test_verify_involution_takes_the_termwise_route(capsys, monkeypatch):
+    import sys
+    from quiver_fmo import gklo
+
+    real = gklo.chevalley
+    for name, module in list(sys.modules.items()):
+        if name.startswith("quiver_fmo") and getattr(module, "chevalley", None) is real:
+            monkeypatch.setattr(module, "chevalley", _raise)
+    gklo.involution_fmo_report.cache_clear()
+    code, out, _ = run(capsys, "verify", "involution", "--quiver", "affine_sl2",
+                       "--w", "1,0", "--v", "1,1", "--json")
+    assert code == 0
+    assert json.loads(out)["checked"] > 0
+
+
+def test_verify_orientation_takes_the_termwise_route(capsys, monkeypatch):
+    from quiver_fmo.multipoly import RatFunc
+
+    monkeypatch.setattr(RatFunc, "subs_u", _raise)
+    code, out, _ = run(capsys, "verify", "orientation", "--quiver", "a2",
+                       "--w", "1,1", "--v", "2,2", "--json")
+    assert code == 0
+    assert json.loads(out)["checked"] > 0
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    import quiver_fmo.cli as cli
+    from quiver_fmo.gklo import InternalError
+
+    def broken(*args, **kwargs):
+        raise InternalError("forced")
+
+    monkeypatch.setattr(cli, "orientation_flip_sign", broken)
+    code, _, err = run(capsys, "verify", "orientation", "--quiver", "a2",
+                       "--w", "1,1", "--v", "1,1", "--json")
+    assert code == 3 and "internal error: forced" in err

@@ -18,13 +18,16 @@ from quiver_fmo.multipoly import (
     wv,
 )
 from quiver_fmo.quiver import a1_quiver, a2_quiver, affine_sl2_quiver
+from quiver_fmo import gklo
 from quiver_fmo.gklo import (
+    GKLOContext,
     chevalley,
     d_identity_check,
     dressing_basis,
     fmo_minus,
     fmo_plus,
     fmo_sign,
+    involution_fmo_report,
     make_context,
     orientation_flip_sign,
     p_image,
@@ -256,8 +259,76 @@ def test_chevalley_involutive_and_swaps_fmos():
                 assert chevalley(ctx, img).value == plus.value
 
 
+INVOLUTION_GRID = [(a1_quiver(), (2,), (2,)), (a2_quiver(), (1, 1), (1, 1)),
+                   (affine_sl2_quiver(), (2, 0), (2, 1))]
+
+
+def test_involution_report_against_chevalley_oracle():
+    for quiver, w, v in INVOLUTION_GRID:
+        ctx = make_context(quiver, w, v)
+        for m in itertools.product(*(range(vi + 1) for vi in v)):
+            for f in dressing_basis(v, m, 1):
+                plus = fmo_plus(ctx, m, f)
+                minus = fmo_minus(ctx, m, f)
+                img = chevalley(ctx, plus)
+                rep = involution_fmo_report(ctx, m, f)
+                assert rep.image == img.value, (w, v, m, poly_text(f.value))
+                assert rep.minus == minus.value
+                assert rep.swaps == (img.value == minus.value)
+                assert rep.involutive == (chevalley(ctx, img).value == plus.value)
+
+
+def test_involution_report_failing_subsets_report_the_image(monkeypatch):
+    # negated M^- terms make every nonzero subset identity fail; the reported
+    # image must still be iota(M^+) as the substitution computes it
+    real = gklo.fmo_minus_terms
+
+    def negated(*args, **kwargs):
+        for gamma, num, dfac in real(*args, **kwargs):
+            yield gamma, -num, dfac
+
+    monkeypatch.setattr(gklo, "fmo_minus_terms", negated)
+    gklo.involution_fmo_report.cache_clear()
+    gklo._fmo_cached.cache_clear()
+    try:
+        for quiver, w, v in INVOLUTION_GRID:
+            ctx = make_context(quiver, w, v)
+            for m in itertools.product(*(range(vi + 1) for vi in v)):
+                for f in dressing_basis(v, m, 1):
+                    rep = involution_fmo_report(ctx, m, f)
+                    img = chevalley(ctx, fmo_plus(ctx, m, f)).value
+                    assert rep.swaps is img.is_zero(), (w, v, m, poly_text(f.value))
+                    assert rep.image == img
+    finally:
+        # drop the cached values computed from the negated terms
+        gklo.involution_fmo_report.cache_clear()
+        gklo._fmo_cached.cache_clear()
+
+
 # ---------------------------------------------------------------------------
 # orientation change
+
+
+def transported_matches_oracle(ctx, edge_index, m, f):
+    """Substitution oracle for orientation_flip_sign: transport the whole
+    flipped operator along the matter identification with RatFunc.subs_u and
+    compare it with the signed original."""
+    s, t = ctx.quiver.edges[edge_index]
+    sign = (-1) ** (m[t] * (ctx.v[s] - m[s]))
+    flipped_ctx = GKLOContext(ctx.quiver.flip_edge(edge_index), ctx.dims)
+    flipped = fmo_plus(flipped_ctx, m, f)
+    transition = {}
+    for p in range(1, ctx.v[s] + 1):
+        fac = RatFunc.one()
+        for q in range(1, ctx.v[t] + 1):
+            fac = fac * (MPoly.var(wv(t, q)) - MPoly.var(wv(s, p)))
+        transition[uv(s, p)] = fac * RatFunc.from_poly(MPoly.var(uv(s, p)))
+    for q in range(1, ctx.v[t] + 1):
+        den = MPoly.one()
+        for p in range(1, ctx.v[s] + 1):
+            den = den * (MPoly.var(wv(t, q)) - MPoly.var(wv(s, p)))
+        transition[uv(t, q)] = RatFunc.make(MPoly.var(uv(t, q)), den)
+    return flipped.value.subs_u(transition) == fmo_plus(ctx, m, f).value * sign
 
 
 def test_orientation_examples():
@@ -280,3 +351,15 @@ def test_orientation_sweep():
                 s, t = quiver.edges[k]
                 assert rep.sign == (-1) ** (m[t] * (v[s] - m[s]))
                 assert rep.matches, (w, v, k, m)
+
+
+def test_orientation_against_substitution_oracle():
+    for quiver, w, v in [(a2_quiver(), (1, 1), (2, 2)),
+                         (affine_sl2_quiver(), (1, 1), (2, 1))]:
+        ctx = make_context(quiver, w, v)
+        for k in range(len(quiver.edges)):
+            for m in itertools.product(*(range(vi + 1) for vi in v)):
+                for f in dressing_basis(v, m, 1):
+                    rep = orientation_flip_sign(ctx, k, m, f)
+                    assert rep.matches == transported_matches_oracle(ctx, k, m, f), (
+                        w, v, k, m, poly_text(f.value))

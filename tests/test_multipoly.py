@@ -17,7 +17,9 @@ from quiver_fmo.multipoly import (
     SymmetryError,
     ZVAR,
     check_symmetric,
+    diff_key,
     exact_div,
+    identity_holds,
     parse_poly,
     poly_gcd,
     poly_text,
@@ -327,3 +329,23 @@ def test_ring_tag_closure_under_ops():
 def test_ratfunc_text_shapes():
     assert ratfunc_text(RatFunc.make(U11)) == "u[1,1]"
     assert ratfunc_text(RatFunc.make(U11, W11 - W12)) == "(u[1,1])/(w[1,1] - w[1,2])"
+
+
+# ---------------------------------------------------------------------------
+# keyed identities
+
+
+def test_identity_holds_per_key():
+    key, sg = diff_key(wv(0, 1), wv(0, 2))
+    den = {key: 1}
+    # 1/(w11 - w12) - w11/(w11 - w12)^2 + w12/(w11 - w12)^2 vanishes
+    vanishing = [("a", MPoly.const(sg), den),
+                 ("a", -W11, {key: 2}), ("a", W12, {key: 2})]
+    # w11/(w11 - w12) - w12/(w11 - w12) = 1, not 0
+    nonvanishing = [("b", W11 * sg, den), ("b", -W12 * sg, den)]
+    assert identity_holds(vanishing)
+    assert not identity_holds(nonvanishing)
+    assert not identity_holds(vanishing + nonvanishing)
+    # cancellation across keys does not count: keys stand for distinct
+    # u-monomials
+    assert not identity_holds([("a", W11, {}), ("b", -W11, {})])
