@@ -1,9 +1,10 @@
 """Command-line interface: classification, monopole operators, Hilbert
 series, and the theorem-verification sweeps, with deterministic JSON output.
 
-Exit codes: 0 all checks pass, 1 a verification failed, 2 bad input or an
-unsatisfied precondition, 3 internal inconsistency (a theorem-level check the
-library itself guarantees came out false).
+Exit codes: 0 all checks pass, 1 a verification failed, 2 bad input, an
+unsatisfied precondition or an enumeration over its point budget, 3 internal
+inconsistency (a theorem-level check the library itself guarantees came out
+false).
 """
 
 from __future__ import annotations
@@ -25,14 +26,14 @@ from .multipoly import (
 )
 from .quiver import (
     DimData,
+    EnumerationBudgetError,
     Quiver,
     a1_quiver,
     a2_quiver,
     affine_sl2_quiver,
     affine_classify,
+    box_scan,
     cartan_matrix,
-    check_conicity,
-    check_good,
     mu_pairing,
     theorem_prediction,
 )
@@ -159,15 +160,14 @@ def cmd_classify(args) -> int:
         d = DimData.make(w, v)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    con = check_conicity(d, C)
-    good = check_good(d, C)
+    scan = box_scan(d, C)
     info = affine_classify(C)
     mp = mu_pairing(d, C)
     report = {
-        "conical": con.holds,
-        "good": good.holds,
-        "min_value": con.min_value,
-        "witness": list(con.witness) if con.witness is not None else None,
+        "conical": scan.conical,
+        "good": scan.good,
+        "min_value": scan.min_value,
+        "witness": list(scan.witness) if scan.witness is not None else None,
         "kind": info.kind,
         "mu_pairing": list(mp.vector),
         "mu_dominant": mp.dominant,
@@ -179,8 +179,8 @@ def cmd_classify(args) -> int:
     report["theorem_prediction"] = prediction
     exit_code = 0
     if prediction is not None:
-        direct = ("good" if good.holds
-                  else "conical-not-good" if con.holds else "not-conical")
+        direct = ("good" if scan.good
+                  else "conical-not-good" if scan.conical else "not-conical")
         report["direct"] = direct
         if direct != prediction:
             report["internal_error"] = "level prediction disagrees with the direct check"
@@ -232,9 +232,12 @@ def cmd_hilbert(args) -> int:
 
 
 def _sweep_m(ctx, args):
-    if args.m is not None:
-        return [_csv_ints(args.m, ctx.quiver.n, "m")]
-    return [m for m in itertools.product(*(range(vi + 1) for vi in ctx.v))]
+    if args.m is None:
+        return list(itertools.product(*(range(vi + 1) for vi in ctx.v)))
+    m = _csv_ints(args.m, ctx.quiver.n, "m")
+    if any(not 0 <= mi <= vi for mi, vi in zip(m, ctx.v)):
+        raise InputError("need 0 <= m <= v componentwise")
+    return [m]
 
 
 def _sweep_f(ctx, args, m):
@@ -247,14 +250,23 @@ def _sweep_signs(args):
     return [args.sign] if args.sign else ["+", "-"]
 
 
-def _verify_restriction(args, ctx, cases):
+def _defect_split(args, ctx, to_slice: bool) -> DefectSplit:
+    """--vprime as a split of v; to_slice also requires the framing of the
+    target slice to be dominant."""
     if args.vprime is None:
-        raise InputError("verify restriction needs --vprime")
+        raise InputError("verify %s needs --vprime" % args.subject)
     v_prime = _csv_ints(args.vprime, ctx.quiver.n, "vprime")
     try:
-        slice_target_context(ctx, v_prime)
+        split = DefectSplit.make(ctx.v, v_prime)
+        if to_slice:
+            slice_target_context(ctx, v_prime)
     except ValueError as exc:
         raise InputError(str(exc)) from None
+    return split
+
+
+def _verify_restriction(args, ctx, cases):
+    v_prime = _defect_split(args, ctx, to_slice=True).v_prime
     for m in _sweep_m(ctx, args):
         for f in _sweep_f(ctx, args, m):
             for sign in _sweep_signs(args):
@@ -268,10 +280,7 @@ def _verify_restriction(args, ctx, cases):
 
 
 def _verify_adding_defect(args, ctx, cases):
-    if args.vprime is None:
-        raise InputError("verify adding-defect needs --vprime")
-    v_prime = _csv_ints(args.vprime, ctx.quiver.n, "vprime")
-    split = DefectSplit.make(ctx.v, v_prime)
+    split = _defect_split(args, ctx, to_slice=False)
     for m in _sweep_m(ctx, args):
         for f in _sweep_f(ctx, args, m):
             rep = verify_adding_defect_theorem(ctx, split, m, f)
@@ -306,14 +315,7 @@ def _verify_d_identity(args, ctx, cases):
 
 
 def _verify_km(args, ctx, cases):
-    if args.vprime is None:
-        raise InputError("verify km-embedding needs --vprime")
-    v_prime = _csv_ints(args.vprime, ctx.quiver.n, "vprime")
-    split = DefectSplit.make(ctx.v, v_prime)
-    try:
-        slice_target_context(ctx, v_prime)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    split = _defect_split(args, ctx, to_slice=True)
     for m in _sweep_m(ctx, args):
         for f in _sweep_f(ctx, args, m):
             for sign in _sweep_signs(args):
@@ -433,11 +435,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for name in ("order", "max_degree"):
+            if getattr(args, name, 0) < 0:
+                raise InputError("--%s must be non-negative" % name.replace("_", "-"))
         return args.func(args)
     except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
-    except BadTheoryError as exc:
+    except (BadTheoryError, EnumerationBudgetError) as exc:
         print("refused: %s" % exc, file=sys.stderr)
         return 2
     except InternalError as exc:

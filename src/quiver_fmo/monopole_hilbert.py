@@ -13,17 +13,14 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
-from .quiver import compositions, two_delta_minuscule
+from .quiver import EnumerationBudgetError, box_scan, compositions, two_delta_minuscule
 from .gklo import GKLOContext
 
 
 class BadTheoryError(ValueError):
     """The grading is unbounded below; there is no Hilbert series."""
-
-
-class EnumerationBudgetError(RuntimeError):
-    """The certified enumeration would exceed the point budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -140,26 +137,14 @@ def classify_theory(ctx: GKLOContext) -> TheoryClass:
     """Minimum of the doubled degree over the monopole generators: good if
     >= 2, ugly if exactly 1, bad if <= 0.  v = 0 counts as good (no
     generators besides the Casimirs)."""
-    best = None
-    witness = None
-    for m in itertools.product(*(range(vi + 1) for vi in ctx.v)):
-        if not any(m):
-            continue
-        val = two_delta_minuscule(ctx.dims, ctx.cartan, m)
-        if best is None or val < best:
-            best, witness = val, m
-    if best is None:
-        return TheoryClass("good", None, None)
-    if best >= 2:
-        return TheoryClass("good", best, witness)
-    if best == 1:
-        return TheoryClass("ugly", best, witness)
-    return TheoryClass("bad", best, witness)
+    scan = box_scan(ctx.dims, ctx.cartan)
+    kind = "good" if scan.good else "ugly" if scan.conical else "bad"
+    return TheoryClass(kind, scan.min_value, scan.witness)
 
 
 def degree_lower_bound(ctx: GKLOContext) -> Fraction:
     """Certified constant c with 2*Delta(gamma) >= c * sum|gamma| over the
-    dominant cone.
+    dominant cone: box_scan's min_ratio, and 1 for v = 0.
 
     The degree function is positively homogeneous and piecewise linear; on
     the simplex section of the dominant cone its minimum sits at a vertex of
@@ -168,14 +153,8 @@ def degree_lower_bound(ctx: GKLOContext) -> Fraction:
     therefore the minimum of 2*Delta(omega_m)/|m| over the box, and it is
     tight.
     """
-    best = None
-    for m in itertools.product(*(range(vi + 1) for vi in ctx.v)):
-        if not any(m):
-            continue
-        val = Fraction(two_delta_minuscule(ctx.dims, ctx.cartan, m), sum(m))
-        if best is None or val < best:
-            best = val
-    return best if best is not None else Fraction(1)
+    ratio = box_scan(ctx.dims, ctx.cartan).min_ratio
+    return Fraction(1) if ratio is None else ratio
 
 
 # ---------------------------------------------------------------------------
@@ -229,28 +208,29 @@ def hilbert_series(ctx: GKLOContext, order: int,
     """Truncated monopole-formula Hilbert series: sum over dominant coweights
     of t^(2 Delta) times the stabilizer Poincare factor.
 
-    Refuses bad theories; the shell enumeration is certified complete via
-    degree_lower_bound, and errors out rather than emit uncertified
-    coefficients when the budget is exceeded.
+    One box_scan refuses bad theories and gives the degree bound that makes
+    the shells certified complete.  More than point_budget shell points
+    raises EnumerationBudgetError before any point is evaluated.
     """
-    cls = classify_theory(ctx)
-    if cls.kind == "bad":
+    scan = box_scan(ctx.dims, ctx.cartan)
+    if not scan.conical:
         raise BadTheoryError(
             "degree %d at m=%r: the grading is not bounded below"
-            % (cls.min_degree, cls.witness))
+            % (scan.min_value, scan.witness))
     if not any(ctx.v):
         return TruncSeries.one(order)
-    c = degree_lower_bound(ctx)
-    max_norm = int(Fraction(order) / c)
+    max_norm = int(Fraction(order) / scan.min_ratio)
+    points = 0
+    for norm in range(max_norm + 1):
+        for split in compositions(norm, len(ctx.v)):
+            points += prod(len(_decreasing_tuples(vi, n)) for vi, n in zip(ctx.v, split))
+        if points > point_budget:
+            raise EnumerationBudgetError(
+                "more than %d shell points needed up to norm %d"
+                % (point_budget, max_norm))
     total = TruncSeries.zero(order)
-    seen = 0
     for norm in range(max_norm + 1):
         for gamma in dominant_shell(ctx.v, norm):
-            seen += 1
-            if seen > point_budget:
-                raise EnumerationBudgetError(
-                    "more than %d shell points needed up to norm %d"
-                    % (point_budget, max_norm))
             deg = two_delta_general(ctx, gamma)
             if deg > order:
                 continue

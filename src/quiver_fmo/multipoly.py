@@ -454,11 +454,15 @@ def _content_in(f: MPoly, x):
 
 
 def _prem(f: MPoly, g: MPoly, x) -> MPoly:
-    """Pseudo-remainder of f by g with respect to x."""
+    """Pseudo-remainder of f by g with respect to x: the remainder of
+    lc(g)^(deg f - deg g + 1) * f.  The power is exact also when one step
+    drops the degree by more than one; the subresultant divisions in
+    poly_gcd are exact only then."""
     fu = as_univar(f, x)
     gu = as_univar(g, x)
     dg = max(gu)
     lg = gu[dg]
+    steps = max(fu) - dg + 1
     while fu:
         df = max(fu)
         if df < dg:
@@ -473,7 +477,8 @@ def _prem(f: MPoly, g: MPoly, x) -> MPoly:
             q = nf.get(ee, MPoly.zero()) - p * lf
             nf[ee] = q
         fu = {e: p for e, p in nf.items() if not p.is_zero()}
-    return from_univar(fu, x)
+        steps -= 1
+    return from_univar(fu, x) * lg ** steps
 
 
 def _monomial_content(f: MPoly):
@@ -530,12 +535,25 @@ def poly_gcd(f: MPoly, g: MPoly) -> MPoly:
     c = poly_gcd(cf, cg)
     a = primitive(exact_div(f, cf))
     b = primitive(exact_div(g, cg))
-    if max(as_univar(a, x)) < max(as_univar(b, x)):
-        a, b = b, a
-    while not b.is_zero():
+    da, db = max(as_univar(a, x)), max(as_univar(b, x))
+    if da < db:
+        a, b, da, db = b, a, db, da
+    # subresultant PRS (Brown-Collins): dividing by lc * h^delta is exact and
+    # keeps coefficient growth polynomial without a content gcd per step
+    lc_a = h = MPoly.one()
+    while db > 0:
+        delta = da - db
         r = _prem(a, b, x)
-        a, b = b, (r if r.is_zero() else exact_div(r, _content_in(r, x)))
-    return primitive(mon * c * primitive(a))
+        if r.is_zero():
+            break
+        a, b = b, exact_div(r, lc_a * h ** delta)
+        da, db = db, max(as_univar(b, x))
+        lc_a = as_univar(a, x)[da]
+        if delta:
+            h = exact_div(lc_a ** delta, h ** (delta - 1))
+    if db == 0:
+        return primitive(mon * c)
+    return primitive(mon * c * exact_div(b, _content_in(b, x)))
 
 
 # ---------------------------------------------------------------------------
@@ -675,9 +693,12 @@ def _dfac_mul_into(num: MPoly, dfac: dict) -> MPoly:
 
 
 class RatFunc:
-    """Normalized rational function: num/den with gcd 1, denominator free of
-    u-variables and of monomial factors, integer-primitive with positive
-    leading coefficient.  Structural equality decides equality in the field.
+    """Normalized rational function: num/den with gcd 1, integer-primitive
+    denominator with positive leading coefficient and no monomial factor.
+    u-monomial factors of the denominator move to the numerator (the u's are
+    units); a denominator that is not a u-monomial, such as u + 1, stays, and
+    GKLOElement.make is what rejects it.  Structural equality decides
+    equality in the field.
 
     When the denominator factors completely into candidate linear forms the
     factorization is kept on the instance (dfac), so sums and products never

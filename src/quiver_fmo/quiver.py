@@ -8,13 +8,16 @@ from __future__ import annotations
 
 import itertools
 import json
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, prod
 from typing import NamedTuple
 
-BOX_WARN_LIMIT = 10 ** 7
+BOX_POINT_BUDGET = 10 ** 7
+
+
+class EnumerationBudgetError(RuntimeError):
+    """An enumeration would exceed its point budget; raised before any work."""
 
 
 @dataclass(frozen=True)
@@ -159,48 +162,63 @@ def two_delta_minuscule(d: DimData, C, m) -> int:
     return dot(m, mu_pairing(d, C).vector) + dot(m, mat_vec(C, m))
 
 
+class BoxScan(NamedTuple):
+    """Minimum of u.(w - Cv) + u.(Cu) over nonzero 0 <= u <= v, the doubled
+    monopole degree 2*Delta(omega_u): its lexicographically least minimizer,
+    and the minimum of the value divided by |u|.  All None for v = 0."""
+
+    min_value: int | None
+    witness: tuple | None
+    min_ratio: Fraction | None
+
+    @property
+    def conical(self) -> bool:
+        return self.min_value is None or self.min_value >= 1
+
+    @property
+    def good(self) -> bool:
+        return self.min_value is None or self.min_value >= 2
+
+
+def box_scan(d: DimData, C) -> BoxScan:
+    """The one scan of the box behind conicity, goodness, the theory kind
+    and the Hilbert-series degree bound.  Raises EnumerationBudgetError when
+    the box has more than BOX_POINT_BUDGET points."""
+    size = prod(vi + 1 for vi in d.v)
+    if size > BOX_POINT_BUDGET:
+        raise EnumerationBudgetError("the box 0 <= u <= v has %d points, more than %d"
+                                     % (size, BOX_POINT_BUDGET))
+    pairing = mu_pairing(d, C).vector
+    best = witness = None
+    ratio = (0, 0)  # (value, |u|) of the least value/|u| so far
+    for u in itertools.product(*(range(vi + 1) for vi in d.v)):
+        norm = sum(u)
+        if not norm:
+            continue
+        val = dot(u, pairing) + dot(u, mat_vec(C, u))
+        if best is None or val < best:
+            best, witness = val, u
+        if not ratio[1] or val * ratio[1] < ratio[0] * norm:
+            ratio = (val, norm)
+    return BoxScan(best, witness, Fraction(*ratio) if ratio[1] else None)
+
+
 class BoxReport(NamedTuple):
     holds: bool
     min_value: int | None
     witness: tuple | None
 
 
-def _box_minimum(d: DimData, C) -> tuple:
-    """Minimum of u.(w - Cv) + u.(Cu) over nonzero 0 <= u <= v, with the
-    lexicographically least minimizer.  Returns (None, None) for the empty
-    box (v = 0)."""
-    pairing = mu_pairing(d, C).vector
-    best = None
-    witness = None
-    size = 1
-    for vi in d.v:
-        size *= vi + 1
-    if size > BOX_WARN_LIMIT:
-        print("warning: conicity box has %d points; this may take a while" % size,
-              file=sys.stderr)
-    for u in itertools.product(*(range(vi + 1) for vi in d.v)):
-        if not any(u):
-            continue
-        val = dot(u, pairing) + dot(u, mat_vec(C, u))
-        if best is None or val < best:
-            best, witness = val, u
-    return best, witness
-
-
 def check_conicity(d: DimData, C) -> BoxReport:
     """u.(w - Cv) + u.(Cu) >= 1 for all nonzero 0 <= u <= v (vacuous if v=0)."""
-    best, witness = _box_minimum(d, C)
-    if best is None:
-        return BoxReport(True, None, None)
-    return BoxReport(best >= 1, best, witness)
+    scan = box_scan(d, C)
+    return BoxReport(scan.conical, scan.min_value, scan.witness)
 
 
 def check_good(d: DimData, C) -> BoxReport:
     """Same box minimum with threshold 2."""
-    best, witness = _box_minimum(d, C)
-    if best is None:
-        return BoxReport(True, None, None)
-    return BoxReport(best >= 2, best, witness)
+    scan = box_scan(d, C)
+    return BoxReport(scan.good, scan.min_value, scan.witness)
 
 
 # ---------------------------------------------------------------------------

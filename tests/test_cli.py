@@ -1,7 +1,9 @@
 """End-to-end command-line checks: exit-code contract, JSON shape, and
 determinism of the output bytes."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -202,3 +204,50 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "verify", "orientation", "--quiver", "a2",
                        "--w", "1,1", "--v", "1,1", "--json")
     assert code == 3 and "internal error: forced" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "verify involution --quiver a2 --w 2,2 --v 2,2 --m 3,0",
+    "verify orientation --quiver a2 --w 2,2 --v 2,2 --m 3,0",
+    "verify restriction --quiver a2 --w 2,2 --v 2,2 --vprime 1,1 --m 0,3",
+    "verify adding-defect --quiver a2 --w 2,2 --v 2,2 --vprime 3,0",
+    "verify km-embedding --quiver a2 --w 2,2 --v 2,2 --vprime 3,0",
+    "verify restriction --quiver a2 --w 2,2 --v 2,2 --vprime 3,0",
+    "verify adding-defect --quiver a2 --w 2,2 --v 2,2",
+    "hilbert --quiver a1 --w 2 --v 1 --order -1",
+    "verify involution --quiver a1 --w 2 --v 1 --max-degree -1",
+])
+def test_invalid_input_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    "classify --quiver a2 --w 1,1 --v 4000,4000",
+    "hilbert --quiver a2 --w 2,2 --v 2,2 --order 60",
+])
+def test_enumeration_over_budget_is_refused(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert err.startswith("refused: ") and err.count("\n") == 1
+
+
+def _table_ops():
+    """classify ops and hilbert ops up to order 6 from the benchmark table,
+    with the stdout sha256 and exit code recorded there."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "table.json"
+    ops = json.loads(path.read_text())["ops"]
+    for key, row in sorted(ops.items()):
+        argv = key.split()
+        if argv[0] == "classify" or (
+                argv[0] == "hilbert" and int(argv[argv.index("--order") + 1]) <= 6):
+            yield argv, row["sha256"], row["exit"]
+
+
+def test_table_ops_byte_identical(capsys):
+    ops = list(_table_ops())
+    assert ops
+    for argv, sha, exit_code in ops:
+        code, out, _ = run(capsys, *argv)
+        assert (hashlib.sha256(out.encode()).hexdigest(), code) == (sha, exit_code), argv

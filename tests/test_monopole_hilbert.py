@@ -136,15 +136,42 @@ def test_classify_examples():
     assert cls.kind == "bad" and cls.min_degree == 0
 
 
+def brute_force_box(quiver, w, v):
+    """(least degree, lex-least minimizer, least degree/|m|) over 0 < m <= v,
+    with the degree 2*Delta(omega_m) from two_delta_general at both signs,
+    so the box quantity itself is never evaluated."""
+    ctx = make_context(quiver, w, v)
+    best = witness = ratio = None
+    for m in itertools.product(*(range(vi + 1) for vi in v)):
+        if not any(m):
+            continue
+        plus = two_delta_general(ctx, omega(m, v, 1))
+        minus = two_delta_general(
+            ctx, tuple(tuple(sorted(t, reverse=True)) for t in omega(m, v, -1)))
+        assert plus == minus
+        if best is None or plus < best:
+            best, witness = plus, m
+        if ratio is None or Fraction(plus, sum(m)) < ratio:
+            ratio = Fraction(plus, sum(m))
+    return best, witness, ratio
+
+
 def test_classify_agrees_with_box_checks():
+    # every (quiver, w, v, m) with w, v <= 3 on the three quivers
     for quiver in (a1_quiver(), a2_quiver(), affine_sl2_quiver()):
         C = cartan_matrix(quiver)
-        for w in itertools.product(range(3), repeat=quiver.n):
-            for v in itertools.product(range(3), repeat=quiver.n):
+        for w in itertools.product(range(4), repeat=quiver.n):
+            for v in itertools.product(range(4), repeat=quiver.n):
+                best, witness, ratio = brute_force_box(quiver, w, v)
                 d = DimData.make(w, v)
-                cls = classify_theory(make_context(quiver, w, v))
-                assert (cls.kind == "good") == check_good(d, C).holds
-                assert cls.conical == check_conicity(d, C).holds
+                ctx = make_context(quiver, w, v)
+                cls = classify_theory(ctx)
+                assert (cls.min_degree, cls.witness) == (best, witness), (w, v)
+                assert cls.kind == ("good" if best is None or best >= 2
+                                    else "ugly" if best == 1 else "bad")
+                assert check_good(d, C) == (cls.kind == "good", best, witness)
+                assert check_conicity(d, C) == (cls.conical, best, witness)
+                assert degree_lower_bound(ctx) == (1 if ratio is None else ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +231,23 @@ def test_hilbert_budget():
     ctx = make_context(affine_sl2_quiver(), (1, 0), (2, 2))
     with pytest.raises(EnumerationBudgetError):
         hilbert_series(ctx, 10, point_budget=3)
+
+
+def test_hilbert_budget_checked_before_any_point(monkeypatch):
+    import quiver_fmo.monopole_hilbert as mh
+
+    def evaluated(*args):
+        raise AssertionError("a shell point was evaluated")
+
+    monkeypatch.setattr(mh, "two_delta_general", evaluated)
+    ctx = make_context(affine_sl2_quiver(), (1, 0), (2, 2))
+    with pytest.raises(EnumerationBudgetError, match="more than 3 shell points"):
+        hilbert_series(ctx, 10, point_budget=3)
+
+
+def test_budget_error_is_shared():
+    from quiver_fmo import quiver
+    assert EnumerationBudgetError is quiver.EnumerationBudgetError
 
 
 def test_good_series_shape():

@@ -29,6 +29,7 @@ from quiver_fmo.multipoly import (
     tilde,
     try_div,
     uv,
+    var_text,
     wv,
 )
 
@@ -137,6 +138,54 @@ def test_gcd_common_factor(a, b, c):
         return
     # c divides the gcd of ac and bc
     assert try_div(g, poly_gcd(c, c)) is not None
+
+
+def test_gcd_large_common_factor():
+    # a draw that ran for minutes before the subresultant remainder sequence
+    a = parse_poly("-w[2,1]^5 + 4")
+    b = parse_poly("-4*w[1,2]^3*w[2,1]^3 + 4*w[1,2]^3 + 3*w[1,2]^2 - 2")
+    c = parse_poly("-w[1,1]^3*w[2,1] - 3*w[1,1] - w[1,2] + 1")
+    assert poly_gcd(a * c, b * c) == -c
+
+
+def to_sympy(sympy, p):
+    total = sympy.Integer(0)
+    for mono, c in p.terms.items():
+        c = Fraction(c)
+        term = sympy.Rational(c.numerator, c.denominator)
+        for var, e in mono:
+            term *= sympy.Symbol(var_text(var)) ** e
+        total += term
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(poly_strategy(WVARS), poly_strategy(WVARS), poly_strategy(WVARS))
+def test_gcd_and_normal_form_against_sympy(a, b, c):
+    """Differential oracle: poly_gcd agrees with sympy's gcd up to a constant,
+    and RatFunc.make returns an equal, fully reduced fraction."""
+    sympy = pytest.importorskip("sympy")
+    a, b = a * c, b * c
+    if a.is_zero() and b.is_zero():
+        return
+    g, expected = to_sympy(sympy, poly_gcd(a, b)), sympy.gcd(to_sympy(sympy, a),
+                                                             to_sympy(sympy, b))
+    assert sympy.cancel(g / expected).is_number
+    if b.is_zero():
+        return
+    f = RatFunc.make(a, b)
+    num, den = to_sympy(sympy, f.num), to_sympy(sympy, f.den)
+    assert sympy.expand(num * to_sympy(sympy, b) - den * to_sympy(sympy, a)) == 0
+    assert sympy.gcd(num, den).is_number
+
+
+def test_ratfunc_keeps_a_u_denominator_that_is_not_a_monomial():
+    # only u-monomial factors move to the numerator; GKLOElement rejects the rest
+    f = RatFunc.make(U11, U11 + 1)
+    assert (f.num, f.den, f.dfac) == (U11, U11 + 1, None)
+    assert RatFunc.make(U11, U11 * (W11 + 1)) == RatFunc.make(1, W11 + 1)
+    with pytest.raises(AdmissibilityError):
+        GKLOElement.make(f, "slice_loc")
 
 
 @settings(max_examples=60, deadline=None)

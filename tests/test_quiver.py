@@ -3,16 +3,20 @@ the finite/affine trichotomy."""
 
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
 
 from quiver_fmo.quiver import (
+    BOX_POINT_BUDGET,
     DimData,
+    EnumerationBudgetError,
     Quiver,
     a1_quiver,
     a2_quiver,
     affine_classify,
     affine_sl2_quiver,
+    box_scan,
     cartan_matrix,
     check_conicity,
     check_good,
@@ -99,6 +103,26 @@ def test_empty_box_vacuous():
     rep = check_conicity(DimData.make((1, 1), (0, 0)), cartan_matrix(A2))
     assert rep.holds and rep.witness is None
     assert check_good(DimData.make((0,), (0,)), cartan_matrix(A1)).holds
+
+
+def test_box_scan_examples():
+    CAFF = cartan_matrix(AFF)
+    scan = box_scan(DimData.make((1, 0), (2, 2)), CAFF)
+    assert scan.min_value == 1 and scan.witness == (1, 1)
+    assert scan.conical and not scan.good
+    assert scan.min_ratio == Fraction(1, 2)  # u = (2,2): value 2 over |u| = 4
+    empty = box_scan(DimData.make((1, 1), (0, 0)), cartan_matrix(A2))
+    assert empty == (None, None, None) and empty.conical and empty.good
+    # a ratio of 0 is a valid minimum, not a missing one
+    assert box_scan(DimData.make((0, 0), (1, 1)), CAFF).min_ratio == 0
+
+
+def test_box_scan_budget_refuses_before_scanning():
+    side = int(BOX_POINT_BUDGET ** 0.5)
+    with pytest.raises(EnumerationBudgetError, match="more than %d" % BOX_POINT_BUDGET):
+        box_scan(DimData.make((1, 1), (side, side)), cartan_matrix(A2))
+    with pytest.raises(EnumerationBudgetError):
+        check_conicity(DimData.make((1, 1), (4000, 4000)), cartan_matrix(A2))
 
 
 def test_good_implies_conical():
