@@ -97,7 +97,6 @@ def phi_fmo_terms(ctx: GKLOContext, split: DefectSplit, m, f: PartialSymPoly,
         return
     for gamma, num, dfac in fmo_plus_terms(ctx, m, f, head=split.v_prime,
                                            with_u=with_u):
-        dfac = dict(dfac)
         for i, g in enumerate(gamma):
             for r in g:
                 for s in range(split.v_prime[i] + 1, split.v[i] + 1):

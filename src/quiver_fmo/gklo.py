@@ -201,36 +201,52 @@ def _u_gamma(gamma, exp: int) -> MPoly:
     return MPoly({tuple(sorted(mon)): 1})
 
 
+@lru_cache(maxsize=4096)
+def _subset_factor(ctx: GKLOContext, gamma, sign: str):
+    """The part of the subset-Gamma term of M^{sign}_m(f) that does not depend
+    on the dressing: the edge factor (times the framing w^{w_j} over Gamma
+    for M^-) times the denominator sign, and the factored denominator.
+    Callers must not mutate the returned dict."""
+    if sign == "+":
+        factor = _edge_factor_plus(ctx, gamma)
+    else:
+        factor = _edge_factor_minus(ctx, gamma)
+        for j, g in enumerate(gamma):
+            for t in g:
+                factor = factor * MPoly.var(wv(j, t), ctx.w[j])
+    dfac, dsign = _den_factor(ctx, gamma, reverse=sign == "-")
+    return factor * dsign, dfac
+
+
 def fmo_plus_terms(ctx: GKLOContext, m, f: PartialSymPoly, head=None,
                    with_u: bool = True):
-    """The defining sum of M^+_m(f) as (numerator, factored-denominator)
-    pairs, optionally restricted to subsets inside the given head bounds."""
+    """The defining sum of M^+_m(f) as (subset, numerator,
+    factored-denominator) triples, optionally restricted to subsets inside
+    the given head bounds.  Each denominator dict is a fresh copy."""
     bounds = ctx.v if head is None else head
     per_vertex = [
         [tuple(c) for c in itertools.combinations(range(1, hi + 1), mi)]
         for hi, mi in zip(bounds, m)
     ]
     for gamma in itertools.product(*per_vertex):
-        num = restrict_to_gamma(f, gamma) * _edge_factor_plus(ctx, gamma)
-        dfac, dsign = _den_factor(ctx, gamma, reverse=False)
+        factor, dfac = _subset_factor(ctx, gamma, "+")
+        num = restrict_to_gamma(f, gamma) * factor
         if with_u:
             num = num * _u_gamma(gamma, 1)
-        yield gamma, num * dsign, dfac
+        yield gamma, num, dict(dfac)
 
 
 def fmo_minus_terms(ctx: GKLOContext, m, f: PartialSymPoly, with_u: bool = True):
     """The defining sum of M^-_m(f), including the global sign, as
-    (subset, numerator, factored-denominator) triples."""
-    global_sign = -1 if fmo_sign(ctx, m) else 1
+    (subset, numerator, factored-denominator) triples.  Each denominator dict
+    is a fresh copy."""
+    negate = fmo_sign(ctx, m)
     for gamma in _gamma_tuples(ctx.v, m):
-        num = restrict_to_gamma(f, gamma) * _edge_factor_minus(ctx, gamma)
-        for j, g in enumerate(gamma):
-            for t in g:
-                num = num * MPoly.var(wv(j, t), ctx.w[j])
-        dfac, dsign = _den_factor(ctx, gamma, reverse=True)
+        factor, dfac = _subset_factor(ctx, gamma, "-")
+        num = restrict_to_gamma(f, gamma) * factor
         if with_u:
             num = num * _u_gamma(gamma, -1)
-        yield gamma, num * (dsign * global_sign), dfac
+        yield gamma, -num if negate else num, dict(dfac)
 
 
 def fmo_plus(ctx: GKLOContext, m, f) -> GKLOElement:
@@ -379,7 +395,6 @@ def involution_fmo_report(ctx: GKLOContext, m, f: PartialSymPoly) -> InvolutionR
     minus = fmo_minus(ctx, m, f)
     iota_terms = []
     for gamma, num, dfac in fmo_plus_terms(ctx, m, f, with_u=False):
-        dfac = dict(dfac)
         for i, g in enumerate(gamma):
             for r in g:
                 sg, x, y_fac = _chevalley_parts(ctx, i, r)
@@ -443,7 +458,6 @@ def orientation_flip_sign(ctx: GKLOContext, edge_index: int, m, f=None) -> Orien
     flipped_ctx = GKLOContext(ctx.quiver.flip_edge(edge_index), ctx.dims)
     keyed = []
     for gamma, num, dfac in fmo_plus_terms(flipped_ctx, m, f, with_u=False):
-        dfac = dict(dfac)
         for p in gamma[s]:
             for q in range(1, ctx.v[t] + 1):
                 num = num * (MPoly.var(wv(t, q)) - MPoly.var(wv(s, p)))

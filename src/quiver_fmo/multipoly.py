@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import ast
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import lru_cache
 from math import gcd as int_gcd
+from operator import itemgetter
 
 # ---------------------------------------------------------------------------
 # variables
@@ -60,11 +62,31 @@ def _coeff(c):
 
 # A monomial is a sorted tuple of (var, exponent) with nonzero exponents.
 
+_var_of = itemgetter(0)
+
+
 def mon_mul(m1, m2):
     if not m1:
         return m2
     if not m2:
         return m1
+    # variable ranges that do not overlap: concatenate
+    if m1[-1][0] < m2[0][0]:
+        return m1 + m2
+    if m2[-1][0] < m1[0][0]:
+        return m2 + m1
+    # a one-variable operand inside the other's range: insert it
+    if len(m1) == 1:
+        m1, m2 = m2, m1
+    if len(m2) == 1:
+        v, e = m2[0]
+        k = bisect_left(m1, v, key=_var_of)
+        if m1[k][0] != v:
+            return m1[:k] + m2 + m1[k:]
+        e += m1[k][1]
+        if e:
+            return m1[:k] + ((v, e),) + m1[k + 1:]
+        return m1[:k] + m1[k + 1:]
     # merge of two sorted tuples
     out = []
     i = j = 0
@@ -107,30 +129,16 @@ def mon_degree(m) -> int:
     return sum(e for _, e in m)
 
 
-def _mon_cmp(m1, m2) -> int:
-    """Graded lexicographic order over the fixed variable order."""
-    d1, d2 = mon_degree(m1), mon_degree(m2)
-    if d1 != d2:
-        return -1 if d1 < d2 else 1
-    i = j = 0
-    while i < len(m1) or j < len(m2):
-        v1 = m1[i][0] if i < len(m1) else None
-        v2 = m2[j][0] if j < len(m2) else None
-        if v1 == v2:
-            e1, e2 = m1[i][1], m2[j][1]
-            if e1 != e2:
-                # higher exponent on an earlier variable is larger
-                return 1 if e1 > e2 else -1
-            i += 1
-            j += 1
-        elif v2 is None or (v1 is not None and v1 < v2):
-            return 1 if m1[i][1] > 0 else -1
-        else:
-            return -1 if m2[j][1] > 0 else 1
-    return 0
-
-
-_MON_KEY = cmp_to_key(_mon_cmp)
+def _MON_KEY(m):
+    """Sort key of the graded lexicographic order over the fixed variable
+    order: total degree first, then the exponent vectors compared at the
+    first variable where they differ, an absent variable counting as
+    exponent 0.  A positive exponent on a variable ranks it above every later
+    variable (hence the negated variable), a negative one below; the closing
+    (0,) stands for the exponent 0 of every variable past the end."""
+    return (sum(e for _, e in m),
+            tuple((1, -k, -i, -r, e) if e > 0 else (-1, k, i, r, e)
+                  for (k, i, r), e in m) + ((0,),))
 
 
 class MPoly:
@@ -294,10 +302,7 @@ class MPoly:
 
     def leading(self):
         """(monomial, coeff) maximal in graded lex order."""
-        best = None
-        for m in self.terms:
-            if best is None or _mon_cmp(m, best) > 0:
-                best = m
+        best = max(self.terms, key=_MON_KEY)
         return best, self.terms[best]
 
     # -- substitution -------------------------------------------------------
@@ -363,11 +368,7 @@ def try_div(f: MPoly, g: MPoly):
     quot = {}
     rem = dict(f.terms)
     while rem:
-        # leading term of the remainder
-        best = None
-        for m in rem:
-            if best is None or _mon_cmp(m, best) > 0:
-                best = m
+        best = max(rem, key=_MON_KEY)  # leading term of the remainder
         qm = mon_div(best, gm)
         if qm is None:
             return None
@@ -1062,6 +1063,14 @@ def _coeff_text(c) -> str:
 
 
 def poly_text(p: MPoly) -> str:
+    # a plain function in front of the cache, so call counts see every render
+    return _poly_text(p)
+
+
+@lru_cache(maxsize=4096)
+def _poly_text(p: MPoly) -> str:
+    """poly_text, once per polynomial: equal polynomials (1 and Fraction(1)
+    coefficients included) render to the same text."""
     if p.is_zero():
         return "0"
     parts = []

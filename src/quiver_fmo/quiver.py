@@ -10,6 +10,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as int_gcd, prod
 from typing import NamedTuple
 
@@ -180,10 +181,12 @@ class BoxScan(NamedTuple):
         return self.min_value is None or self.min_value >= 2
 
 
+@lru_cache(maxsize=256)
 def box_scan(d: DimData, C) -> BoxScan:
     """The one scan of the box behind conicity, goodness, the theory kind
-    and the Hilbert-series degree bound.  Raises EnumerationBudgetError when
-    the box has more than BOX_POINT_BUDGET points."""
+    and the Hilbert-series degree bound, cached so that callers on the same
+    data share it (C is a tuple of tuples).  Raises EnumerationBudgetError
+    when the box has more than BOX_POINT_BUDGET points."""
     size = prod(vi + 1 for vi in d.v)
     if size > BOX_POINT_BUDGET:
         raise EnumerationBudgetError("the box 0 <= u <= v has %d points, more than %d"

@@ -73,6 +73,17 @@ def test_hilbert_closed_form(capsys):
     assert data["classification"] == "good"
 
 
+def test_hilbert_scans_the_box_once(capsys):
+    from quiver_fmo.quiver import box_scan
+
+    box_scan.cache_clear()
+    code, _, _ = run(capsys, "hilbert", "--quiver", "a2", "--w", "2,2", "--v", "1,1",
+                     "--order", "4", "--json")
+    assert code == 0
+    info = box_scan.cache_info()
+    assert info.misses == 1 and info.hits >= 1
+
+
 def test_hilbert_refuses_bad(capsys):
     code, out, _ = run(capsys, "hilbert", "--quiver", "a1", "--w", "2", "--v", "2",
                        "--order", "6", "--json")

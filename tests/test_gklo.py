@@ -14,6 +14,7 @@ from quiver_fmo.multipoly import (
     ZVAR,
     check_symmetric,
     poly_text,
+    restrict_to_gamma,
     uv,
     wv,
 )
@@ -171,14 +172,62 @@ def test_lambda0_linearity():
                     RatFunc.from_poly(sym) * op(ctx, m, g).value
 
 
+INVOLUTION_GRID = [(a1_quiver(), (2,), (2,)), (a2_quiver(), (1, 1), (1, 1)),
+                   (affine_sl2_quiver(), (2, 0), (2, 1))]
+INVARIANCE_GRID = [(a1_quiver(), (1,), (3,)), (a2_quiver(), (1, 1), (2, 2)),
+                   (affine_sl2_quiver(), (2, 0), (2, 1))]
+
+
 def test_fmo_invariance_small_grid():
-    for quiver, w, v in [(a1_quiver(), (1,), (3,)), (a2_quiver(), (1, 1), (2, 2)),
-                         (affine_sl2_quiver(), (2, 0), (2, 1))]:
+    for quiver, w, v in INVARIANCE_GRID:
         ctx = make_context(quiver, w, v)
         for m in itertools.product(*(range(vi + 1) for vi in v)):
             for f in dressing_basis(v, m, 2)[:6]:
                 assert check_symmetric(fmo_plus(ctx, m, f), v), (w, v, m)
                 assert check_symmetric(fmo_minus(ctx, m, f), v), (w, v, m)
+
+
+def direct_subset_terms(ctx, m, f, sign):
+    """Oracle for the cached subset factor: each subset term of M^{sign}_m(f)
+    rebuilt from the edge factor, the framing (for M^-) and the signed
+    factored denominator."""
+    negate = sign == "-" and fmo_sign(ctx, m)
+    for gamma in gklo._gamma_tuples(ctx.v, m):
+        num = restrict_to_gamma(f, gamma)
+        if sign == "+":
+            num = num * gklo._edge_factor_plus(ctx, gamma) * gklo._u_gamma(gamma, 1)
+        else:
+            num = num * gklo._edge_factor_minus(ctx, gamma) * gklo._u_gamma(gamma, -1)
+            for j, g in enumerate(gamma):
+                for t in g:
+                    num = num * MPoly.var(wv(j, t), ctx.w[j])
+        dfac, dsign = gklo._den_factor(ctx, gamma, reverse=sign == "-")
+        yield gamma, num * (-dsign if negate else dsign), dfac
+
+
+def test_subset_terms_match_a_direct_recomputation():
+    for quiver, w, v in INVARIANCE_GRID + INVOLUTION_GRID:
+        ctx = make_context(quiver, w, v)
+        for m in itertools.product(*(range(vi + 1) for vi in v)):
+            for f in dressing_basis(v, m, 1):
+                for sign, terms in (("+", gklo.fmo_plus_terms), ("-", gklo.fmo_minus_terms)):
+                    # twice: once filling the subset-factor cache, once from it
+                    for _ in range(2):
+                        assert list(terms(ctx, m, f)) == \
+                            list(direct_subset_terms(ctx, m, f, sign)), (w, v, m, sign)
+
+
+def test_yielded_denominators_are_not_shared():
+    ctx = make_context(a2_quiver(), (1, 1), (2, 2))
+    m = (1, 1)
+    f = PartialSymPoly.make(MPoly.one(), m, ctx.v)
+    for terms in (gklo.fmo_plus_terms, gklo.fmo_minus_terms):
+        first = list(terms(ctx, m, f))
+        want = [(gamma, num, dict(dfac)) for gamma, num, dfac in first]
+        for _, _, dfac in first:
+            dfac[next(iter(dfac))] += 5
+            dfac["stray"] = 1
+        assert list(terms(ctx, m, f)) == want
 
 
 def test_fmo_sign_parity():
@@ -257,10 +306,6 @@ def test_chevalley_involutive_and_swaps_fmos():
                 img = chevalley(ctx, plus)
                 assert img.value == minus.value, (w, v, m, poly_text(f.value))
                 assert chevalley(ctx, img).value == plus.value
-
-
-INVOLUTION_GRID = [(a1_quiver(), (2,), (2,)), (a2_quiver(), (1, 1), (1, 1)),
-                   (affine_sl2_quiver(), (2, 0), (2, 1))]
 
 
 def test_involution_report_against_chevalley_oracle():

@@ -3,6 +3,7 @@ dressing ring operations, and the localized-ring element checks."""
 
 import itertools
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,11 +16,16 @@ from quiver_fmo.multipoly import (
     PartialSymPoly,
     RatFunc,
     SymmetryError,
+    U_KIND,
     ZVAR,
+    _MON_KEY,
+    _poly_text,
     check_symmetric,
     diff_key,
     exact_div,
     identity_holds,
+    mon_degree,
+    mon_mul,
     parse_poly,
     poly_gcd,
     poly_text,
@@ -378,6 +384,107 @@ def test_ring_tag_closure_under_ops():
 def test_ratfunc_text_shapes():
     assert ratfunc_text(RatFunc.make(U11)) == "u[1,1]"
     assert ratfunc_text(RatFunc.make(U11, W11 - W12)) == "(u[1,1])/(w[1,1] - w[1,2])"
+
+
+@pytest.mark.parametrize("int_poly,fraction_poly,text", [
+    (MPoly({(): 2}), MPoly({(): Fraction(2)}), "2"),
+    (W11, MPoly({((wv(0, 1), 1),): Fraction(1)}), "w[1,1]"),
+])
+def test_equal_polynomials_render_alike_through_the_cache(int_poly, fraction_poly, text):
+    # equal polynomials share one cache entry, whichever spelling fills it
+    for first, second in ((int_poly, fraction_poly), (fraction_poly, int_poly)):
+        _poly_text.cache_clear()
+        assert poly_text(first) == text
+        assert poly_text(second) == text
+        assert _poly_text.cache_info().hits == 1
+
+
+# ---------------------------------------------------------------------------
+# monomial order and product
+
+
+def mon_cmp_oracle(m1, m2) -> int:
+    """Test oracle for _MON_KEY: graded lexicographic order over the fixed
+    variable order by a two-pointer walk; a variable absent from one side
+    counts as exponent 0."""
+    d1, d2 = mon_degree(m1), mon_degree(m2)
+    if d1 != d2:
+        return -1 if d1 < d2 else 1
+    i = j = 0
+    while i < len(m1) or j < len(m2):
+        v1 = m1[i][0] if i < len(m1) else None
+        v2 = m2[j][0] if j < len(m2) else None
+        if v1 == v2:
+            e1, e2 = m1[i][1], m2[j][1]
+            if e1 != e2:
+                # higher exponent on an earlier variable is larger
+                return 1 if e1 > e2 else -1
+            i += 1
+            j += 1
+        elif v2 is None or (v1 is not None and v1 < v2):
+            return 1 if m1[i][1] > 0 else -1
+        else:
+            return -1 if m2[j][1] > 0 else 1
+    return 0
+
+
+def merge_mul_oracle(m1, m2):
+    """Test oracle for mon_mul: add exponents, drop zeros, sort."""
+    out = dict(m1)
+    for v, e in m2:
+        out[v] = out.get(v, 0) + e
+    return tuple(sorted((v, e) for v, e in out.items() if e))
+
+
+MON_VARS = [wv(0, 1), wv(0, 2), wv(1, 1), wv(1, 3), uv(0, 1), uv(0, 2), uv(1, 1), ZVAR]
+
+
+def _exponent(var):
+    lo = -2 if var[0] == U_KIND else 1
+    return st.integers(min_value=lo, max_value=3).filter(bool)
+
+
+# empty monomials included; u exponents may be negative
+monomials = st.lists(st.sampled_from(MON_VARS), unique=True, max_size=5).flatmap(
+    lambda vs: st.tuples(*(_exponent(v) for v in vs)).map(
+        lambda es: tuple(sorted(zip(vs, es)))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(monomials, unique=True, max_size=12))
+def test_mon_key_matches_the_comparison_oracle(ms):
+    assert sorted(ms, key=_MON_KEY) == sorted(ms, key=cmp_to_key(mon_cmp_oracle))
+    for m1, m2 in itertools.product(ms[:4], repeat=2):
+        k1, k2 = _MON_KEY(m1), _MON_KEY(m2)
+        assert (k1 > k2) - (k1 < k2) == mon_cmp_oracle(m1, m2), (m1, m2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomials, monomials, st.booleans())
+def test_mon_mul_matches_a_plain_merge(m1, m2, cancel):
+    if cancel:
+        # give m2 the inverse u exponents of m1, so they cancel in the product
+        exps = dict(m2)
+        exps.update((v, -e) for v, e in m1 if v[0] == U_KIND)
+        m2 = tuple(sorted(exps.items()))
+    want = merge_mul_oracle(m1, m2)
+    assert mon_mul(m1, m2) == want
+    assert mon_mul(m2, m1) == want
+
+
+def test_mon_mul_fast_paths():
+    w11, w12, u11 = (wv(0, 1), 1), (wv(0, 2), 2), (uv(0, 1), -1)
+    assert mon_mul((w11,), (u11,)) == (w11, u11)           # disjoint ranges
+    assert mon_mul((u11,), (w11, w12)) == (w11, w12, u11)
+    assert mon_mul((w11, u11), (w12,)) == (w11, w12, u11)  # one variable inserted
+    assert mon_mul((w11, u11), ((uv(0, 1), 1),)) == (w11,)  # inserted and cancelled
+    assert mon_mul((w11, u11), ((uv(0, 1), 3),)) == (w11, (uv(0, 1), 2))
+
+
+def test_leading_and_division_follow_the_key():
+    p = W11 * W12 + W12 ** 2 + MPoly.var(uv(0, 1), -1) * W11 ** 2
+    assert p.leading() == (((wv(0, 1), 1), (wv(0, 2), 1)), 1)
+    assert try_div(p * (W11 - W12), W11 - W12) == p
 
 
 # ---------------------------------------------------------------------------
