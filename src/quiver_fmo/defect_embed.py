@@ -6,7 +6,7 @@ the symbolic verification of the two compatibility statements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .multipoly import (
     GKLOElement,
@@ -15,15 +15,26 @@ from .multipoly import (
     RatFunc,
     U_KIND,
     W_KIND,
+    ZVAR,
     identity_holds,
-    ratfunc_sum,
+    linear_factors,
+    linear_product,
     sweedler,
     tilde,
     uv,
     wv,
 )
 from .quiver import DimData, mat_vec
-from .gklo import GKLOContext, chevalley, fmo, fmo_plus
+from .gklo import (
+    GKLOContext,
+    fmo,
+    fmo_plus,
+    fmo_plus_terms,
+    involution_fmo_report,
+    iota_image,
+    terms_value,
+    transport_terms,
+)
 
 
 @dataclass(frozen=True)
@@ -47,8 +58,9 @@ class DefectSplit:
 
 
 def phi_u_image(ctx: GKLOContext, split: DefectSplit, i: int, r: int):
-    """Image of u_{i,r}: zero on the defect slots, otherwise the ratio of the
-    tail-difference products times u_{i,r}."""
+    """Test oracle: the image of u_{i,r} as one rational function, zero on
+    the defect slots, otherwise the ratio of the tail-difference products
+    times u_{i,r}.  The library route is phi_fmo_terms."""
     if r > split.v_prime[i]:
         return None
     num = MPoly.one()
@@ -63,9 +75,9 @@ def phi_u_image(ctx: GKLOContext, split: DefectSplit, i: int, r: int):
 
 
 def phi(ctx: GKLOContext, split: DefectSplit, e) -> GKLOElement:
-    """Adding-defect substitution.  Requires non-negative u-exponents (some
-    u's are sent to zero); a term containing a killed u is dropped wholesale
-    before any normalization."""
+    """Test oracle: the adding-defect substitution on a whole element.
+    Requires non-negative u-exponents (some u's are sent to zero); a term
+    containing a killed u is dropped wholesale before any normalization."""
     value = e.value if isinstance(e, GKLOElement) else e
     if split.v != ctx.v:
         raise ValueError("split does not match the context")
@@ -80,52 +92,33 @@ def phi(ctx: GKLOContext, split: DefectSplit, e) -> GKLOElement:
     return GKLOElement.make(value.subs_u(mapping), "defect_loc")
 
 
-def phi_fmo_terms(ctx: GKLOContext, split: DefectSplit, m, f: PartialSymPoly,
-                  with_u: bool = True):
+def _tail(split: DefectSplit, i: int):
+    return range(split.v_prime[i] + 1, split.v[i] + 1)
+
+
+def phi_fmo_terms(ctx: GKLOContext, split: DefectSplit, m, f: PartialSymPoly):
     """phi applied to the defining sum of M^+_m(f) term by term: subsets
     meeting the defect slots are dropped wholesale (their u is sent to zero),
-    the survivors pick up the substitution's tail factors.  Yields
+    the survivors pick up the substitution's tail factors.  Yields u-free
     (subset, numerator, factored-denominator) triples."""
-    from .multipoly import diff_key
-    from .gklo import fmo_plus_terms
+    def image(i, r):
+        num = linear_product((wv(i, r), wv(i, s)) for s in _tail(split, i))
+        return (num,) + linear_factors((wv(t, q), wv(i, r))
+                                       for _, t in ctx.quiver.out_edges(i)
+                                       for q in _tail(split, t))
 
-    m = tuple(m)
-    if not any(m):
-        yield tuple(() for _ in split.v), f.value, {}
-        return
-    if any(mi > vp for mi, vp in zip(m, split.v_prime)):
-        return
-    for gamma, num, dfac in fmo_plus_terms(ctx, m, f, head=split.v_prime,
-                                           with_u=with_u):
-        for i, g in enumerate(gamma):
-            for r in g:
-                for s in range(split.v_prime[i] + 1, split.v[i] + 1):
-                    num = num * (MPoly.var(wv(i, r)) - MPoly.var(wv(i, s)))
-                for a in ctx.quiver.out_edges(i):
-                    t = a[1]
-                    for tt in range(split.v_prime[t] + 1, split.v[t] + 1):
-                        key, sg = diff_key(wv(t, tt), wv(i, r))
-                        dfac[key] = dfac.get(key, 0) + 1
-                        if sg < 0:
-                            num = -num
-        yield gamma, num, dfac
+    yield from transport_terms(fmo_plus_terms(ctx, tuple(m), f, head=split.v_prime), image)
 
 
 def phi_fmo_plus(ctx: GKLOContext, split: DefectSplit, m, f: PartialSymPoly) -> RatFunc:
     """phi of M^+_m(f), computed termwise; agrees with phi applied to the
     normalized operator."""
-    return ratfunc_sum(
-        (num, dfac) for _, num, dfac in phi_fmo_terms(ctx, split, m, f))
+    return terms_value(phi_fmo_terms(ctx, split, m, f), 1)
 
 
 def defect_L_poly(split: DefectSplit, i: int) -> MPoly:
     """The monic tail factor prod_{r > v'_i} (z - w_{i,r})."""
-    from .multipoly import ZVAR
-
-    out = MPoly.one()
-    for r in range(split.v_prime[i] + 1, split.v[i] + 1):
-        out = out * (MPoly.var(ZVAR) - MPoly.var(wv(i, r)))
-    return out
+    return linear_product((ZVAR, wv(i, r)) for r in _tail(split, i))
 
 
 @dataclass(frozen=True)
@@ -143,19 +136,17 @@ def verify_adding_defect_theorem(ctx: GKLOContext, split: DefectSplit, m, f) -> 
     decomposes subset by subset; each piece is an exact polynomial identity
     over its own denominators.  The reduced sides are only materialized for
     the report."""
-    from .gklo import fmo_plus_terms
-
     m = tuple(m)
     if not isinstance(f, PartialSymPoly):
         f = PartialSymPoly.make(f, m, ctx.v)
-    keyed = list(phi_fmo_terms(ctx, split, m, f, with_u=False))
+    keyed = list(phi_fmo_terms(ctx, split, m, f))
     rhs = RatFunc.zero()
     if all(mi <= vp for mi, vp in zip(m, split.v_prime)):
         sub_ctx = GKLOContext(ctx.quiver, DimData.make(ctx.w, split.v_prime))
         for f1, f2 in sweedler(f, split.v_prime):
             rhs = rhs + fmo_plus(sub_ctx, m, f1).value * f2
             keyed.extend((gamma, -num * f2, dfac) for gamma, num, dfac
-                         in fmo_plus_terms(sub_ctx, m, f1, with_u=False))
+                         in fmo_plus_terms(sub_ctx, m, f1))
     holds = identity_holds(keyed)
     lhs = rhs if holds else phi_fmo_plus(ctx, split, m, f)
     return VerifyReport(holds, lhs, rhs)
@@ -225,16 +216,17 @@ def _tail_zero_term(num: MPoly, dfac: dict, split: DefectSplit):
 def _plus_restriction_route(quiver, v, v_prime, m, f: PartialSymPoly):
     """Framing-independent positive-side comparison: the tail-at-zero defect
     route against the direct truncated operator, decomposed per subset.
-    Returns (holds, route)."""
-    from .gklo import fmo_plus_terms
-
+    Returns (holds, route, terms): route is the common value when the
+    identity holds, else the tail-at-zero side, whose u-free subset terms are
+    then returned too (empty when it holds)."""
     ctx = GKLOContext(quiver, DimData.make((0,) * quiver.n, v))
     split = DefectSplit.make(v, v_prime)
-    keyed = []
-    for gamma, num, dfac in phi_fmo_terms(ctx, split, m, f, with_u=False):
+    lhs_terms = []
+    for gamma, num, dfac in phi_fmo_terms(ctx, split, m, f):
         t = _tail_zero_term(num, dfac, split)
         if t is not None:
-            keyed.append((gamma,) + t)
+            lhs_terms.append((gamma,) + t)
+    keyed = list(lhs_terms)
     if any(mi > vp for mi, vp in zip(m, v_prime)):
         plus_rhs = RatFunc.zero()
     else:
@@ -242,15 +234,10 @@ def _plus_restriction_route(quiver, v, v_prime, m, f: PartialSymPoly):
         ft = tilde(f, v_prime)
         plus_rhs = fmo_plus(sub_ctx, m, ft).value
         keyed.extend((gamma, -num, dfac) for gamma, num, dfac
-                     in fmo_plus_terms(sub_ctx, m, ft, with_u=False))
-    if not identity_holds(keyed):
-        lhs_terms = []
-        for gamma, num, dfac in phi_fmo_terms(ctx, split, m, f):
-            t = _tail_zero_term(num, dfac, split)
-            if t is not None:
-                lhs_terms.append(t)
-        return False, ratfunc_sum(lhs_terms)
-    return True, plus_rhs
+                     in fmo_plus_terms(sub_ctx, m, ft))
+    if identity_holds(keyed):
+        return True, plus_rhs, ()
+    return False, terms_value(lhs_terms, 1), tuple(lhs_terms)
 
 
 def verify_restriction(ctx: GKLOContext, v_prime, m, f, sign: str) -> VerifyReport:
@@ -262,7 +249,7 @@ def verify_restriction(ctx: GKLOContext, v_prime, m, f, sign: str) -> VerifyRepo
     if not isinstance(f, PartialSymPoly):
         f = PartialSymPoly.make(f, m, ctx.v)
     target = slice_target_context(ctx, v_prime)
-    plus_holds, plus_route = _plus_restriction_route(
+    plus_holds, plus_route, plus_terms = _plus_restriction_route(
         ctx.quiver, ctx.v, v_prime, m, f)
 
     if sign == "+":
@@ -274,8 +261,8 @@ def verify_restriction(ctx: GKLOContext, v_prime, m, f, sign: str) -> VerifyRepo
     if any(mi > vp for mi, vp in zip(m, v_prime)):
         return VerifyReport(plus_holds and rhs.is_zero(), RatFunc.zero(), rhs)
     if plus_holds:
-        from .gklo import involution_fmo_report
         rep = involution_fmo_report(target, m, tilde(f, v_prime))
         return VerifyReport(rep.swaps and rep.minus == rhs, rep.image, rhs)
-    lhs = chevalley(target, GKLOElement.make(plus_route, "slice_loc_loc")).value
+    iota_terms = transport_terms(plus_terms, partial(iota_image, target))
+    lhs = GKLOElement.make(terms_value(iota_terms, -1), "slice_loc_loc").value
     return VerifyReport(False, lhs, rhs)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .multipoly import (
     GKLOElement,
@@ -16,8 +16,9 @@ from .multipoly import (
     PartialSymPoly,
     RatFunc,
     ZVAR,
-    diff_key,
     identity_holds,
+    linear_factors,
+    linear_product,
     ratfunc_sum,
     restrict_to_gamma,
     uv,
@@ -54,47 +55,39 @@ def make_context(quiver: Quiver, w, v) -> GKLOContext:
 
 def q_image(ctx: GKLOContext, i: int) -> MPoly:
     """prod_r (z - w_{i,r}); monic of degree v_i in z."""
-    out = MPoly.one()
-    z = MPoly.var(ZVAR)
+    return linear_product((ZVAR, wv(i, r)) for r in range(1, ctx.v[i] + 1))
+
+
+def _in_pairs(ctx, i, r):
+    """The pairs (w_{i,r}, w_{s,p}) over the edges s -> i and the slots of s."""
+    return [(wv(i, r), wv(s, p)) for s, _ in ctx.quiver.in_edges(i)
+            for p in range(1, ctx.v[s] + 1)]
+
+
+def _out_pairs(ctx, i, r):
+    """The pairs (w_{t,q}, w_{i,r}) over the edges i -> t and the slots of t."""
+    return [(wv(t, q), wv(i, r)) for _, t in ctx.quiver.out_edges(i)
+            for q in range(1, ctx.v[t] + 1)]
+
+
+def _lagrange_terms(ctx, i, edge_pairs, u_exp, framing):
+    """The Lagrange-form sum over r of prod_{s != r} (z - w_{i,s}) / (w_{i,r} -
+    w_{i,s}) times the edge products, w_{i,r}^{framing} and u_{i,r}^{u_exp},
+    as (numerator, factored-denominator) pairs."""
+    terms = []
     for r in range(1, ctx.v[i] + 1):
-        out = out * (z - MPoly.var(wv(i, r)))
-    return out
-
-
-def _lagrange_numerator(ctx, i, r) -> MPoly:
-    z = MPoly.var(ZVAR)
-    out = MPoly.one()
-    for s in range(1, ctx.v[i] + 1):
-        if s != r:
-            out = out * (z - MPoly.var(wv(i, s)))
-    return out
-
-
-def _lagrange_denominator(ctx, i, r):
-    """Factored prod_{s != r} (w_{i,r} - w_{i,s}) as (factor dict, sign)."""
-    dfac = {}
-    sign = 1
-    for s in range(1, ctx.v[i] + 1):
-        if s != r:
-            key, sg = diff_key(wv(i, r), wv(i, s))
-            dfac[key] = dfac.get(key, 0) + 1
-            sign *= sg
-    return dfac, sign
+        others = [wv(i, s) for s in range(1, ctx.v[i] + 1) if s != r]
+        num = linear_product([(ZVAR, y) for y in others] + edge_pairs(ctx, i, r))
+        num = num * MPoly.var(wv(i, r), framing) * MPoly.var(uv(i, r), u_exp)
+        dfac, sign = linear_factors((wv(i, r), y) for y in others)
+        terms.append((num * sign, dfac))
+    return terms
 
 
 def p_image(ctx: GKLOContext, i: int) -> GKLOElement:
     """Lagrange-form sum over r of the interpolation factor times the outgoing
     edge products times u_{i,r}."""
-    terms = []
-    for r in range(1, ctx.v[i] + 1):
-        num = _lagrange_numerator(ctx, i, r)
-        for a in ctx.quiver.out_edges(i):
-            t = a[1]
-            for tt in range(1, ctx.v[t] + 1):
-                num = num * (MPoly.var(wv(t, tt)) - MPoly.var(wv(i, r)))
-        num = num * MPoly.var(uv(i, r))
-        dfac, sign = _lagrange_denominator(ctx, i, r)
-        terms.append((num * sign, dfac))
+    terms = _lagrange_terms(ctx, i, _out_pairs, 1, 0)
     return GKLOElement.make(ratfunc_sum(terms), "zastava_loc")
 
 
@@ -102,18 +95,8 @@ def p_minus_image(ctx: GKLOContext, i: int) -> GKLOElement:
     """Negative counterpart of p_image; carries w_{i,r}^{w_i}, incoming edge
     products, inverse u, and the orientation sign."""
     sign = (-1) ** sum(ctx.v[b[1]] for b in ctx.quiver.out_edges(i))
-    terms = []
-    for r in range(1, ctx.v[i] + 1):
-        num = _lagrange_numerator(ctx, i, r) * MPoly.var(wv(i, r), ctx.w[i])
-        for a in ctx.quiver.in_edges(i):
-            s = a[0]
-            for ss in range(1, ctx.v[s] + 1):
-                num = num * (MPoly.var(wv(i, r)) - MPoly.var(wv(s, ss)))
-        num = num * MPoly.var(uv(i, r), -1)
-        dfac, dsign = _lagrange_denominator(ctx, i, r)
-        terms.append((num * dsign, dfac))
-    total = ratfunc_sum(terms) * (-sign)
-    return GKLOElement.make(total, "slice_loc")
+    terms = _lagrange_terms(ctx, i, _in_pairs, -1, ctx.w[i])
+    return GKLOElement.make(ratfunc_sum(terms) * (-sign), "slice_loc")
 
 
 # ---------------------------------------------------------------------------
@@ -155,42 +138,23 @@ def fmo_sign(ctx: GKLOContext, m) -> int:
 
 
 def _edge_factor_plus(ctx, gamma) -> MPoly:
-    out = MPoly.one()
-    for (s, t) in ctx.quiver.edges:
-        in_t = set(gamma[t])
-        for r in gamma[s]:
-            for tt in range(1, ctx.v[t] + 1):
-                if tt not in in_t:
-                    out = out * (MPoly.var(wv(t, tt)) - MPoly.var(wv(s, r)))
-    return out
+    return linear_product((wv(t, q), wv(s, r)) for s, t in ctx.quiver.edges
+                          for r in gamma[s] for q in range(1, ctx.v[t] + 1)
+                          if q not in gamma[t])
 
 
 def _edge_factor_minus(ctx, gamma) -> MPoly:
-    out = MPoly.one()
-    for (s, t) in ctx.quiver.edges:
-        in_s = set(gamma[s])
-        for r in gamma[t]:
-            for ss in range(1, ctx.v[s] + 1):
-                if ss not in in_s:
-                    out = out * (MPoly.var(wv(t, r)) - MPoly.var(wv(s, ss)))
-    return out
+    return linear_product((wv(t, r), wv(s, p)) for s, t in ctx.quiver.edges
+                          for r in gamma[t] for p in range(1, ctx.v[s] + 1)
+                          if p not in gamma[s])
 
 
 def _den_factor(ctx, gamma, reverse: bool):
     """Factored prod (w_{i,r} - w_{i,s}) over r in Gamma_i, s outside (order
     swapped when reverse); returns (factor dict, sign)."""
-    dfac = {}
-    sign = 1
-    for i, g in enumerate(gamma):
-        gs = set(g)
-        for r in g:
-            for s in range(1, ctx.v[i] + 1):
-                if s not in gs:
-                    a, b = (wv(i, s), wv(i, r)) if reverse else (wv(i, r), wv(i, s))
-                    key, sg = diff_key(a, b)
-                    dfac[key] = dfac.get(key, 0) + 1
-                    sign *= sg
-    return dfac, sign
+    pairs = [(wv(i, r), wv(i, s)) for i, g in enumerate(gamma) for r in g
+             for s in range(1, ctx.v[i] + 1) if s not in g]
+    return linear_factors((b, a) if reverse else (a, b) for a, b in pairs)
 
 
 def _u_gamma(gamma, exp: int) -> MPoly:
@@ -218,35 +182,47 @@ def _subset_factor(ctx: GKLOContext, gamma, sign: str):
     return factor * dsign, dfac
 
 
-def fmo_plus_terms(ctx: GKLOContext, m, f: PartialSymPoly, head=None,
-                   with_u: bool = True):
-    """The defining sum of M^+_m(f) as (subset, numerator,
+def fmo_plus_terms(ctx: GKLOContext, m, f: PartialSymPoly, head=None):
+    """The defining sum of M^+_m(f) as u-free (subset, numerator,
     factored-denominator) triples, optionally restricted to subsets inside
-    the given head bounds.  Each denominator dict is a fresh copy."""
-    bounds = ctx.v if head is None else head
-    per_vertex = [
-        [tuple(c) for c in itertools.combinations(range(1, hi + 1), mi)]
-        for hi, mi in zip(bounds, m)
-    ]
-    for gamma in itertools.product(*per_vertex):
+    the given head bounds; subset Gamma stands for the term times u_Gamma.
+    Each denominator dict is a fresh copy."""
+    for gamma in _gamma_tuples(ctx.v if head is None else head, m):
         factor, dfac = _subset_factor(ctx, gamma, "+")
-        num = restrict_to_gamma(f, gamma) * factor
-        if with_u:
-            num = num * _u_gamma(gamma, 1)
-        yield gamma, num, dict(dfac)
+        yield gamma, restrict_to_gamma(f, gamma) * factor, dict(dfac)
 
 
-def fmo_minus_terms(ctx: GKLOContext, m, f: PartialSymPoly, with_u: bool = True):
-    """The defining sum of M^-_m(f), including the global sign, as
-    (subset, numerator, factored-denominator) triples.  Each denominator dict
-    is a fresh copy."""
+def fmo_minus_terms(ctx: GKLOContext, m, f: PartialSymPoly):
+    """The defining sum of M^-_m(f), including the global sign, as u-free
+    (subset, numerator, factored-denominator) triples; subset Gamma stands
+    for the term times u_Gamma^{-1}.  Each denominator dict is a fresh copy."""
     negate = fmo_sign(ctx, m)
     for gamma in _gamma_tuples(ctx.v, m):
         factor, dfac = _subset_factor(ctx, gamma, "-")
         num = restrict_to_gamma(f, gamma) * factor
-        if with_u:
-            num = num * _u_gamma(gamma, -1)
         yield gamma, -num if negate else num, dict(dfac)
+
+
+def terms_value(terms, exp: int) -> RatFunc:
+    """The normalized sum of u-free subset terms, each subset Gamma's term
+    multiplied back by u_Gamma^{exp}."""
+    return ratfunc_sum((num * _u_gamma(gamma, exp), dfac) for gamma, num, dfac in terms)
+
+
+def transport_terms(terms, image):
+    """Apply a map that rescales every u_{i,r} to u-free subset terms, one
+    subset at a time.  ``image(i, r)`` returns (numerator, factor dict, sign):
+    each slot r of Gamma_i multiplies the term by sign * numerator and divides
+    it by the factors.  Yields fresh triples; the input is never mutated."""
+    for gamma, num, dfac in terms:
+        dfac = dict(dfac)
+        for i, g in enumerate(gamma):
+            for r in g:
+                x, fac, sign = image(i, r)
+                num = num * x if sign > 0 else -(num * x)
+                for k, e in fac.items():
+                    dfac[k] = dfac.get(k, 0) + e
+        yield gamma, num, dfac
 
 
 def fmo_plus(ctx: GKLOContext, m, f) -> GKLOElement:
@@ -267,14 +243,8 @@ def fmo_minus(ctx: GKLOContext, m, f) -> GKLOElement:
 @lru_cache(maxsize=65536)
 def _fmo_cached(ctx: GKLOContext, m, f: PartialSymPoly, sign: str) -> GKLOElement:
     if sign == "+":
-        if not any(m):
-            return GKLOElement.make(RatFunc.from_poly(f.value), "zastava_loc")
-        terms = [(num, dfac) for _, num, dfac in fmo_plus_terms(ctx, m, f)]
-        return GKLOElement.make(ratfunc_sum(terms), "zastava_loc")
-    if not any(m):
-        return GKLOElement.make(RatFunc.from_poly(f.value), "slice_loc")
-    terms = [(num, dfac) for _, num, dfac in fmo_minus_terms(ctx, m, f)]
-    return GKLOElement.make(ratfunc_sum(terms), "slice_loc")
+        return GKLOElement.make(terms_value(fmo_plus_terms(ctx, m, f), 1), "zastava_loc")
+    return GKLOElement.make(terms_value(fmo_minus_terms(ctx, m, f), -1), "slice_loc")
 
 
 def fmo(ctx: GKLOContext, m, f, sign: str) -> GKLOElement:
@@ -312,8 +282,9 @@ def d_identity_check(ctx: GKLOContext, i: int) -> DIdentityReport:
 
 
 def chevalley_u_image(ctx: GKLOContext, i: int, r: int) -> RatFunc:
-    """Image of u_{i,r} under the involution: the ratio of incoming to
-    outgoing edge products times w_{i,r}^{w_i} u_{i,r}^{-1}, with sign."""
+    """Test oracle: the image of u_{i,r} under the involution as one rational
+    function, the ratio of incoming to outgoing edge products times
+    w_{i,r}^{w_i} u_{i,r}^{-1}, with sign.  The library route is iota_image."""
     sign = (-1) ** sum(ctx.v[b[1]] for b in ctx.quiver.out_edges(i))
     num = MPoly.var(wv(i, r), ctx.w[i])
     for a in ctx.quiver.in_edges(i):
@@ -330,7 +301,9 @@ def chevalley_u_image(ctx: GKLOContext, i: int, r: int) -> RatFunc:
 
 
 def chevalley(ctx: GKLOContext, e) -> GKLOElement:
-    """Apply the involution w |-> w, u |-> (edge ratio) * w^w * u^{-1}."""
+    """Test oracle: apply the involution w |-> w, u |-> (edge ratio) * w^w *
+    u^{-1} to a whole element by substitution.  The library applies it
+    termwise, with transport_terms and iota_image."""
     value = e.value if isinstance(e, GKLOElement) else e
     mapping = {}
     for i, vi in enumerate(ctx.v):
@@ -339,24 +312,14 @@ def chevalley(ctx: GKLOContext, e) -> GKLOElement:
     return GKLOElement.make(value.subs_u(mapping), "slice_loc_loc")
 
 
-def _chevalley_parts(ctx: GKLOContext, i: int, r: int):
-    """The substitution's pieces for u_{i,r}: overall sign, the numerator
-    polynomial (w-power times incoming edge products), and the outgoing edge
-    products as a factor dict with orientation sign."""
-    sign = -((-1) ** sum(ctx.v[b[1]] for b in ctx.quiver.out_edges(i)))
-    x = MPoly.var(wv(i, r), ctx.w[i]) if ctx.w[i] else MPoly.one()
-    for a in ctx.quiver.in_edges(i):
-        s = a[0]
-        for ss in range(1, ctx.v[s] + 1):
-            x = x * (MPoly.var(wv(i, r)) - MPoly.var(wv(s, ss)))
-    y_fac = {}
-    for b in ctx.quiver.out_edges(i):
-        t = b[1]
-        for tt in range(1, ctx.v[t] + 1):
-            key, sg = diff_key(wv(t, tt), wv(i, r))
-            y_fac[key] = y_fac.get(key, 0) + 1
-            sign *= sg
-    return sign, x, y_fac
+def iota_image(ctx: GKLOContext, i: int, r: int):
+    """The involution on u_{i,r} as a transport_terms image: u_{i,r} goes to
+    sign * w_{i,r}^{w_i} prod_in (w_{i,r} - w_{s,p}) / prod_out (w_{t,q} -
+    w_{i,r}) * u_{i,r}^{-1}; returns (numerator, factor dict, sign)."""
+    num = linear_product(_in_pairs(ctx, i, r)) * MPoly.var(wv(i, r), ctx.w[i])
+    fac, sign = linear_factors(_out_pairs(ctx, i, r))
+    sign *= (-1) ** (1 + sum(ctx.v[t] for _, t in ctx.quiver.out_edges(i)))
+    return num, fac, sign
 
 
 @dataclass(frozen=True)
@@ -369,9 +332,10 @@ class InvolutionReport:
 
 @lru_cache(maxsize=None)
 def involution_on_generators(ctx: GKLOContext) -> bool:
-    """iota applied twice fixes every u_{i,r}, through the full substitution
-    and normalization machinery; with w fixed this is involutivity on ring
-    generators."""
+    """iota applied twice fixes every u_{i,r}, through the whole-element
+    substitution (chevalley_u_image and RatFunc.subs_u) and normalization;
+    with w fixed this is involutivity on ring generators.  The one
+    substitution left on a verify path."""
     for i, vi in enumerate(ctx.v):
         for r in range(1, vi + 1):
             once = chevalley_u_image(ctx, i, r)
@@ -393,23 +357,10 @@ def involution_fmo_report(ctx: GKLOContext, m, f: PartialSymPoly) -> InvolutionR
     checked on the ring generators (the involution fixes the w's)."""
     m = tuple(m)
     minus = fmo_minus(ctx, m, f)
-    iota_terms = []
-    for gamma, num, dfac in fmo_plus_terms(ctx, m, f, with_u=False):
-        for i, g in enumerate(gamma):
-            for r in g:
-                sg, x, y_fac = _chevalley_parts(ctx, i, r)
-                num = num * x * sg
-                for k, e in y_fac.items():
-                    dfac[k] = dfac.get(k, 0) + e
-        iota_terms.append((gamma, num, dfac))
+    iota_terms = list(transport_terms(fmo_plus_terms(ctx, m, f), partial(iota_image, ctx)))
     swaps = identity_holds(iota_terms + [
-        (gamma, -num, dfac)
-        for gamma, num, dfac in fmo_minus_terms(ctx, m, f, with_u=False)])
-    if swaps:
-        image = minus.value
-    else:
-        image = ratfunc_sum((num * _u_gamma(gamma, -1), dfac)
-                            for gamma, num, dfac in iota_terms)
+        (gamma, -num, dfac) for gamma, num, dfac in fmo_minus_terms(ctx, m, f)])
+    image = minus.value if swaps else terms_value(iota_terms, -1)
     return InvolutionReport(image, minus.value, swaps, involution_on_generators(ctx))
 
 
@@ -456,20 +407,14 @@ def orientation_flip_sign(ctx: GKLOContext, edge_index: int, m, f=None) -> Orien
     sign = (-1) ** exponent
 
     flipped_ctx = GKLOContext(ctx.quiver.flip_edge(edge_index), ctx.dims)
-    keyed = []
-    for gamma, num, dfac in fmo_plus_terms(flipped_ctx, m, f, with_u=False):
-        for p in gamma[s]:
-            for q in range(1, ctx.v[t] + 1):
-                num = num * (MPoly.var(wv(t, q)) - MPoly.var(wv(s, p)))
-        for q in gamma[t]:
-            for p in range(1, ctx.v[s] + 1):
-                key, sg = diff_key(wv(t, q), wv(s, p))
-                dfac[key] = dfac.get(key, 0) + 1
-                if sg < 0:
-                    num = -num
-        keyed.append((gamma, num, dfac))
-    keyed.extend((gamma, num * -sign, dfac)
-                 for gamma, num, dfac in fmo_plus_terms(ctx, m, f, with_u=False))
+
+    def transport(i, r):
+        gain = [(wv(t, q), wv(s, r)) for q in range(1, ctx.v[t] + 1)] if i == s else ()
+        loss = [(wv(t, r), wv(s, p)) for p in range(1, ctx.v[s] + 1)] if i == t else ()
+        return (linear_product(gain),) + linear_factors(loss)
+
+    keyed = list(transport_terms(fmo_plus_terms(flipped_ctx, m, f), transport))
+    keyed.extend((gamma, num * -sign, dfac) for gamma, num, dfac in fmo_plus_terms(ctx, m, f))
     return OrientationReport(sign, identity_holds(keyed))
 
 

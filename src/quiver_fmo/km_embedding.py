@@ -17,6 +17,7 @@ from .multipoly import (
     RatFunc,
     W_KIND,
     factor_denominator,
+    linear_product,
     poly_text,
     tilde,
     wv,
@@ -147,14 +148,9 @@ def _full_blocks(v):
 def _root_product(delta, blocks) -> MPoly:
     """Product of w_{i,r} - w_{i,s} over the group's root directions (pairs
     within one block) pairing positively with delta."""
-    out = MPoly.one()
-    for i, tup in enumerate(delta):
-        for grp in blocks[i]:
-            for r in grp:
-                for s in grp:
-                    if r != s and tup[r - 1] - tup[s - 1] > 0:
-                        out = out * (MPoly.var(wv(i, r)) - MPoly.var(wv(i, s)))
-    return out
+    return linear_product((wv(i, r), wv(i, s)) for i, tup in enumerate(delta)
+                          for grp in blocks[i] for r in grp for s in grp
+                          if tup[r - 1] > tup[s - 1])
 
 
 def localize_mmo(gamma, dressing, blocks=None) -> dict:
@@ -190,15 +186,11 @@ def levi_restrict_mmo(gamma, dressing, v_prime):
                 break
         if not ok:
             continue
-        cross = MPoly.one()
-        for i, tup in enumerate(point):
-            for r in range(1, v_prime[i] + 1):
-                for s in range(v_prime[i] + 1, v[i] + 1):
-                    diff = tup[r - 1] - tup[s - 1]
-                    if diff > 0:
-                        cross = cross * (MPoly.var(wv(i, r)) - MPoly.var(wv(i, s)))
-                    elif diff < 0:
-                        cross = cross * (MPoly.var(wv(i, s)) - MPoly.var(wv(i, r)))
+        # head-tail roots pairing positively with the orbit point
+        cross = linear_product(
+            (wv(i, r), wv(i, s)) if tup[r - 1] > tup[s - 1] else (wv(i, s), wv(i, r))
+            for i, tup in enumerate(point) for r in range(1, v_prime[i] + 1)
+            for s in range(v_prime[i] + 1, v[i] + 1) if tup[r - 1] != tup[s - 1])
         dress = RatFunc._lift(dressing).permute_vars(varmap) / RatFunc.from_poly(cross)
         out.append(DressedMMO(point, dress))
     return out

@@ -20,7 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as int_gcd
+from math import comb, gcd as int_gcd
 from operator import itemgetter
 
 # ---------------------------------------------------------------------------
@@ -255,6 +255,8 @@ class MPoly:
         if len(b) == 1:
             ((m2, c2),) = b.items()
             if c2 == 1:
+                if not m2:  # the constant one
+                    return self if a is self.terms else other
                 return MPoly({mon_mul(m1, m2): c1 for m1, c1 in a.items()})
             return MPoly({mon_mul(m1, m2): _coeff(c1 * c2) for m1, c1 in a.items()})
         out = {}
@@ -685,6 +687,26 @@ def diff_key(a, b):
     return ("diff", b, a), -1
 
 
+def linear_product(pairs) -> MPoly:
+    """The product of the linear forms x_a - x_b over the (a, b) pairs."""
+    out = MPoly.one()
+    for a, b in pairs:
+        out = out * (MPoly.var(a) - MPoly.var(b))
+    return out
+
+
+def linear_factors(pairs):
+    """The product of the linear forms x_a - x_b over the (a, b) pairs,
+    factored: (factor dict, sign)."""
+    dfac = {}
+    sign = 1
+    for a, b in pairs:
+        key, sg = diff_key(a, b)
+        dfac[key] = dfac.get(key, 0) + 1
+        sign *= sg
+    return dfac, sign
+
+
 def _dfac_mul_into(num: MPoly, dfac: dict) -> MPoly:
     for cand in sorted(dfac):
         p = candidate_poly(cand)
@@ -959,6 +981,10 @@ class RatFunc:
         positive exponent is dropped wholesale; a negative exponent on such a
         variable is an error.  Terms whose images carry factored denominators
         are combined over one common denominator.
+
+        A test oracle for the termwise transport gklo.transport_terms, as
+        are its callers gklo.chevalley and defect_embed.phi; besides those,
+        only gklo.involution_on_generators calls it.
         """
         groups = self.num.split_u()
         fact_terms = []
@@ -1308,6 +1334,34 @@ class ParseError(ValueError):
     pass
 
 
+# The most terms, and the most coefficient bits, that one power, product or
+# integer literal of a parsed polynomial may reach; parse_poly checks it
+# before it expands anything.
+PARSE_BUDGET = 1024
+
+
+def _norm_bits(p: MPoly) -> int:
+    """ceil(log2) of the l1 norm of the coefficients, numerator and
+    denominator; it bounds the coefficient bits and adds under products."""
+    norm = sum(abs(Fraction(c)) for c in p.terms.values())
+    return (max(norm.numerator, 1) - 1).bit_length() + (norm.denominator - 1).bit_length()
+
+
+def _power_terms(t: int, e: int) -> int:
+    """The most terms a t-term polynomial's e-th power can have."""
+    if t < 2 or e < 2:
+        return t if e else 1
+    if max(t, e) > PARSE_BUDGET:
+        return PARSE_BUDGET + 1  # C(t + e - 1, e) exceeds both t and e
+    return comb(t + e - 1, e)
+
+
+def _check_budget(what: str, terms: int, bits: int):
+    if terms > PARSE_BUDGET or bits > PARSE_BUDGET:
+        raise ParseError("%s is too large: more than %d terms or coefficient bits"
+                         % (what, PARSE_BUDGET))
+
+
 def parse_poly(text: str, n_vertices: int | None = None) -> MPoly:
     """Parse the canonical text grammar: w[i,r], u[i,r], z, integers and
     fractions, + - * and ^ or ** for powers.  Vertex indices are 1-based."""
@@ -1322,6 +1376,7 @@ def parse_poly(text: str, n_vertices: int | None = None) -> MPoly:
             return ev(node.body)
         if isinstance(node, ast.Constant):
             if isinstance(node.value, int):
+                _check_budget("an integer literal", 1, node.value.bit_length())
                 return MPoly.const(node.value)
             raise ParseError("only integer constants allowed, got %r" % (node.value,))
         if isinstance(node, ast.Name):
@@ -1347,6 +1402,8 @@ def parse_poly(text: str, n_vertices: int | None = None) -> MPoly:
                     raise ParseError("exponent must be an integer literal")
                 e = sign * exp.value
                 if e >= 0:
+                    _check_budget("a power", _power_terms(len(base.terms), e),
+                                  e * _norm_bits(base))
                     return base ** e
                 if len(base.terms) == 1:
                     (m, c), = base.terms.items()
@@ -1359,6 +1416,8 @@ def parse_poly(text: str, n_vertices: int | None = None) -> MPoly:
             if isinstance(node.op, ast.Sub):
                 return a - b
             if isinstance(node.op, ast.Mult):
+                _check_budget("a product", len(a.terms) * len(b.terms),
+                              _norm_bits(a) + _norm_bits(b))
                 return a * b
             if isinstance(node.op, ast.Div):
                 if not b.is_const() or b.is_zero():

@@ -48,3 +48,13 @@ def test_timed_targets_outside_caches_are_plain_functions(bench):
             continue
         fn = tracer._function(tracer._resolve(module, path)[1])
         assert inspect.isfunction(fn) and not hasattr(fn, "__wrapped__"), key
+
+
+def test_generator_targets_are_generator_functions(bench):
+    # the tracer drives a gen target through its generator frame (gi_frame),
+    # so a plain function returning an iterator would break the traced run
+    _, tracer = bench
+    for key, module, path, mode in tracer.TARGETS:
+        if mode == "gen":
+            fn = tracer._function(tracer._resolve(module, path)[1])
+            assert inspect.isgeneratorfunction(fn), key

@@ -204,6 +204,37 @@ def test_verify_orientation_takes_the_termwise_route(capsys, monkeypatch):
     assert json.loads(out)["checked"] > 0
 
 
+def test_failing_negative_restriction_takes_the_termwise_route(capsys, monkeypatch):
+    import sys
+    from quiver_fmo import defect_embed, gklo
+    from quiver_fmo.multipoly import RatFunc
+
+    real = gklo.chevalley
+    for name, module in list(sys.modules.items()):
+        if name.startswith("quiver_fmo") and getattr(module, "chevalley", None) is real:
+            monkeypatch.setattr(module, "chevalley", _raise)
+    monkeypatch.setattr(RatFunc, "subs_u", _raise)
+    monkeypatch.setattr(defect_embed, "identity_holds", lambda keyed: False)
+    defect_embed._plus_restriction_route.cache_clear()
+    try:
+        code, out, err = run(capsys, "verify", "restriction", "--quiver", "a2",
+                             "--w", "2,2", "--v", "2,2", "--vprime", "1,1",
+                             "--sign", "-", "--json")
+    finally:
+        defect_embed._plus_restriction_route.cache_clear()
+    assert code == 1 and err == ""
+    data = json.loads(out)
+    assert data["checked"] > 0 and not data["all_hold"]
+
+
+@pytest.mark.parametrize("dressing", ["(w[1,1]+w[1,2]+z)^300", "2^20000"])
+def test_oversized_dressing_is_an_input_error(capsys, dressing):
+    code, out, err = run(capsys, "fmo", "--quiver", "a1", "--w", "2", "--v", "2",
+                         "--m", "0", "--f", dressing)
+    assert code == 2 and out == ""
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
 def test_internal_error_exit_code(capsys, monkeypatch):
     import quiver_fmo.cli as cli
     from quiver_fmo.gklo import InternalError

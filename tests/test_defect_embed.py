@@ -5,9 +5,11 @@ import itertools
 
 import pytest
 
-from quiver_fmo.multipoly import MPoly, PartialSymPoly, RatFunc, uv, wv
+from quiver_fmo import defect_embed
+from quiver_fmo.multipoly import GKLOElement, MPoly, PartialSymPoly, RatFunc, uv, wv
 from quiver_fmo.quiver import a1_quiver, a2_quiver, affine_sl2_quiver, cartan_matrix, mat_vec
 from quiver_fmo.gklo import (
+    chevalley,
     dressing_basis,
     fmo_plus,
     make_context,
@@ -18,6 +20,7 @@ from quiver_fmo.defect_embed import (
     DefectSplit,
     defect_L_poly,
     phi,
+    phi_fmo_terms,
     restrict_fmo_slice,
     slice_target_context,
     verify_adding_defect_theorem,
@@ -43,7 +46,6 @@ def test_phi_on_u_variables():
     assert phi(ctx, split, e1).value == RatFunc.one()
     u1 = RatFunc.from_poly(U11)
     u2 = RatFunc.from_poly(U12)
-    from quiver_fmo.multipoly import GKLOElement
     assert phi(ctx, split, GKLOElement.make(u1, "zastava_loc")).value \
         == RatFunc.from_poly((W11 - W12) * U11)
     assert phi(ctx, split, GKLOElement.make(u2, "zastava_loc")).value.is_zero()
@@ -70,6 +72,17 @@ def test_phi_gklo_square():
                 == RatFunc.from_poly(q_image(sub, i)) * L
             assert phi(ctx, split, p_image(ctx, i)).value \
                 == p_image(sub, i).value * L, (v, v_prime, i)
+
+
+def test_phi_terms_at_the_ends_of_the_charge_range():
+    ctx = make_context(a2_quiver(), (0, 0), (2, 2))
+    split = DefectSplit.make((2, 2), (1, 2))
+    # m > v': every subset meets a defect slot
+    f = PartialSymPoly.make(MPoly.one(), (2, 1), (2, 2))
+    assert list(phi_fmo_terms(ctx, split, (2, 1), f)) == []
+    # m = 0: the one empty subset, carrying the dressing
+    f0 = PartialSymPoly.make(W11 + W12, (0, 0), (2, 2))
+    assert list(phi_fmo_terms(ctx, split, (0, 0), f0)) == [(((), ()), f0.value, {})]
 
 
 def test_adding_defect_worked_example():
@@ -161,3 +174,31 @@ def test_restriction_sweep_small():
                     for sign in "+-":
                         rep = verify_restriction(ctx, v_prime, m, f, sign)
                         assert rep.holds, (v, v_prime, m, sign)
+
+
+def test_failing_negative_restriction_is_iota_of_the_plus_route(monkeypatch):
+    # with every subset identity forced to fail, the negative side reports
+    # the involution of the tail-at-zero route, as the substitution oracle
+    # computes it
+    monkeypatch.setattr(defect_embed, "identity_holds", lambda keyed: False)
+    defect_embed._plus_restriction_route.cache_clear()
+    checked = 0
+    try:
+        for quiver, v in [(a1_quiver(), (3,)), (a2_quiver(), (2, 1)),
+                          (affine_sl2_quiver(), (2, 1))]:
+            for v_prime in itertools.product(*(range(vi + 1) for vi in v)):
+                w = suite_w(quiver, v, v_prime)
+                ctx = make_context(quiver, w, v)
+                target = slice_target_context(ctx, v_prime)
+                for m in itertools.product(*(range(vp + 1) for vp in v_prime)):
+                    for f in dressing_basis(v, m, 1):
+                        plus = verify_restriction(ctx, v_prime, m, f, "+")
+                        minus = verify_restriction(ctx, v_prime, m, f, "-")
+                        assert not plus.holds and not minus.holds
+                        want = chevalley(
+                            target, GKLOElement.make(plus.lhs, "slice_loc_loc")).value
+                        assert minus.lhs == want, (v, v_prime, m)
+                        checked += not want.is_zero()
+    finally:
+        defect_embed._plus_restriction_route.cache_clear()
+    assert checked > 50

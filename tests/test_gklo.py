@@ -4,6 +4,7 @@ identity, the Chevalley involution, and orientation changes."""
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -210,11 +211,49 @@ def test_subset_terms_match_a_direct_recomputation():
         ctx = make_context(quiver, w, v)
         for m in itertools.product(*(range(vi + 1) for vi in v)):
             for f in dressing_basis(v, m, 1):
-                for sign, terms in (("+", gklo.fmo_plus_terms), ("-", gklo.fmo_minus_terms)):
+                for sign, terms, exp in (("+", gklo.fmo_plus_terms, 1),
+                                         ("-", gklo.fmo_minus_terms, -1)):
                     # twice: once filling the subset-factor cache, once from it
                     for _ in range(2):
-                        assert list(terms(ctx, m, f)) == \
-                            list(direct_subset_terms(ctx, m, f, sign)), (w, v, m, sign)
+                        # the generators yield u-free terms; the oracle includes u_Gamma
+                        got = [(gamma, num * gklo._u_gamma(gamma, exp), dfac)
+                               for gamma, num, dfac in terms(ctx, m, f)]
+                        assert got == list(direct_subset_terms(ctx, m, f, sign)), (
+                            w, v, m, sign)
+
+
+def test_generators_at_m_zero_yield_the_dressing():
+    for quiver, w, v in INVOLUTION_GRID:
+        ctx = make_context(quiver, w, v)
+        m = (0,) * quiver.n
+        empty = tuple(() for _ in v)
+        for f in dressing_basis(v, m, 1):
+            for terms in (gklo.fmo_plus_terms, gklo.fmo_minus_terms):
+                assert list(terms(ctx, m, f)) == [(empty, f.value, {})]
+            assert fmo_plus(ctx, m, f).value == RatFunc.from_poly(f.value)
+            assert fmo_minus(ctx, m, f).value == RatFunc.from_poly(f.value)
+
+
+def test_transport_terms_leaves_its_input_alone():
+    ctx = make_context(a2_quiver(), (1, 1), (2, 2))
+    m = (1, 1)
+    f = PartialSymPoly.make(MPoly.one(), m, ctx.v)
+    terms = list(gklo.fmo_plus_terms(ctx, m, f))
+    before = [(gamma, num, dict(dfac)) for gamma, num, dfac in terms]
+    fac = {("var", wv(0, 1)): 1}
+
+    def scale(i, r):
+        return MPoly.var(wv(i, r)), fac, -1
+
+    for image in (partial(gklo.iota_image, ctx), scale):
+        moved = list(gklo.transport_terms(terms, image))
+        assert terms == before
+        assert all(new[2] is not old[2] for new, old in zip(moved, terms))
+    assert fac == {("var", wv(0, 1)): 1}
+    # two slots per subset: the factors add up and the signs cancel
+    for (gamma, num, dfac), (_, num0, dfac0) in zip(moved, before):
+        assert num == num0 * MPoly.var(wv(0, gamma[0][0])) * MPoly.var(wv(1, gamma[1][0]))
+        assert dfac == {**dfac0, ("var", wv(0, 1)): dfac0.get(("var", wv(0, 1)), 0) + 2}
 
 
 def test_yielded_denominators_are_not_shared():

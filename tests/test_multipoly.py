@@ -20,10 +20,13 @@ from quiver_fmo.multipoly import (
     ZVAR,
     _MON_KEY,
     _poly_text,
+    candidate_poly,
     check_symmetric,
     diff_key,
     exact_div,
     identity_holds,
+    linear_factors,
+    linear_product,
     mon_degree,
     mon_mul,
     parse_poly,
@@ -219,6 +222,17 @@ def test_ratfunc_field_ops(a, b):
 @given(poly_strategy(WVARS))
 def test_text_roundtrip(p):
     assert parse_poly(poly_text(p)) == p
+
+
+def test_parse_budget():
+    # each power, product and integer literal is checked before it is expanded
+    for text in ["(w[1,1]+w[1,2]+z)^300", "2^20000", "3^500*3^500",
+                 "(w[1,1]+z)^600*(w[1,1]+z)^600", "1" + "0" * 400]:
+        with pytest.raises(ParseError):
+            parse_poly(text)
+    assert len(parse_poly("(w[1,1]+w[1,2]+z)^43").terms) == 990
+    assert parse_poly("w[1,1]^5000") == W11 ** 5000  # one term, coefficient 1
+    assert parse_poly("(w[1,1]/2+z/3)^10") == (W11 * Fraction(1, 2) + Z * Fraction(1, 3)) ** 10
 
 
 def test_parse_errors():
@@ -485,6 +499,29 @@ def test_leading_and_division_follow_the_key():
     p = W11 * W12 + W12 ** 2 + MPoly.var(uv(0, 1), -1) * W11 ** 2
     assert p.leading() == (((wv(0, 1), 1), (wv(0, 2), 1)), 1)
     assert try_div(p * (W11 - W12), W11 - W12) == p
+
+
+@pytest.mark.parametrize("pairs", [
+    [],
+    [(ZVAR, wv(0, 1)), (ZVAR, wv(0, 2))],
+    [(wv(0, 1), wv(0, 2)), (wv(0, 2), wv(0, 1))],
+    [(wv(1, 1), wv(0, 2))] * 3,
+    [(wv(0, 2), ZVAR), (wv(1, 1), wv(0, 1)), (wv(0, 1), wv(1, 1))],
+])
+def test_linear_forms_against_a_direct_expansion(pairs):
+    direct = MPoly.one()
+    dfac, sign = {}, 1
+    for a, b in pairs:
+        direct = direct * (MPoly.var(a) - MPoly.var(b))
+        key, sg = diff_key(a, b)
+        dfac[key] = dfac.get(key, 0) + 1
+        sign *= sg
+    assert linear_product(iter(pairs)) == direct
+    assert linear_factors(iter(pairs)) == (dfac, sign)
+    back = MPoly.const(sign)
+    for key, e in dfac.items():
+        back = back * candidate_poly(key) ** e
+    assert back == direct
 
 
 # ---------------------------------------------------------------------------
