@@ -110,12 +110,6 @@ def phi_fmo_terms(ctx: GKLOContext, split: DefectSplit, m, f: PartialSymPoly):
     yield from transport_terms(fmo_plus_terms(ctx, tuple(m), f, head=split.v_prime), image)
 
 
-def phi_fmo_plus(ctx: GKLOContext, split: DefectSplit, m, f: PartialSymPoly) -> RatFunc:
-    """phi of M^+_m(f), computed termwise; agrees with phi applied to the
-    normalized operator."""
-    return terms_value(phi_fmo_terms(ctx, split, m, f), 1)
-
-
 def defect_L_poly(split: DefectSplit, i: int) -> MPoly:
     """The monic tail factor prod_{r > v'_i} (z - w_{i,r})."""
     return linear_product((ZVAR, wv(i, r)) for r in _tail(split, i))
@@ -139,7 +133,8 @@ def verify_adding_defect_theorem(ctx: GKLOContext, split: DefectSplit, m, f) -> 
     m = tuple(m)
     if not isinstance(f, PartialSymPoly):
         f = PartialSymPoly.make(f, m, ctx.v)
-    keyed = list(phi_fmo_terms(ctx, split, m, f))
+    lhs_terms = list(phi_fmo_terms(ctx, split, m, f))
+    keyed = list(lhs_terms)
     rhs = RatFunc.zero()
     if all(mi <= vp for mi, vp in zip(m, split.v_prime)):
         sub_ctx = GKLOContext(ctx.quiver, DimData.make(ctx.w, split.v_prime))
@@ -148,7 +143,7 @@ def verify_adding_defect_theorem(ctx: GKLOContext, split: DefectSplit, m, f) -> 
             keyed.extend((gamma, -num * f2, dfac) for gamma, num, dfac
                          in fmo_plus_terms(sub_ctx, m, f1))
     holds = identity_holds(keyed)
-    lhs = rhs if holds else phi_fmo_plus(ctx, split, m, f)
+    lhs = rhs if holds else terms_value(lhs_terms, 1)
     return VerifyReport(holds, lhs, rhs)
 
 

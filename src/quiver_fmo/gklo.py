@@ -17,6 +17,7 @@ from .multipoly import (
     RatFunc,
     ZVAR,
     identity_holds,
+    inverse_linear_product,
     linear_factors,
     linear_product,
     ratfunc_sum,
@@ -276,7 +277,7 @@ def d_identity_check(ctx: GKLOContext, i: int) -> DIdentityReport:
     for b in ctx.quiver.out_edges(i):
         extra = extra * q_image(ctx, b[1])
     rhs = rhs + RatFunc.from_poly(extra)
-    quot = rhs / RatFunc.from_poly(q_image(ctx, i))
+    quot = rhs * inverse_linear_product((ZVAR, wv(i, r)) for r in range(1, ctx.v[i] + 1))
     holds = all(var != ZVAR for var in quot.den.variables())
     return DIdentityReport(holds, quot, rhs)
 
@@ -322,6 +323,17 @@ def iota_image(ctx: GKLOContext, i: int, r: int):
     return num, fac, sign
 
 
+def iota_inverse_image(ctx: GKLOContext, i: int, r: int):
+    """The involution on u_{i,r}^{-1}, the inverse of iota_image: u_{i,r}^{-1}
+    goes to sign * prod_out (w_{t,q} - w_{i,r}) / (w_{i,r}^{w_i} prod_in
+    (w_{i,r} - w_{s,p})) * u_{i,r}; returns (numerator, factor dict, sign)."""
+    fac, sign = linear_factors(_in_pairs(ctx, i, r))
+    if ctx.w[i]:
+        fac[("var", wv(i, r))] = ctx.w[i]
+    sign *= (-1) ** (1 + sum(ctx.v[t] for _, t in ctx.quiver.out_edges(i)))
+    return linear_product(_out_pairs(ctx, i, r)), fac, sign
+
+
 @dataclass(frozen=True)
 class InvolutionReport:
     image: RatFunc          # iota(M^+_m(f))
@@ -332,18 +344,15 @@ class InvolutionReport:
 
 @lru_cache(maxsize=None)
 def involution_on_generators(ctx: GKLOContext) -> bool:
-    """iota applied twice fixes every u_{i,r}, through the whole-element
-    substitution (chevalley_u_image and RatFunc.subs_u) and normalization;
-    with w fixed this is involutivity on ring generators.  The one
-    substitution left on a verify path."""
-    for i, vi in enumerate(ctx.v):
-        for r in range(1, vi + 1):
-            once = chevalley_u_image(ctx, i, r)
-            mapping = {uv(i2, r2): chevalley_u_image(ctx, i2, r2)
-                       for i2, v2 in enumerate(ctx.v) for r2 in range(1, v2 + 1)}
-            if once.subs_u(mapping) != RatFunc.from_poly(MPoly.var(uv(i, r))):
-                return False
-    return True
+    """iota applied twice fixes every u_{i,r}; with w fixed this is
+    involutivity on ring generators.  Each generator is the one-slot subset
+    term of u_{i,r}; it goes through transport_terms with iota_image and
+    then with iota_inverse_image, and must come back as itself."""
+    generators = [(tuple((r,) if j == i else () for j in range(len(ctx.v))), MPoly.one(), {})
+                  for i, vi in enumerate(ctx.v) for r in range(1, vi + 1)]
+    once = transport_terms(generators, partial(iota_image, ctx))
+    twice = list(transport_terms(once, partial(iota_inverse_image, ctx)))
+    return identity_holds(twice + [(gamma, -num, dfac) for gamma, num, dfac in generators])
 
 
 @lru_cache(maxsize=65536)

@@ -16,9 +16,9 @@ from .multipoly import (
     PartialSymPoly,
     RatFunc,
     W_KIND,
-    factor_denominator,
-    linear_product,
+    inverse_linear_product,
     poly_text,
+    ratfunc_sum,
     tilde,
     wv,
 )
@@ -145,12 +145,11 @@ def _full_blocks(v):
     return tuple((tuple(range(1, vi + 1)),) for vi in v)
 
 
-def _root_product(delta, blocks) -> MPoly:
-    """Product of w_{i,r} - w_{i,s} over the group's root directions (pairs
+def _root_pairs(delta, blocks):
+    """The pairs (w_{i,r}, w_{i,s}) over the group's root directions (pairs
     within one block) pairing positively with delta."""
-    return linear_product((wv(i, r), wv(i, s)) for i, tup in enumerate(delta)
-                          for grp in blocks[i] for r in grp for s in grp
-                          if tup[r - 1] > tup[s - 1])
+    return ((wv(i, r), wv(i, s)) for i, tup in enumerate(delta)
+            for grp in blocks[i] for r in grp for s in grp if tup[r - 1] > tup[s - 1])
 
 
 def localize_mmo(gamma, dressing, blocks=None) -> dict:
@@ -164,7 +163,8 @@ def localize_mmo(gamma, dressing, blocks=None) -> dict:
     dressing = RatFunc._lift(dressing)
     out = {}
     for point, varmap in _orbit_with_reps(gamma, blocks):
-        coeff = dressing.permute_vars(varmap) / RatFunc.from_poly(_root_product(point, blocks))
+        roots = inverse_linear_product(_root_pairs(point, blocks))
+        coeff = dressing.permute_vars(varmap) * roots
         out[point] = out.get(point, RatFunc.zero()) + coeff
     return {p: c for p, c in out.items() if not c.is_zero()}
 
@@ -187,11 +187,11 @@ def levi_restrict_mmo(gamma, dressing, v_prime):
         if not ok:
             continue
         # head-tail roots pairing positively with the orbit point
-        cross = linear_product(
+        cross = inverse_linear_product(
             (wv(i, r), wv(i, s)) if tup[r - 1] > tup[s - 1] else (wv(i, s), wv(i, r))
             for i, tup in enumerate(point) for r in range(1, v_prime[i] + 1)
             for s in range(v_prime[i] + 1, v[i] + 1) if tup[r - 1] != tup[s - 1])
-        dress = RatFunc._lift(dressing).permute_vars(varmap) / RatFunc.from_poly(cross)
+        dress = RatFunc._lift(dressing).permute_vars(varmap) * cross
         out.append(DressedMMO(point, dress))
     return out
 
@@ -269,10 +269,7 @@ def _check_stage_denominator(state: ChainState):
     head variables w_{i,r}, r <= v'_i."""
     if state.mmo is None:
         return
-    factors, leftover = factor_denominator(state.mmo.dressing.den)
-    if not leftover.is_const():
-        raise ValueError("stage %s denominator not monomial-factored" % state.stage)
-    for cand, _ in factors:
+    for cand in state.mmo.dressing.dfac:
         if cand[0] != "var":
             raise ValueError("stage %s denominator has a non-variable factor" % state.stage)
         kind, i, r = cand[1]
@@ -297,11 +294,10 @@ def split_and_project(ctx: GKLOContext, split: DefectSplit, m, f, sign: str) -> 
     if any(mi > vp for mi, vp in zip(m, split.v_prime)):
         return ChainState("split", None, split.v_prime, vdp, (("split", "zero"),))
     ft = tilde(f, split.v_prime).value
-    den = MPoly.one()
-    for i, mi in enumerate(m):
-        for p in range(1, mi + 1):
-            den = den * (MPoly.var(wv(i, p)) * eps) ** vdp[i]
-    mmo = DressedMMO(omega(m, split.v_prime, eps), RatFunc.make(ft, den))
+    head = {("var", wv(i, p)): vdp[i] for i, mi in enumerate(m) if vdp[i]
+            for p in range(1, mi + 1)}
+    sign = eps ** sum(head.values())
+    mmo = DressedMMO(omega(m, split.v_prime, eps), ratfunc_sum([(ft * sign, head)]))
     state = ChainState("split", mmo, split.v_prime, vdp, (("split", "1"),))
     _check_stage_denominator(state)
     return state

@@ -227,6 +227,25 @@ def test_failing_negative_restriction_takes_the_termwise_route(capsys, monkeypat
     assert data["checked"] > 0 and not data["all_hold"]
 
 
+def test_every_verify_subject_runs_without_gcd_or_substitution(capsys, monkeypatch):
+    # the gcd kernel and the whole-element substitution are test oracles only
+    from quiver_fmo import defect_embed, gklo, multipoly
+    from quiver_fmo.cli import VERIFY_SUBJECTS
+
+    monkeypatch.setattr(multipoly, "poly_gcd", _raise)
+    monkeypatch.setattr(multipoly.RatFunc, "subs_u", _raise)
+    monkeypatch.setattr(gklo, "chevalley_u_image", _raise)
+    caches = (gklo._fmo_cached, gklo.involution_fmo_report, gklo.involution_on_generators,
+              defect_embed._plus_restriction_route)
+    for cache in caches:
+        cache.cache_clear()
+    for subject in sorted(VERIFY_SUBJECTS):
+        code, out, err = run(capsys, "verify", subject, "--quiver", "a2", "--w", "2,2",
+                             "--v", "2,2", "--vprime", "1,1", "--json")
+        assert (code, err) == (0, ""), subject
+        assert json.loads(out)["checked"] > 0, subject
+
+
 @pytest.mark.parametrize("dressing", ["(w[1,1]+w[1,2]+z)^300", "2^20000"])
 def test_oversized_dressing_is_an_input_error(capsys, dressing):
     code, out, err = run(capsys, "fmo", "--quiver", "a1", "--w", "2", "--v", "2",

@@ -15,6 +15,7 @@ from quiver_fmo.gklo import (
     make_context,
     p_image,
     q_image,
+    terms_value,
 )
 from quiver_fmo.defect_embed import (
     DefectSplit,
@@ -108,8 +109,6 @@ def test_adding_defect_m_zero_is_sweedler_identity():
 def test_phi_termwise_equals_phi_of_normalized():
     """The substitution applied to the defining sum agrees with the
     substitution applied to the normalized operator (phi is a ring map)."""
-    from quiver_fmo.defect_embed import phi_fmo_plus
-
     for quiver, v, v_prime in [(a1_quiver(), (3,), (1,)), (a2_quiver(), (2, 2), (1, 1)),
                                (affine_sl2_quiver(), (2, 2), (2, 1))]:
         ctx = make_context(quiver, (0,) * quiver.n, v)
@@ -117,7 +116,7 @@ def test_phi_termwise_equals_phi_of_normalized():
         for m in itertools.product(*(range(vi + 1) for vi in v)):
             for f in dressing_basis(v, m, 1):
                 slow = phi(ctx, split, fmo_plus(ctx, m, f)).value
-                fast = phi_fmo_plus(ctx, split, m, f)
+                fast = terms_value(phi_fmo_terms(ctx, split, m, f), 1)
                 assert slow == fast, (v, v_prime, m)
 
 
@@ -131,6 +130,34 @@ def test_adding_defect_dressed_sweep():
                 for f in dressing_basis(v, m, 2)[:5]:
                     rep = verify_adding_defect_theorem(ctx, split, m, f)
                     assert rep.holds, (v, v_prime, m)
+
+
+def test_failing_adding_defect_builds_lhs_from_the_terms_it_has(monkeypatch):
+    # with every subset identity forced to fail, the reported lhs is phi of
+    # M^+_m(f), built from the phi terms the check already ran
+    starts = []
+    real = defect_embed.phi_fmo_terms
+
+    def counted(*args):
+        starts.append(args)
+        yield from real(*args)
+
+    monkeypatch.setattr(defect_embed, "phi_fmo_terms", counted)
+    monkeypatch.setattr(defect_embed, "identity_holds", lambda keyed: False)
+    checked = 0
+    for quiver, v in [(a1_quiver(), (2,)), (a2_quiver(), (2, 1)),
+                      (affine_sl2_quiver(), (1, 2))]:
+        ctx = make_context(quiver, (0,) * quiver.n, v)
+        for v_prime in itertools.product(*(range(vi + 1) for vi in v)):
+            split = DefectSplit.make(v, v_prime)
+            for m in itertools.product(*(range(vi + 1) for vi in v)):
+                for f in dressing_basis(v, m, 1):
+                    starts.clear()
+                    rep = verify_adding_defect_theorem(ctx, split, m, f)
+                    assert not rep.holds and len(starts) == 1, (v, v_prime, m)
+                    assert rep.lhs == phi(ctx, split, fmo_plus(ctx, m, f)).value
+                    checked += not rep.lhs.is_zero()
+    assert checked > 20
 
 
 def test_slice_target_framing():

@@ -2,6 +2,7 @@
 identity, the Chevalley involution, and orientation changes."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 from functools import partial
@@ -19,11 +20,13 @@ from quiver_fmo.multipoly import (
     uv,
     wv,
 )
-from quiver_fmo.quiver import a1_quiver, a2_quiver, affine_sl2_quiver
+from quiver_fmo.quiver import Quiver, a1_quiver, a2_quiver, affine_sl2_quiver
 from quiver_fmo import gklo
 from quiver_fmo.gklo import (
+    DIdentityReport,
     GKLOContext,
     chevalley,
+    chevalley_u_image,
     d_identity_check,
     dressing_basis,
     fmo_minus,
@@ -313,13 +316,39 @@ def test_d_identity_a2_with_point_check():
         assert lhs == rhs
 
 
+D_IDENTITY_GRID = [(a1_quiver(), (2,), (2,)), (a2_quiver(), (2, 1), (2, 1)),
+                   (affine_sl2_quiver(), (1, 0), (2, 2)), (affine_sl2_quiver(), (2, 0), (1, 1))]
+
+
 def test_d_identity_suite():
-    cases = [(a1_quiver(), (2,), (2,)), (a2_quiver(), (2, 1), (2, 1)),
-             (affine_sl2_quiver(), (1, 0), (2, 2)), (affine_sl2_quiver(), (2, 0), (1, 1))]
-    for quiver, w, v in cases:
+    for quiver, w, v in D_IDENTITY_GRID:
         ctx = make_context(quiver, w, v)
         for i in range(quiver.n):
             assert d_identity_check(ctx, i).holds, (w, v, i)
+
+
+def d_identity_by_whole_quotient(ctx, i):
+    """Test oracle for d_identity_check: divide the whole right-hand side by
+    Q_i expanded, which RatFunc.make factors again."""
+    rhs = p_image(ctx, i).value * p_minus_image(ctx, i).value
+    extra = MPoly.var(ZVAR, ctx.w[i]) if ctx.w[i] else MPoly.one()
+    for a in ctx.quiver.in_edges(i):
+        extra = extra * q_image(ctx, a[0])
+    for b in ctx.quiver.out_edges(i):
+        extra = extra * q_image(ctx, b[1])
+    rhs = rhs + RatFunc.from_poly(extra)
+    quot = rhs / RatFunc.from_poly(q_image(ctx, i))
+    holds = all(var != ZVAR for var in quot.den.variables())
+    return DIdentityReport(holds, quot, rhs)
+
+
+def test_d_identity_against_the_whole_quotient_oracle():
+    grid = D_IDENTITY_GRID + [(a1_quiver(), (1,), (3,)), (a2_quiver(), (0, 1), (2, 2)),
+                              (affine_sl2_quiver(), (0, 0), (2, 1))]
+    for quiver, w, v in grid:
+        ctx = make_context(quiver, w, v)
+        for i in range(quiver.n):
+            assert d_identity_check(ctx, i) == d_identity_by_whole_quotient(ctx, i), (w, v, i)
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +389,59 @@ def test_involution_report_against_chevalley_oracle():
                 assert rep.minus == minus.value
                 assert rep.swaps == (img.value == minus.value)
                 assert rep.involutive == (chevalley(ctx, img).value == plus.value)
+
+
+def involution_on_generators_by_substitution(ctx):
+    """Test oracle for involution_on_generators: substitute the whole-element
+    image of every u (chevalley_u_image) into the image of each u_{i,r} with
+    RatFunc.subs_u, and compare the normalized result with u_{i,r}."""
+    for i, vi in enumerate(ctx.v):
+        for r in range(1, vi + 1):
+            once = chevalley_u_image(ctx, i, r)
+            mapping = {uv(i2, r2): chevalley_u_image(ctx, i2, r2)
+                       for i2, v2 in enumerate(ctx.v) for r2 in range(1, v2 + 1)}
+            if once.subs_u(mapping) != RatFunc.from_poly(MPoly.var(uv(i, r))):
+                return False
+    return True
+
+
+def oriented_three_cycle(tmp_path):
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps({
+        "vertices": ["a", "b", "c"],
+        "edges": [{"source": "a", "target": "b"}, {"source": "b", "target": "c"},
+                  {"source": "c", "target": "a"}],
+    }))
+    return Quiver.load(path)
+
+
+def generator_grid(tmp_path):
+    yield from INVOLUTION_GRID + INVARIANCE_GRID
+    yield affine_sl2_quiver(), (1, 2), (3, 2)
+    cycle = oriented_three_cycle(tmp_path)
+    for w, v in [((1, 1, 1), (1, 1, 1)), ((2, 0, 1), (2, 1, 2))]:
+        yield cycle, w, v
+
+
+def test_involution_on_generators_against_the_substitution_oracle(tmp_path):
+    for quiver, w, v in generator_grid(tmp_path):
+        ctx = make_context(quiver, w, v)
+        assert gklo.involution_on_generators.__wrapped__(ctx) is True, (w, v)
+        assert involution_on_generators_by_substitution(ctx) is True, (w, v)
+
+
+def test_involution_on_generators_sees_a_wrong_inverse_sign(monkeypatch, tmp_path):
+    # a deliberately broken inverse image must make the termwise check fail
+    real = gklo.iota_inverse_image
+
+    def flipped(ctx, i, r):
+        num, fac, sign = real(ctx, i, r)
+        return num, fac, -sign
+
+    monkeypatch.setattr(gklo, "iota_inverse_image", flipped)
+    for quiver, w, v in generator_grid(tmp_path):
+        ctx = make_context(quiver, w, v)
+        assert gklo.involution_on_generators.__wrapped__(ctx) is False, (w, v)
 
 
 def test_involution_report_failing_subsets_report_the_image(monkeypatch):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from quiver_fmo.multipoly import (
     AdmissibilityError,
+    DenominatorError,
     GKLOElement,
     MPoly,
     ParseError,
@@ -41,6 +42,7 @@ from quiver_fmo.multipoly import (
     var_text,
     wv,
 )
+from ratfunc_oracle import factored_form_violations, normal_form
 
 W11, W12, W13 = MPoly.var(wv(0, 1)), MPoly.var(wv(0, 2)), MPoly.var(wv(0, 3))
 U11, U12 = MPoly.var(uv(0, 1)), MPoly.var(uv(0, 2))
@@ -172,7 +174,8 @@ def to_sympy(sympy, p):
 @given(poly_strategy(WVARS), poly_strategy(WVARS), poly_strategy(WVARS))
 def test_gcd_and_normal_form_against_sympy(a, b, c):
     """Differential oracle: poly_gcd agrees with sympy's gcd up to a constant,
-    and RatFunc.make returns an equal, fully reduced fraction."""
+    and the general normal-form oracle returns an equal, fully reduced
+    fraction."""
     sympy = pytest.importorskip("sympy")
     a, b = a * c, b * c
     if a.is_zero() and b.is_zero():
@@ -182,40 +185,81 @@ def test_gcd_and_normal_form_against_sympy(a, b, c):
     assert sympy.cancel(g / expected).is_number
     if b.is_zero():
         return
-    f = RatFunc.make(a, b)
-    num, den = to_sympy(sympy, f.num), to_sympy(sympy, f.den)
+    num, den = (to_sympy(sympy, p) for p in normal_form(a, b))
     assert sympy.expand(num * to_sympy(sympy, b) - den * to_sympy(sympy, a)) == 0
     assert sympy.gcd(num, den).is_number
 
 
-def test_ratfunc_keeps_a_u_denominator_that_is_not_a_monomial():
-    # only u-monomial factors move to the numerator; GKLOElement rejects the rest
-    f = RatFunc.make(U11, U11 + 1)
-    assert (f.num, f.den, f.dfac) == (U11, U11 + 1, None)
-    assert RatFunc.make(U11, U11 * (W11 + 1)) == RatFunc.make(1, W11 + 1)
-    with pytest.raises(AdmissibilityError):
-        GKLOElement.make(f, "slice_loc")
+def test_ratfunc_refuses_a_denominator_that_is_not_linear():
+    # only u-monomials and products of the linear forms x_a - x_b and x_a
+    # may divide
+    for num, den in [(U11, U11 + 1), (MPoly.one(), W11 + W12), (U11, U11 * (W11 + 1))]:
+        with pytest.raises(DenominatorError):
+            RatFunc.make(num, den)
+
+
+# the domain of RatFunc: c * u-monomial * a product of linear forms
+LINEAR_VARS = [wv(0, 1), wv(0, 2), wv(1, 1), ZVAR]
+linear_forms = st.one_of(
+    st.sampled_from(LINEAR_VARS).map(MPoly.var),
+    st.permutations(LINEAR_VARS).map(lambda vs: MPoly.var(vs[0]) - MPoly.var(vs[1])))
+u_monomials = st.dictionaries(st.sampled_from([uv(0, 1), uv(0, 2)]),
+                              st.integers(min_value=-2, max_value=2).filter(bool),
+                              max_size=2).map(lambda d: MPoly({tuple(sorted(d.items())): 1}))
+nonzero = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+
+
+@st.composite
+def linear_denominators(draw):
+    out = MPoly.const(draw(nonzero)) * draw(u_monomials)
+    for form in draw(st.lists(linear_forms, max_size=4)):
+        out = out * form
+    return out
+
+
+NUM_VARS = WVARS + [ZVAR, uv(0, 1)]
+
+
+def assert_matches_oracle(f, num, den):
+    assert not factored_form_violations(f), factored_form_violations(f)
+    assert (f.num, f.den) == normal_form(num, den)
 
 
 @settings(max_examples=60, deadline=None)
-@given(poly_strategy(WVARS), poly_strategy(WVARS), poly_strategy(WVARS))
+@given(poly_strategy(NUM_VARS), linear_denominators(), linear_denominators())
 def test_ratfunc_representative_independence(a, b, c):
-    if b.is_zero() or c.is_zero():
-        return
-    assert RatFunc.make(a * c, b * c) == RatFunc.make(a, b)
+    f = RatFunc.make(a * c, b * c)
+    assert f == RatFunc.make(a, b)
+    assert_matches_oracle(f, a * c, b * c)
+    assert_matches_oracle(RatFunc.make(a, b), a, b)
 
 
 @settings(max_examples=60, deadline=None)
-@given(poly_strategy(WVARS), poly_strategy(WVARS))
-def test_ratfunc_field_ops(a, b):
-    if b.is_zero():
-        return
+@given(linear_denominators(), linear_denominators(), poly_strategy(NUM_VARS))
+def test_ratfunc_field_ops(a, b, c):
     f = RatFunc.make(a, b)
+    assert_matches_oracle(f, a, b)
     assert f - f == RatFunc.zero()
     assert f * RatFunc.one() == f
-    if not f.is_zero():
-        assert f / f == RatFunc.one()
-        assert f * f ** -1 == RatFunc.one()
+    assert f / f == RatFunc.one()
+    assert f * f ** -1 == RatFunc.one()
+    g = RatFunc.make(c, b)
+    assert_matches_oracle(g, c, b)
+    assert g - g == RatFunc.zero()
+    assert g * RatFunc.one() == g
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_strategy(NUM_VARS), linear_denominators(), linear_denominators(),
+       poly_strategy(NUM_VARS), st.integers(min_value=-2, max_value=3))
+def test_ratfunc_ops_keep_the_factored_form(a, b, c, d, n):
+    f, g = RatFunc.make(a, b), RatFunc.make(d, c)
+    results = [f + g, f - g, f * g, -f, f ** max(n, 0)]
+    if n < 0:
+        # a negative power divides by the numerator, which must be linear too
+        results.append(RatFunc.make(c, b) ** n)
+    for h in results:
+        assert not factored_form_violations(h), factored_form_violations(h)
 
 
 @settings(max_examples=60, deadline=None)

@@ -50,3 +50,57 @@ def test_imports_are_module_level_and_used():
         unused += found[1]
     assert not nested, nested
     assert not unused, unused
+
+
+# the polynomial gcd kernel: a test oracle that no library route may call
+GCD_KERNEL = {"poly_gcd", "try_div", "exact_div", "primitive", "_prem", "_content_in"}
+GCD_SECTION = "# test oracle: the polynomial gcd kernel"
+# whole-element substitution: only the substitution oracles may call it
+SUBSTITUTION = {"subs_u", "chevalley_u_image"}
+SUBSTITUTION_CALLERS = {"chevalley", "phi", "subs_u"}
+
+
+def _calls(tree):
+    """(enclosing function name or None, called name, line) for every call
+    of a plain or attribute name."""
+    out = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                out.append((function, name, child.lineno))
+            visit(child, function)
+
+    visit(tree, None)
+    return out
+
+
+def _gcd_section(text):
+    """The line range of the gcd-oracle section of multipoly.py: from its
+    header comment to the next section rule."""
+    lines = text.splitlines()
+    start = next(k for k, line in enumerate(lines, 1) if line.startswith(GCD_SECTION))
+    end = next(k for k, line in enumerate(lines, 1) if k > start and line.startswith("# ---"))
+    return range(start, end)
+
+
+def test_oracle_routes_stay_out_of_the_library():
+    text = (PACKAGE_DIR / "multipoly.py").read_text()
+    section = _gcd_section(text)
+    defined = {node.name: node.lineno for node in ast.parse(text).body
+               if isinstance(node, ast.FunctionDef)}
+    assert all(defined[name] in section for name in GCD_KERNEL), defined
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("**/*.py")):
+        for function, name, line in _calls(ast.parse(path.read_text(), filename=str(path))):
+            where = "%s:%d %s calls %s" % (path.name, line, function, name)
+            if name in GCD_KERNEL and not (path.name == "multipoly.py" and line in section):
+                found.append(where)
+            if name in SUBSTITUTION and function not in SUBSTITUTION_CALLERS:
+                found.append(where)
+    assert not found, found
