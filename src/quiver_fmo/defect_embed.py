@@ -27,6 +27,7 @@ from .multipoly import (
 from .quiver import DimData, mat_vec
 from .gklo import (
     GKLOContext,
+    as_dressing,
     fmo,
     fmo_plus,
     fmo_plus_terms,
@@ -131,8 +132,7 @@ def verify_adding_defect_theorem(ctx: GKLOContext, split: DefectSplit, m, f) -> 
     over its own denominators.  The reduced sides are only materialized for
     the report."""
     m = tuple(m)
-    if not isinstance(f, PartialSymPoly):
-        f = PartialSymPoly.make(f, m, ctx.v)
+    f = as_dressing(ctx, m, f)
     lhs_terms = list(phi_fmo_terms(ctx, split, m, f))
     keyed = list(lhs_terms)
     rhs = RatFunc.zero()
@@ -162,8 +162,7 @@ def restrict_fmo_slice(ctx: GKLOContext, v_prime, m, f, sign: str) -> GKLOElemen
     """Image of M^sign_m(f) under restriction to the smaller slice:
     M^sign_m(tilde f) in the v' context, or zero when m > v'."""
     m = tuple(m)
-    if not isinstance(f, PartialSymPoly):
-        f = PartialSymPoly.make(f, m, ctx.v)
+    f = as_dressing(ctx, m, f)
     tag = "zastava_loc" if sign == "+" else "slice_loc"
     if any(mi > vp for mi, vp in zip(m, v_prime)):
         return GKLOElement.make(RatFunc.zero(), tag)
@@ -241,8 +240,7 @@ def verify_restriction(ctx: GKLOContext, v_prime, m, f, sign: str) -> VerifyRepo
     the negative operators), compared against restrict_fmo_slice."""
     m = tuple(m)
     v_prime = tuple(v_prime)
-    if not isinstance(f, PartialSymPoly):
-        f = PartialSymPoly.make(f, m, ctx.v)
+    f = as_dressing(ctx, m, f)
     target = slice_target_context(ctx, v_prime)
     plus_holds, plus_route, plus_terms = _plus_restriction_route(
         ctx.quiver, ctx.v, v_prime, m, f)

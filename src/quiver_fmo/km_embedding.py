@@ -23,7 +23,7 @@ from .multipoly import (
     wv,
 )
 from .quiver import DimData, check_conicity
-from .gklo import GKLOContext, fmo, fmo_sign
+from .gklo import GKLOContext, as_dressing, fmo, fmo_sign
 from .defect_embed import DefectSplit, restrict_fmo_slice, slice_target_context
 
 
@@ -282,8 +282,7 @@ def split_and_project(ctx: GKLOContext, split: DefectSplit, m, f, sign: str) -> 
     single-formula form: the dressing becomes tilde(f) divided by the head
     monomial prod (+-w_{i,p})^{v''_i}; zero when m > v'."""
     m = tuple(m)
-    if not isinstance(f, PartialSymPoly):
-        f = PartialSymPoly.make(f, m, ctx.v)
+    f = as_dressing(ctx, m, f)
     vdp = split.v_doubleprime
     cone = check_conicity(DimData.make(ctx.w, vdp), ctx.cartan)
     if not cone.holds:
@@ -367,8 +366,7 @@ def mmo_to_gklo(target: GKLOContext, m, state: ChainState, sign: str) -> GKLOEle
 def compose_embedding(ctx: GKLOContext, split: DefectSplit, m, f, sign: str) -> ChainReport:
     """Run the whole chain and compare with the direct slice restriction."""
     m = tuple(m)
-    if not isinstance(f, PartialSymPoly):
-        f = PartialSymPoly.make(f, m, ctx.v)
+    f = as_dressing(ctx, m, f)
     if sign == "-":
         f0 = PartialSymPoly.make(
             -f.value if fmo_sign(ctx, m) else f.value, m, ctx.v)

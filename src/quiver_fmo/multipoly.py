@@ -668,21 +668,6 @@ def factor_denominator(p: MPoly):
     return factors, rest
 
 
-def _dfac_poly(dfac: dict) -> MPoly:
-    out = MPoly.one()
-    for cand in sorted(dfac):
-        out = out * candidate_poly(cand) ** dfac[cand]
-    return out
-
-
-def _dfac_lcm(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, e in b.items():
-        if out.get(k, 0) < e:
-            out[k] = e
-    return out
-
-
 def _dfac_sub(a: dict, b: dict) -> dict:
     return {k: e - b.get(k, 0) for k, e in a.items() if e - b.get(k, 0) > 0}
 
@@ -729,24 +714,31 @@ class DenominatorError(ValueError):
 
 class RatFunc:
     """Normalized rational function num/den.  The denominator is always a
-    product of linear forms, kept factored on the instance: dfac maps each
-    candidate descriptor (see candidate_poly) to its multiplicity, and den is
-    the product of candidate_poly(k)^e over dfac.  No factor of dfac divides
-    num.  u-monomial factors of a denominator move to the numerator (the u's
-    are units); any other denominator, such as u + 1 or w + 1, raises
-    DenominatorError.  Sums and products combine factor dicts and never
-    re-factor expanded denominators, and structural equality decides
-    equality in the field.
+    product of linear forms, and the pair (num, dfac) is all an instance
+    stores: dfac maps each candidate descriptor (see candidate_poly) to its
+    multiplicity, and den, the product of candidate_poly(k)^e over dfac, is
+    derived from it on first use.  No factor of dfac divides num, and
+    diff_key fixes each form's orientation, so the pair is canonical:
+    equality and hashing use (num, dfac).  u-monomial factors of a
+    denominator move to the numerator (the u's are units); any other
+    denominator, such as u + 1 or w + 1, raises DenominatorError.  Sums and
+    products combine factor dicts and never re-factor expanded denominators.
     """
 
-    __slots__ = ("num", "den", "dfac", "_hash")
+    __slots__ = ("num", "dfac", "_den", "_hash")
 
-    def __init__(self, num: MPoly, den: MPoly, dfac: dict):
+    def __init__(self, num: MPoly, dfac: dict):
         # internal: assumes already canonical
         self.num = num
-        self.den = den
         self.dfac = dfac
+        self._den = None
         self._hash = None
+
+    @property
+    def den(self) -> MPoly:
+        if self._den is None:
+            self._den = _dfac_mul_into(MPoly.one(), self.dfac)
+        return self._den
 
     # -- construction ----------------------------------------------------
 
@@ -817,19 +809,23 @@ class RatFunc:
                 mult -= 1
             if mult:
                 kept[cand] = mult
-        return RatFunc(num, _dfac_poly(kept), kept)
+        return RatFunc(num, kept)
 
     @staticmethod
     def zero() -> "RatFunc":
-        return RatFunc(MPoly.zero(), MPoly.one(), {})
+        return RatFunc(MPoly.zero(), {})
 
     @staticmethod
     def one() -> "RatFunc":
-        return RatFunc(MPoly.one(), MPoly.one(), {})
+        return RatFunc(MPoly.one(), {})
 
     @staticmethod
-    def from_poly(p: MPoly) -> "RatFunc":
-        return RatFunc.make(p)
+    def from_poly(p) -> "RatFunc":
+        """A polynomial (Laurent in u) or a number over the empty product,
+        which is already canonical."""
+        if isinstance(p, (int, Fraction)):
+            p = MPoly.const(p)
+        return RatFunc(p, {})
 
     # -- predicates ---------------------------------------------------------
 
@@ -837,13 +833,12 @@ class RatFunc:
         return self.num.is_zero()
 
     def is_poly(self) -> bool:
-        return self.den.is_const()
+        return not self.dfac
 
     def as_poly(self) -> MPoly:
-        if not self.den.is_const():
+        if self.dfac:
             raise ValueError("rational function is not a polynomial")
-        d = self.den.const_value()
-        return self.num if d == 1 else self.num * (Fraction(1) / Fraction(d))
+        return self.num
 
     # -- arithmetic -----------------------------------------------------
 
@@ -851,10 +846,8 @@ class RatFunc:
     def _lift(other):
         if isinstance(other, RatFunc):
             return other
-        if isinstance(other, MPoly):
-            return RatFunc.make(other)
-        if isinstance(other, (int, Fraction)):
-            return RatFunc.make(MPoly.const(other))
+        if isinstance(other, (MPoly, int, Fraction)):
+            return RatFunc.from_poly(other)
         return None
 
     def __add__(self, other):
@@ -865,15 +858,13 @@ class RatFunc:
             return o
         if o.is_zero():
             return self
-        lcm = _dfac_lcm(self.dfac, o.dfac)
-        na = _dfac_mul_into(self.num, _dfac_sub(lcm, self.dfac))
-        nb = _dfac_mul_into(o.num, _dfac_sub(lcm, o.dfac))
-        return RatFunc._from_factors(na + nb, lcm)
+        num, lcm = _terms_over_lcm([(self.num, self.dfac), (o.num, o.dfac)])
+        return RatFunc._from_factors(num, lcm)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den, self.dfac)
+        return RatFunc(-self.num, self.dfac)
 
     def __sub__(self, other):
         o = RatFunc._lift(other)
@@ -913,7 +904,7 @@ class RatFunc:
                 raise ZeroDivisionError("negative power of zero")
             return RatFunc.make(self.den, self.num) ** (-n)
         # no linear form divides num, so none divides its powers either
-        return RatFunc(self.num ** n, self.den ** n, {k: e * n for k, e in self.dfac.items()})
+        return RatFunc(self.num ** n, {k: e * n for k, e in self.dfac.items()})
 
     # -- structure -------------------------------------------------------
 
@@ -921,11 +912,11 @@ class RatFunc:
         o = RatFunc._lift(other)
         if o is None:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return self.num == o.num and self.dfac == o.dfac
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.num, self.den))
+            self._hash = hash((self.num, frozenset(self.dfac.items())))
         return self._hash
 
     def permute_vars(self, varmap: dict) -> "RatFunc":
@@ -981,7 +972,7 @@ class RatFunc:
             else:
                 rest = rest + RatFunc._from_factors(num, dfac) * extra
         # times 1/den, which is canonical as it stands
-        return (ratfunc_sum(fact_terms) + rest) * RatFunc(MPoly.one(), self.den, self.dfac)
+        return (ratfunc_sum(fact_terms) + rest) * RatFunc(MPoly.one(), self.dfac)
 
     def __repr__(self):
         return "RatFunc(%s)" % ratfunc_text(self)
@@ -1003,7 +994,7 @@ def _terms_over_lcm(terms):
 def inverse_linear_product(pairs) -> RatFunc:
     """1 / the product of the linear forms x_a - x_b over the (a, b) pairs."""
     dfac, sign = linear_factors(pairs)
-    return RatFunc(MPoly.const(sign), _dfac_poly(dfac), dfac)
+    return RatFunc(MPoly.const(sign), dfac)
 
 
 def ratfunc_sum(terms) -> RatFunc:
@@ -1211,7 +1202,9 @@ def _factor_admissible(cand, tag: str) -> bool:
 @dataclass(frozen=True)
 class GKLOElement:
     """A rational function together with the localization it is declared to
-    live in; construction checks the denominator against that localization."""
+    live in.  The checked constructor make tests the denominator (and, for
+    the zastava and defect rings, the u-exponents) against that localization;
+    the element carries no arithmetic, and callers compute on .value."""
 
     value: RatFunc
     ring_tag: str
@@ -1230,36 +1223,6 @@ class GKLOElement:
                     if var[0] == U_KIND and e < 0:
                         raise AdmissibilityError("negative u-exponent in %s" % ring_tag)
         return GKLOElement(value, ring_tag)
-
-    @staticmethod
-    def _join(tag1: str, tag2: str) -> str:
-        if tag1 == tag2:
-            return tag1
-        pair = {tag1, tag2}
-        if "defect_loc" in pair:
-            return "defect_loc"
-        if "slice_loc_loc" in pair:
-            return "slice_loc_loc"
-        return "slice_loc"
-
-    def __add__(self, other):
-        if isinstance(other, GKLOElement):
-            return GKLOElement.make(self.value + other.value,
-                                    self._join(self.ring_tag, other.ring_tag))
-        return GKLOElement.make(self.value + other, self.ring_tag)
-
-    def __mul__(self, other):
-        if isinstance(other, GKLOElement):
-            return GKLOElement.make(self.value * other.value,
-                                    self._join(self.ring_tag, other.ring_tag))
-        return GKLOElement.make(self.value * other, self.ring_tag)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        o = other.value if isinstance(other, GKLOElement) else other
-        t = other.ring_tag if isinstance(other, GKLOElement) else self.ring_tag
-        return GKLOElement.make(self.value - o, self._join(self.ring_tag, t))
 
     def is_zero(self) -> bool:
         return self.value.is_zero()

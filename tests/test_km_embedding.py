@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from quiver_fmo.multipoly import MPoly, RatFunc, uv, wv
+from quiver_fmo.multipoly import MPoly, PartialSymPoly, RatFunc, uv, wv
 from quiver_fmo.quiver import (
     DimData,
     a1_quiver,
@@ -17,7 +17,12 @@ from quiver_fmo.quiver import (
     mat_vec,
 )
 from quiver_fmo.gklo import dressing_basis, make_context
-from quiver_fmo.defect_embed import DefectSplit, restrict_fmo_slice
+from quiver_fmo.defect_embed import (
+    DefectSplit,
+    restrict_fmo_slice,
+    verify_adding_defect_theorem,
+    verify_restriction,
+)
 from quiver_fmo.km_embedding import (
     ConicityError,
     DressedMMO,
@@ -171,6 +176,21 @@ def test_conicity_gate():
     with pytest.raises(ConicityError):
         split_and_project(ctx, DefectSplit.make((2, 2), (1, 1)), (1, 1),
                           MPoly.one(), "+")
+
+
+@pytest.mark.parametrize("entry", [
+    lambda ctx, split, f: verify_adding_defect_theorem(ctx, split, (1,), f),
+    lambda ctx, split, f: restrict_fmo_slice(ctx, split.v_prime, (1,), f, "+"),
+    lambda ctx, split, f: verify_restriction(ctx, split.v_prime, (1,), f, "-"),
+    lambda ctx, split, f: split_and_project(ctx, split, (1,), f, "+"),
+    lambda ctx, split, f: compose_embedding(ctx, split, (1,), f, "-"),
+], ids=["verify_adding_defect_theorem", "restrict_fmo_slice", "verify_restriction",
+        "split_and_project", "compose_embedding"])
+def test_entry_points_refuse_a_dressing_for_another_charge(entry):
+    ctx = make_context(a1_quiver(), (2,), (2,))
+    split = DefectSplit.make((2,), (1,))
+    with pytest.raises(ValueError, match="different"):
+        entry(ctx, split, PartialSymPoly.make(MPoly.one(), (0,), (2,)))
 
 
 def test_chain_worked_example():

@@ -104,3 +104,17 @@ def test_oracle_routes_stay_out_of_the_library():
             if name in SUBSTITUTION and function not in SUBSTITUTION_CALLERS:
                 found.append(where)
     assert not found, found
+
+
+def test_only_multipoly_calls_the_ratfunc_constructor():
+    # RatFunc(num, dfac) trusts its arguments to be canonical; every other
+    # module builds through make, from_poly, ratfunc_sum or
+    # inverse_linear_product, which establish the invariant
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("**/*.py")):
+        if path.name == "multipoly.py":
+            continue
+        for function, name, line in _calls(ast.parse(path.read_text(), filename=str(path))):
+            if name == "RatFunc":
+                found.append("%s:%d %s" % (path.name, line, function))
+    assert not found, found
