@@ -2,6 +2,11 @@
 stabilizer Poincare factors, the truncated Hilbert series of the graded
 coordinate ring, the good/ugly/bad classifier, and operator degrees.
 
+The Hilbert series is a grouped sum: the stabilizer factor of a dominant
+coweight depends only on its block type (the multiset of equal-entry block
+lengths), so the shell points are counted by (degree, block type) and each
+type's Poincare factor is built once.
+
 Degrees follow the doubled cohomological convention throughout: the series
 variable exponent is the cohomological degree, a polynomial dressing of
 polynomial degree d sits in degree 2d.
@@ -10,6 +15,7 @@ polynomial degree d sits in degree 2d.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -68,7 +74,9 @@ class TruncSeries:
         return TruncSeries(tuple(out), self.order)
 
     def shift(self, k: int) -> "TruncSeries":
-        """Multiply by t^k."""
+        """Multiply by t^k, k >= 0."""
+        if k < 0:
+            raise ValueError("shift exponent must be non-negative")
         out = [0] * (self.order + 1)
         for i, a in enumerate(self.coeffs):
             if i + k <= self.order:
@@ -77,7 +85,9 @@ class TruncSeries:
 
 
 def geometric(k: int, order: int) -> TruncSeries:
-    """Expansion of 1/(1 - t^k)."""
+    """Expansion of 1/(1 - t^k), k >= 1."""
+    if k <= 0:
+        raise ValueError("geometric series needs a positive exponent")
     out = [0] * (order + 1)
     j = 0
     while j <= order:
@@ -200,6 +210,13 @@ def stabilizer_poincare(gamma, order: int) -> TruncSeries:
     return out
 
 
+def block_type(gamma) -> tuple:
+    """Sorted lengths of the equal-entry blocks over all vertices: the only
+    data of a dominant coweight that its stabilizer factor depends on."""
+    return tuple(sorted(len(list(grp)) for tup in gamma
+                        for _, grp in itertools.groupby(tup)))
+
+
 DEFAULT_POINT_BUDGET = 2_000_000
 
 
@@ -210,7 +227,10 @@ def hilbert_series(ctx: GKLOContext, order: int,
 
     One box_scan refuses bad theories and gives the degree bound that makes
     the shells certified complete.  More than point_budget shell points
-    raises EnumerationBudgetError before any point is evaluated.
+    raises EnumerationBudgetError before any point is evaluated.  Every point
+    of degree <= order is counted under (degree, block type); each block
+    type's stabilizer factor is built once, from a representative coweight,
+    and the result is the sum of count * t^degree * factor.
     """
     scan = box_scan(ctx.dims, ctx.cartan)
     if not scan.conical:
@@ -228,11 +248,21 @@ def hilbert_series(ctx: GKLOContext, order: int,
             raise EnumerationBudgetError(
                 "more than %d shell points needed up to norm %d"
                 % (point_budget, max_norm))
-    total = TruncSeries.zero(order)
+    kept = Counter()  # (degree, block type) -> number of points
+    representative = {}
     for norm in range(max_norm + 1):
         for gamma in dominant_shell(ctx.v, norm):
             deg = two_delta_general(ctx, gamma)
             if deg > order:
                 continue
-            total = total + stabilizer_poincare(gamma, order).shift(deg)
-    return total
+            btype = block_type(gamma)
+            representative.setdefault(btype, gamma)
+            kept[deg, btype] += 1
+    factors = {btype: stabilizer_poincare(gamma, order).coeffs
+               for btype, gamma in representative.items()}
+    total = [0] * (order + 1)
+    for (deg, btype), count in kept.items():
+        factor = factors[btype]
+        for j in range(order + 1 - deg):
+            total[deg + j] += count * factor[j]
+    return TruncSeries(tuple(total), order)

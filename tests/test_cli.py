@@ -295,14 +295,14 @@ def test_enumeration_over_budget_is_refused(capsys, argv):
 
 
 def _table_ops():
-    """classify ops and hilbert ops up to order 6 from the benchmark table,
+    """classify ops and hilbert ops up to order 10 from the benchmark table,
     with the stdout sha256 and exit code recorded there."""
     path = Path(__file__).resolve().parent.parent / "bench" / "table.json"
     ops = json.loads(path.read_text())["ops"]
     for key, row in sorted(ops.items()):
         argv = key.split()
         if argv[0] == "classify" or (
-                argv[0] == "hilbert" and int(argv[argv.index("--order") + 1]) <= 6):
+                argv[0] == "hilbert" and int(argv[argv.index("--order") + 1]) <= 10):
             yield argv, row["sha256"], row["exit"]
 
 

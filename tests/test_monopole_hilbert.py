@@ -1,7 +1,9 @@
 """Monopole degrees, stabilizer factors, truncated Hilbert series with the
-certified enumerator against a naive brute-force oracle, and classification."""
+certified enumerator against a naive brute-force oracle and against the
+per-point sum, closed forms, and classification."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -9,9 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from quiver_fmo.quiver import (
     DimData,
+    Quiver,
     a1_quiver,
     a2_quiver,
     affine_sl2_quiver,
+    box_scan,
     check_conicity,
     check_good,
     cartan_matrix,
@@ -23,6 +27,7 @@ from quiver_fmo.monopole_hilbert import (
     BadTheoryError,
     EnumerationBudgetError,
     TruncSeries,
+    block_type,
     classify_theory,
     degree_lower_bound,
     dominant_shell,
@@ -67,6 +72,32 @@ def brute_force_series(quiver, w, v, order, box):
     return tuple(coeffs)
 
 
+def hilbert_series_by_points(ctx, order):
+    """Oracle: the per-point sum, one stabilizer factor per kept coweight,
+    over the same certified shells as hilbert_series."""
+    scan = box_scan(ctx.dims, ctx.cartan)
+    if not scan.conical:
+        raise BadTheoryError("not conical")
+    if not any(ctx.v):
+        return TruncSeries.one(order)
+    max_norm = int(Fraction(order) / scan.min_ratio)
+    total = TruncSeries.zero(order)
+    for norm in range(max_norm + 1):
+        for gamma in dominant_shell(ctx.v, norm):
+            deg = two_delta_general(ctx, gamma)
+            if deg > order:
+                continue
+            total = total + stabilizer_poincare(gamma, order).shift(deg)
+    return total
+
+
+def cyclic_quotient_series(n, order):
+    """(1 - t^{2n}) / ((1 - t^2)(1 - t^n)^2) to order, by counting exponents."""
+    def f(k):  # coefficient of t^k in 1/((1 - t^2)(1 - t^n)^2)
+        return sum(b + 1 for b in range(k // n + 1) if (k - n * b) % 2 == 0) if k >= 0 else 0
+    return tuple(f(k) - f(k - 2 * n) for k in range(order + 1))
+
+
 # ---------------------------------------------------------------------------
 # truncated series arithmetic
 
@@ -78,6 +109,19 @@ def test_series_ops():
     assert (a + b).coeffs == (2, 0, 0, 0, 0)
     assert a.shift(3).coeffs == (0, 0, 0, 1, 1)
     assert geometric(2, 6).coeffs == (1, 0, 1, 0, 1, 0, 1)
+
+
+def test_shift_refuses_negative_exponent():
+    a = TruncSeries.make([1, 2, 3], 4)
+    assert a.shift(0) == a
+    with pytest.raises(ValueError):
+        a.shift(-1)
+
+
+@pytest.mark.parametrize("k", [0, -1, -3])
+def test_geometric_refuses_non_positive_exponent(k):
+    with pytest.raises(ValueError):
+        geometric(k, 3)
 
 
 def test_stabilizer_poincare_examples():
@@ -198,6 +242,12 @@ def test_degree_bounded_below_by_certificate(t0, t1):
     assert two_delta_general(ctx, gamma) >= c * norm
 
 
+def test_block_type():
+    assert block_type(((3, 3, 1), (0,), (2, 2))) == (1, 1, 2, 2)
+    assert block_type(((),)) == ()
+    assert block_type(((0, 0, 0),)) == (3,)
+
+
 def test_dominant_shell_enumeration():
     shells = dominant_shell((2,), 2)
     assert set(shells) == {((2, 0),), ((1, 1),), ((0, -2),), ((-1, -1),), ((1, -1),)}
@@ -281,3 +331,84 @@ def test_series_against_brute_force(quiver, w, v):
     order = 10
     hs = hilbert_series(ctx, order)
     assert hs.coeffs == brute_force_series(quiver, w, v, order, box=order)
+
+
+def test_a1_cyclic_quotient_closed_form():
+    # a1 with w = n, v = 1 is C^2/Z_n: H = (1 - t^{2n}) / ((1 - t^2)(1 - t^n)^2)
+    order = 16
+    for n in range(2, 6):
+        ctx = make_context(a1_quiver(), (n,), (1,))
+        assert hilbert_series(ctx, order).coeffs == cyclic_quotient_series(n, order), n
+
+
+def _file_quiver(tmp_path, name, vertices, edges):
+    path = tmp_path / (name + ".json")
+    path.write_text(json.dumps({
+        "vertices": vertices,
+        "edges": [{"source": s, "target": t} for s, t in edges]}))
+    return Quiver.load(path)
+
+
+GROUPED_CASES = [
+    ("a1", (2,), (1,)),
+    ("a1", (4,), (2,)),
+    ("a1", (5,), (3,)),
+    ("a2", (1, 1), (1, 1)),
+    ("a2", (2, 2), (2, 2)),
+    ("a2", (2, 1), (2, 1)),
+    ("affine_sl2", (2, 0), (1, 1)),
+    ("affine_sl2", (1, 0), (1, 1)),
+    ("affine_sl2", (1, 1), (2, 2)),
+    ("hyperbolic3", (3, 3), (2, 1)),
+    ("cycle3", (1, 1, 1), (1, 1, 1)),
+]
+
+
+def _grouped_case_quiver(name, tmp_path):
+    if name == "hyperbolic3":
+        # rank 2 with three parallel edges: indefinite Kac-Moody type
+        return _file_quiver(tmp_path, name, ["0", "1"], [("0", "1")] * 3)
+    if name == "cycle3":
+        # oriented 3-cycle: affine A2
+        return _file_quiver(tmp_path, name, ["0", "1", "2"],
+                            [("0", "1"), ("1", "2"), ("2", "0")])
+    return {"a1": a1_quiver, "a2": a2_quiver, "affine_sl2": affine_sl2_quiver}[name]()
+
+
+@pytest.mark.parametrize("name,w,v", GROUPED_CASES)
+def test_grouped_sum_matches_per_point_sum(tmp_path, name, w, v):
+    ctx = make_context(_grouped_case_quiver(name, tmp_path), w, v)
+    for order in range(13):
+        assert hilbert_series(ctx, order) == hilbert_series_by_points(ctx, order), order
+
+
+def test_grouped_cases_cover_good_and_ugly(tmp_path):
+    kinds = {classify_theory(make_context(_grouped_case_quiver(name, tmp_path), w, v)).kind
+             for name, w, v in GROUPED_CASES}
+    assert kinds == {"good", "ugly"}
+
+
+def test_one_stabilizer_factor_per_block_type(monkeypatch):
+    import quiver_fmo.monopole_hilbert as mh
+
+    ctx = make_context(a2_quiver(), (2, 2), (2, 2))
+    order = 12
+    expected = hilbert_series_by_points(ctx, order)
+    kept_types = set()
+    max_norm = int(Fraction(order) / degree_lower_bound(ctx))
+    for norm in range(max_norm + 1):
+        for gamma in dominant_shell(ctx.v, norm):
+            if two_delta_general(ctx, gamma) <= order:
+                kept_types.add(block_type(gamma))
+    assert len(kept_types) > 1
+
+    seen = []
+    original = mh.stabilizer_poincare
+
+    def counting(gamma, order):
+        seen.append(block_type(gamma))
+        return original(gamma, order)
+
+    monkeypatch.setattr(mh, "stabilizer_poincare", counting)
+    assert hilbert_series(ctx, order) == expected
+    assert len(seen) == len(set(seen)) and set(seen) == kept_types
