@@ -43,10 +43,9 @@ from .gklo import (
     fmo,
     fmo_minus,
     fmo_plus,
+    lagrange_charge,
     make_context,
     orientation_flip_sign,
-    p_image,
-    p_minus_image,
     q_image,
 )
 from .defect_embed import (

@@ -29,7 +29,6 @@ from .gklo import (
     GKLOContext,
     as_dressing,
     fmo,
-    fmo_plus,
     fmo_plus_terms,
     involution_fmo_report,
     iota_image,
@@ -123,28 +122,33 @@ class VerifyReport:
     rhs: RatFunc
 
 
-def verify_adding_defect_theorem(ctx: GKLOContext, split: DefectSplit, m, f) -> VerifyReport:
-    """Check phi(M^+_m(f)) against the Sweedler-decomposed right-hand side
-    sum of M^+_m(f^(1)) * f^(2) over the smaller ring (zero when m > v').
-
-    Distinct surviving subsets carry distinct u-monomials, so the identity
-    decomposes subset by subset; each piece is an exact polynomial identity
-    over its own denominators.  The reduced sides are only materialized for
-    the report."""
-    m = tuple(m)
-    f = as_dressing(ctx, m, f)
-    lhs_terms = list(phi_fmo_terms(ctx, split, m, f))
-    keyed = list(lhs_terms)
-    rhs = RatFunc.zero()
+def _defect_sides(ctx: GKLOContext, split: DefectSplit, m, f: PartialSymPoly, at_zero: bool):
+    """(lhs, rhs, holds): phi of the subset terms of M^+_m(f), at the tail-zero
+    divisor when at_zero, against those of M^+_m(f^(1)) * f^(2) over v', summed
+    over the Sweedler pieces (tilde f alone at zero; none when m > v')."""
+    lhs = []
+    for gamma, num, dfac in phi_fmo_terms(ctx, split, m, f):
+        t = _tail_zero_term(num, dfac, split) if at_zero else (num, dfac)
+        if t is not None:
+            lhs.append((gamma,) + t)
+    rhs = []
     if all(mi <= vp for mi, vp in zip(m, split.v_prime)):
         sub_ctx = GKLOContext(ctx.quiver, DimData.make(ctx.w, split.v_prime))
-        for f1, f2 in sweedler(f, split.v_prime):
-            rhs = rhs + fmo_plus(sub_ctx, m, f1).value * f2
-            keyed.extend((gamma, -num * f2, dfac) for gamma, num, dfac
-                         in fmo_plus_terms(sub_ctx, m, f1))
-    holds = identity_holds(keyed)
-    lhs = rhs if holds else terms_value(lhs_terms, 1)
-    return VerifyReport(holds, lhs, rhs)
+        pieces = [(tilde(f, split.v_prime), 1)] if at_zero else sweedler(f, split.v_prime)
+        for f1, f2 in pieces:
+            rhs.extend((gamma, num * f2, dfac) for gamma, num, dfac
+                       in fmo_plus_terms(sub_ctx, m, f1))
+    holds = identity_holds(lhs + [(gamma, -num, dfac) for gamma, num, dfac in rhs])
+    return lhs, rhs, holds
+
+
+def verify_adding_defect_theorem(ctx: GKLOContext, split: DefectSplit, m, f) -> VerifyReport:
+    """Check phi(M^+_m(f)) against the Sweedler-decomposed right-hand side
+    sum of M^+_m(f^(1)) * f^(2) over the smaller ring (zero when m > v'),
+    subset by subset.  The sides are only materialized for the report."""
+    lhs_terms, rhs_terms, holds = _defect_sides(ctx, split, m, as_dressing(ctx, m, f), False)
+    rhs = terms_value(rhs_terms, 1)
+    return VerifyReport(holds, rhs if holds else terms_value(lhs_terms, 1), rhs)
 
 
 def slice_target_context(ctx: GKLOContext, v_prime) -> GKLOContext:
@@ -178,8 +182,7 @@ def _tail_zero_term(num: MPoly, dfac: dict, split: DefectSplit):
         kind, i, r = var
         return kind == W_KIND and r > split.v_prime[i]
 
-    tail = [wv(i, r) for i, (vp, vi) in enumerate(zip(split.v_prime, split.v))
-            for r in range(vp + 1, vi + 1)]
+    tail = [wv(i, r) for i in range(len(split.v)) for r in _tail(split, i)]
     num = num.subs_zero(tail)
     if num.is_zero():
         return None
@@ -208,29 +211,14 @@ def _tail_zero_term(num: MPoly, dfac: dict, split: DefectSplit):
 
 @lru_cache(maxsize=65536)
 def _plus_restriction_route(quiver, v, v_prime, m, f: PartialSymPoly):
-    """Framing-independent positive-side comparison: the tail-at-zero defect
-    route against the direct truncated operator, decomposed per subset.
-    Returns (holds, route, terms): route is the common value when the
-    identity holds, else the tail-at-zero side, whose u-free subset terms are
-    then returned too (empty when it holds)."""
+    """Framing-independent positive-side comparison of the tail-at-zero defect
+    route with the direct truncated operator: (holds, route, terms), where
+    route is the common value when the identity holds (terms empty), else the
+    tail-at-zero side, returned with its u-free subset terms."""
     ctx = GKLOContext(quiver, DimData.make((0,) * quiver.n, v))
-    split = DefectSplit.make(v, v_prime)
-    lhs_terms = []
-    for gamma, num, dfac in phi_fmo_terms(ctx, split, m, f):
-        t = _tail_zero_term(num, dfac, split)
-        if t is not None:
-            lhs_terms.append((gamma,) + t)
-    keyed = list(lhs_terms)
-    if any(mi > vp for mi, vp in zip(m, v_prime)):
-        plus_rhs = RatFunc.zero()
-    else:
-        sub_ctx = GKLOContext(quiver, DimData.make((0,) * quiver.n, v_prime))
-        ft = tilde(f, v_prime)
-        plus_rhs = fmo_plus(sub_ctx, m, ft).value
-        keyed.extend((gamma, -num, dfac) for gamma, num, dfac
-                     in fmo_plus_terms(sub_ctx, m, ft))
-    if identity_holds(keyed):
-        return True, plus_rhs, ()
+    lhs_terms, rhs_terms, holds = _defect_sides(ctx, DefectSplit.make(v, v_prime), m, f, True)
+    if holds:
+        return True, terms_value(rhs_terms, 1), ()
     return False, terms_value(lhs_terms, 1), tuple(lhs_terms)
 
 
@@ -246,8 +234,9 @@ def verify_restriction(ctx: GKLOContext, v_prime, m, f, sign: str) -> VerifyRepo
         ctx.quiver, ctx.v, v_prime, m, f)
 
     if sign == "+":
-        return VerifyReport(plus_holds, plus_route,
-                            restrict_fmo_slice(ctx, v_prime, m, f, "+").value)
+        # a route that holds is the value of restrict_fmo_slice's defining sum
+        rhs = plus_route if plus_holds else restrict_fmo_slice(ctx, v_prime, m, f, "+").value
+        return VerifyReport(plus_holds, plus_route, rhs)
 
     # negative side along the involution route
     rhs = restrict_fmo_slice(ctx, v_prime, m, f, "-").value

@@ -1,7 +1,8 @@
-"""Birational coordinates on slices and zastava spaces: the images of the
-Q_i, P_i, P_i^- generating functions, dressed fundamental monopole operators
-of both signs, the determinant identity relating them, the Chevalley
-involution, and the orientation-change comparison.
+"""Birational coordinates on slices and zastava spaces: the image of the
+Q_i generating function, dressed fundamental monopole operators of both
+signs (P^+_i and P^-_i are the ones at lagrange_charge), the determinant
+identity relating them, the Chevalley involution, and the orientation-change
+comparison.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from .multipoly import (
     RatFunc,
     ZVAR,
     identity_holds,
-    inverse_linear_product,
+    keyed_sum,
     linear_factors,
     linear_product,
-    ratfunc_sum,
     restrict_to_gamma,
     uv,
     wv,
@@ -75,34 +75,6 @@ def _out_pairs(ctx, i, r):
     """The pairs (w_{t,q}, w_{i,r}) over the edges i -> t and the slots of t."""
     return [(wv(t, q), wv(i, r)) for _, t in ctx.quiver.out_edges(i)
             for q in range(1, ctx.v[t] + 1)]
-
-
-def _lagrange_terms(ctx, i, edge_pairs, u_exp, framing):
-    """The Lagrange-form sum over r of prod_{s != r} (z - w_{i,s}) / (w_{i,r} -
-    w_{i,s}) times the edge products, w_{i,r}^{framing} and u_{i,r}^{u_exp},
-    as (numerator, factored-denominator) pairs."""
-    terms = []
-    for r in range(1, ctx.v[i] + 1):
-        others = [wv(i, s) for s in range(1, ctx.v[i] + 1) if s != r]
-        num = linear_product([(ZVAR, y) for y in others] + edge_pairs(ctx, i, r))
-        num = num * MPoly.var(wv(i, r), framing) * MPoly.var(uv(i, r), u_exp)
-        dfac, sign = linear_factors((wv(i, r), y) for y in others)
-        terms.append((num * sign, dfac))
-    return terms
-
-
-def p_image(ctx: GKLOContext, i: int) -> GKLOElement:
-    """Lagrange-form sum over r of the interpolation factor times the outgoing
-    edge products times u_{i,r}."""
-    terms = _lagrange_terms(ctx, i, _out_pairs, 1, 0)
-    return GKLOElement.make(ratfunc_sum(terms), "zastava_loc")
-
-
-def p_minus_image(ctx: GKLOContext, i: int) -> GKLOElement:
-    """Negative counterpart of p_image; carries w_{i,r}^{w_i}, incoming edge
-    products, inverse u, and the orientation sign."""
-    terms = _lagrange_terms(ctx, i, _in_pairs, -1, ctx.w[i])
-    return GKLOElement.make(ratfunc_sum(terms) * -_out_sign(ctx, i), "slice_loc")
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +184,8 @@ def fmo_minus_terms(ctx: GKLOContext, m, f: PartialSymPoly):
 
 def terms_value(terms, exp: int) -> RatFunc:
     """The normalized sum of u-free subset terms, each subset Gamma's term
-    multiplied back by u_Gamma^{exp}."""
-    return ratfunc_sum((num * _u_gamma(gamma, exp), dfac) for gamma, num, dfac in terms)
+    keyed by u_Gamma^{exp}."""
+    return keyed_sum((_u_gamma(gamma, exp), num, dfac) for gamma, num, dfac in terms)
 
 
 def transport_terms(terms, image):
@@ -266,26 +238,41 @@ def fmo(ctx: GKLOContext, m, f, sign: str) -> GKLOElement:
 # determinant identity and Chevalley involution
 
 
+def lagrange_charge(ctx: GKLOContext, i: int):
+    """(e_i, L_i) with L_i = prod_{s >= 2} (z - w_{i,s}), v_i >= 1: the
+    generating functions P^+_i and P^-_i are M^+_{e_i}(L_i) and M^-_{e_i}(L_i)."""
+    m = tuple(int(j == i) for j in range(ctx.quiver.n))
+    dress = linear_product((ZVAR, wv(i, s)) for s in range(2, ctx.v[i] + 1))
+    return m, PartialSymPoly.make(dress, m, ctx.v)
+
+
 @dataclass(frozen=True)
 class DIdentityReport:
     holds: bool
     d: RatFunc
-    rhs: RatFunc
 
 
 def d_identity_check(ctx: GKLOContext, i: int) -> DIdentityReport:
-    """Divide P^+_i P^-_i + z^{w_i} * (neighbor Q's) by Q_i; the identity
-    holds when the quotient has no z-dependence in its denominator."""
-    rhs = p_image(ctx, i).value * p_minus_image(ctx, i).value
-    extra = MPoly.var(ZVAR, ctx.w[i]) if ctx.w[i] else MPoly.one()
-    for a in ctx.quiver.in_edges(i):
-        extra = extra * q_image(ctx, a[0])
-    for b in ctx.quiver.out_edges(i):
-        extra = extra * q_image(ctx, b[1])
-    rhs = rhs + RatFunc.from_poly(extra)
-    quot = rhs * inverse_linear_product((ZVAR, wv(i, r)) for r in range(1, ctx.v[i] + 1))
-    holds = all(ZVAR not in cand[1:] for cand in quot.dfac)
-    return DIdentityReport(holds, quot, rhs)
+    """D_i = (P^+_i P^-_i + z^{w_i} * (neighbor Q's)) / Q_i; the identity
+    holds when no denominator factor of D_i involves z.  D_i is the keyed sum of
+    the subset pairs (Gamma, Gamma') of P^+_i, P^-_i by u_Gamma u_Gamma'^{-1}."""
+    qfac, qsign = linear_factors((ZVAR, wv(i, r)) for r in range(1, ctx.v[i] + 1))
+    extra = MPoly.var(ZVAR, ctx.w[i])
+    for j in [s for s, _ in ctx.quiver.in_edges(i)] + [t for _, t in ctx.quiver.out_edges(i)]:
+        extra = extra * q_image(ctx, j)
+    keyed = [(MPoly.one(), extra * qsign, qfac)]  # the u-free term, over Q_i too
+    if ctx.v[i]:
+        m, f = lagrange_charge(ctx, i)
+        minus = list(fmo_minus_terms(ctx, m, f))
+        for gamma, num, dfac in fmo_plus_terms(ctx, m, f):
+            for gamma2, num2, dfac2 in minus:
+                fac = dict(qfac)
+                for k, e in itertools.chain(dfac.items(), dfac2.items()):
+                    fac[k] = fac.get(k, 0) + e
+                keyed.append((_u_gamma(gamma, 1) * _u_gamma(gamma2, -1),
+                              num * num2 * qsign, fac))
+    d = keyed_sum(keyed)
+    return DIdentityReport(all(ZVAR not in cand[1:] for cand in d.dfac), d)
 
 
 def chevalley_u_image(ctx: GKLOContext, i: int, r: int) -> RatFunc:

@@ -10,6 +10,12 @@ ordinary polynomial variables.
 Rational functions are kept fully reduced in a canonical form, a numerator
 over a factored product of linear forms, so structural equality decides ring
 equality; that property is what every downstream theorem check relies on.
+
+keyed_sum adds (u-monomial key, u-free numerator, factored denominator)
+terms: it reduces each key group, then adds the groups over their lcm with no
+cancellation pass.  A linear form in w and z divides no u-monomial, so it
+divides the total only if it divides the reduced numerator of each group whose
+denominator carries it to the lcm's power, which the reduction rules out.
 """
 
 from __future__ import annotations
@@ -1012,15 +1018,29 @@ def terms_sum_to_zero(terms) -> bool:
     return N.is_zero()
 
 
-def identity_holds(keyed_terms) -> bool:
-    """Exact test of an identity that splits by key: the (key, numerator,
-    factored-denominator) triples are grouped by key, and the identity holds
-    when every group sums to zero.  Keys stand for distinct u-monomials, so
-    the whole sum vanishes exactly when each group does."""
+def _by_key(keyed_terms) -> dict:
+    """(key, numerator, factored-denominator) triples grouped by key."""
     groups = {}
     for key, num, dfac in keyed_terms:
         groups.setdefault(key, []).append((num, dfac))
-    return all(terms_sum_to_zero(items) for items in groups.values())
+    return groups
+
+
+def identity_holds(keyed_terms) -> bool:
+    """Exact test of an identity keyed by distinct u-monomials: the whole sum
+    vanishes exactly when every key group sums to zero."""
+    return all(terms_sum_to_zero(items) for items in _by_key(keyed_terms).values())
+
+
+def keyed_sum(keyed_terms) -> RatFunc:
+    """The canonical sum of (u-monomial MPoly key, u-free numerator,
+    factored-denominator) triples; see the module docstring."""
+    reduced = []
+    for key, items in _by_key(keyed_terms).items():
+        part = ratfunc_sum(items)
+        reduced.append((part.num * key, part.dfac))
+    num, lcm = _terms_over_lcm(reduced)
+    return RatFunc(num, lcm)
 
 
 # ---------------------------------------------------------------------------

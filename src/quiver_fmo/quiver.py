@@ -60,10 +60,15 @@ class Quiver:
 
     @staticmethod
     def from_json(data) -> "Quiver":
+        if not (isinstance(data, dict) and isinstance(data.get("vertices"), list)
+                and isinstance(data.get("edges"), list)):
+            raise ValueError("a quiver is a JSON object with vertex and edge lists")
         verts = tuple(str(v) for v in data["vertices"])
         index = {v: i for i, v in enumerate(verts)}
         edges = []
         for e in data["edges"]:
+            if not isinstance(e, dict):
+                raise ValueError("edge %r is not an object with source and target" % (e,))
             s, t = str(e["source"]), str(e["target"])
             if s not in index or t not in index:
                 raise ValueError("edge endpoint %r not a vertex" % (e,))

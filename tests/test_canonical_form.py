@@ -9,6 +9,7 @@ import pytest
 from quiver_fmo import defect_embed, gklo
 from quiver_fmo.quiver import a1_quiver, a2_quiver, affine_sl2_quiver
 from quiver_fmo.gklo import (
+    d_identity_check,
     dressing_basis,
     fmo_minus,
     fmo_plus,
@@ -30,6 +31,8 @@ GRID = [(a1_quiver(), (2,), (2,)), (a2_quiver(), (2, 1), (2, 1)),
 def returned_values(quiver, w, v):
     """(label, RatFunc) for every value the routes return on one context."""
     ctx = make_context(quiver, w, v)
+    for i in range(quiver.n):
+        yield "d-identity", d_identity_check(ctx, i).d
     boxes = list(itertools.product(*(range(vi + 1) for vi in v)))
     for m in boxes:
         for f in dressing_basis(v, m, 1):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from quiver_fmo.cli import main
+from quiver_fmo.multipoly import RatFunc
 
 
 def run(capsys, *argv):
@@ -167,6 +168,20 @@ def test_quiver_file_input(capsys, tmp_path):
     assert json.loads(out)["kind"] == "finite"
 
 
+@pytest.mark.parametrize("data", [
+    {"vertices": ["a", "b"], "edges": [["a", "b"]]},
+    {"vertices": 5, "edges": []},
+    [1, 2],
+])
+def test_malformed_quiver_file_exits_2(capsys, tmp_path, data):
+    path = tmp_path / "quiver.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "classify", "--quiver", str(path),
+                         "--w", "1,1", "--v", "1,1", "--json")
+    assert code == 2 and out == ""
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
 def test_output_deterministic(capsys):
     args = ("verify", "adding-defect", "--quiver", "affine_sl2", "--w", "0,0",
             "--v", "1,1", "--vprime", "1,0", "--json")
@@ -295,13 +310,14 @@ def test_enumeration_over_budget_is_refused(capsys, argv):
 
 
 def _table_ops():
-    """classify ops and hilbert ops up to order 10 from the benchmark table,
-    with the stdout sha256 and exit code recorded there."""
+    """classify, fmo and verify d-identity ops and hilbert ops up to order 10
+    from the benchmark table, with the stdout sha256 and exit code recorded
+    there."""
     path = Path(__file__).resolve().parent.parent / "bench" / "table.json"
     ops = json.loads(path.read_text())["ops"]
     for key, row in sorted(ops.items()):
         argv = key.split()
-        if argv[0] == "classify" or (
+        if argv[0] in ("classify", "fmo") or argv[:2] == ["verify", "d-identity"] or (
                 argv[0] == "hilbert" and int(argv[argv.index("--order") + 1]) <= 10):
             yield argv, row["sha256"], row["exit"]
 
@@ -310,5 +326,18 @@ def test_table_ops_byte_identical(capsys):
     ops = list(_table_ops())
     assert ops
     for argv, sha, exit_code in ops:
-        code, out, _ = run(capsys, *argv)
-        assert (hashlib.sha256(out.encode()).hexdigest(), code) == (sha, exit_code), argv
+        code, out, err = run(capsys, *argv)
+        assert (hashlib.sha256(out.encode()).hexdigest(), code, err) == (sha, exit_code, ""), argv
+
+
+def test_d_identity_sums_keyed_terms_only(capsys, monkeypatch):
+    """verify d-identity forms P^+_i P^-_i subset pair by subset pair and
+    never adds or multiplies whole rational functions."""
+    def refuse(self, other):
+        raise AssertionError("whole-element RatFunc arithmetic")
+
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(RatFunc, name, refuse)
+    code, out, _ = run(capsys, "verify", "d-identity", "--quiver", "a2",
+                       "--w", "2,2", "--v", "3,3", "--json")
+    assert code == 0 and json.loads(out)["all_hold"] is True

@@ -12,8 +12,8 @@ from quiver_fmo.gklo import (
     chevalley,
     dressing_basis,
     fmo_plus,
+    lagrange_charge,
     make_context,
-    p_image,
     q_image,
     terms_value,
 )
@@ -71,8 +71,8 @@ def test_phi_gklo_square():
             L = RatFunc.from_poly(defect_L_poly(split, i))
             assert RatFunc.from_poly(q_image(ctx, i)) \
                 == RatFunc.from_poly(q_image(sub, i)) * L
-            assert phi(ctx, split, p_image(ctx, i)).value \
-                == p_image(sub, i).value * L, (v, v_prime, i)
+            assert phi(ctx, split, fmo_plus(ctx, *lagrange_charge(ctx, i))).value \
+                == fmo_plus(sub, *lagrange_charge(sub, i)).value * L, (v, v_prime, i)
 
 
 def test_phi_terms_at_the_ends_of_the_charge_range():

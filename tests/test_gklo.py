@@ -33,10 +33,9 @@ from quiver_fmo.gklo import (
     fmo_plus,
     fmo_sign,
     involution_fmo_report,
+    lagrange_charge,
     make_context,
     orientation_flip_sign,
-    p_image,
-    p_minus_image,
     q_image,
 )
 
@@ -79,42 +78,63 @@ def test_q_image_vieta():
     assert coeffs[2] == -(W11 + W12 + MPoly.var(wv(0, 3)))
 
 
+def lagrange_p(ctx, i, sign):
+    """Test oracle for P^sign_i: the Lagrange-form sum over r of prod_{s != r}
+    (z - w_{i,s}) / (w_{i,r} - w_{i,s}) times the edge products, built from
+    whole rational functions.  P^+ carries prod_out (w_{t,q} - w_{i,r}) and
+    u_{i,r}; P^- carries prod_in (w_{i,r} - w_{s,p}), w_{i,r}^{w_i},
+    u_{i,r}^{-1} and the sign -(-1)^{sum of v_t over the edges i -> t}."""
+    total = RatFunc.zero()
+    for r in range(1, ctx.v[i] + 1):
+        x = MPoly.var(wv(i, r))
+        num, den = MPoly.one(), MPoly.one()
+        for s in range(1, ctx.v[i] + 1):
+            if s != r:
+                num = num * (Z - MPoly.var(wv(i, s)))
+                den = den * (x - MPoly.var(wv(i, s)))
+        if sign == "+":
+            for _, t in ctx.quiver.out_edges(i):
+                for q in range(1, ctx.v[t] + 1):
+                    num = num * (MPoly.var(wv(t, q)) - x)
+            num = num * MPoly.var(uv(i, r))
+        else:
+            for s, _ in ctx.quiver.in_edges(i):
+                for p in range(1, ctx.v[s] + 1):
+                    num = num * (x - MPoly.var(wv(s, p)))
+            num = num * MPoly.var(wv(i, r), ctx.w[i]) * MPoly.var(uv(i, r), -1)
+        total = total + RatFunc.make(num, den)
+    if sign == "-":
+        total = total * -(-1) ** sum(ctx.v[t] for _, t in ctx.quiver.out_edges(i))
+    return total
+
+
 def test_p_image_a1():
     ctx = make_context(a1_quiver(), (2,), (2,))
     expected = RatFunc.make((Z - W12) * U11 - (Z - W11) * U12, W11 - W12)
-    assert p_image(ctx, 0).value == expected
+    assert fmo_plus(ctx, *lagrange_charge(ctx, 0)).value == expected
 
 
 def test_p_image_single_slot_no_out_edges():
     ctx = make_context(a2_quiver(), (0, 0), (1, 1))
     # vertex 1 has no outgoing edge
-    assert p_image(ctx, 1).value == RatFunc.make(MPoly.var(uv(1, 1)))
+    assert fmo_plus(ctx, *lagrange_charge(ctx, 1)).value == RatFunc.make(MPoly.var(uv(1, 1)))
 
 
 def test_p_is_dressed_fmo():
     for quiver, w, v in [(a1_quiver(), (2,), (2,)), (a2_quiver(), (1, 1), (2, 1)),
-                         (affine_sl2_quiver(), (1, 0), (2, 1))]:
+                         (affine_sl2_quiver(), (1, 0), (2, 1)), (a2_quiver(), (2, 1), (3, 2))]:
         ctx = make_context(quiver, w, v)
         for i in range(quiver.n):
-            dress = MPoly.one()
-            for r in range(2, v[i] + 1):
-                dress = dress * (Z - MPoly.var(wv(i, r)))
-            e_i = tuple(1 if j == i else 0 for j in range(quiver.n))
-            if v[i] == 0:
-                continue
-            f = PartialSymPoly.make(dress, e_i, v)
-            assert fmo_plus(ctx, e_i, f).value == p_image(ctx, i).value, (w, v, i)
-            assert fmo_minus(ctx, e_i, f).value == p_minus_image(ctx, i).value, (w, v, i)
+            m, f = lagrange_charge(ctx, i)
+            assert m == tuple(int(j == i) for j in range(quiver.n))
+            assert fmo_plus(ctx, m, f).value == lagrange_p(ctx, i, "+"), (w, v, i)
+            assert fmo_minus(ctx, m, f).value == lagrange_p(ctx, i, "-"), (w, v, i)
 
 
 def test_p_minus_single():
     ctx = make_context(a1_quiver(), (3,), (1,))
-    assert p_minus_image(ctx, 0).value == RatFunc.make(-W11 ** 3 * MPoly.var(uv(0, 1), -1))
-
-
-def test_p_minus_empty():
-    ctx = make_context(a1_quiver(), (2,), (0,))
-    assert p_minus_image(ctx, 0).value.is_zero()
+    assert fmo_minus(ctx, *lagrange_charge(ctx, 0)).value \
+        == RatFunc.make(-W11 ** 3 * MPoly.var(uv(0, 1), -1))
 
 
 def test_q_is_fmo_at_zero():
@@ -304,8 +324,8 @@ def test_d_identity_a2_with_point_check():
     rng = random.Random(7)
     varset = set(rep.d.num.variables()) | set(rep.d.den.variables())
     varset |= {wv(0, 1), wv(1, 1), uv(0, 1), uv(1, 1), ZVAR}
-    P = p_image(ctx, 0).value
-    Pm = p_minus_image(ctx, 0).value
+    P = lagrange_p(ctx, 0, "+")
+    Pm = lagrange_p(ctx, 0, "-")
     Q0 = q_image(ctx, 0)
     Q1 = q_image(ctx, 1)
     for _ in range(20):
@@ -329,8 +349,9 @@ def test_d_identity_suite():
 
 def d_identity_by_whole_quotient(ctx, i):
     """Test oracle for d_identity_check: divide the whole right-hand side by
-    Q_i expanded, which RatFunc.make factors again."""
-    rhs = p_image(ctx, i).value * p_minus_image(ctx, i).value
+    Q_i expanded, which RatFunc.make factors again, with P^+_i and P^-_i
+    from the Lagrange-form oracle."""
+    rhs = lagrange_p(ctx, i, "+") * lagrange_p(ctx, i, "-")
     extra = MPoly.var(ZVAR, ctx.w[i]) if ctx.w[i] else MPoly.one()
     for a in ctx.quiver.in_edges(i):
         extra = extra * q_image(ctx, a[0])
@@ -339,7 +360,7 @@ def d_identity_by_whole_quotient(ctx, i):
     rhs = rhs + RatFunc.from_poly(extra)
     quot = rhs / RatFunc.from_poly(q_image(ctx, i))
     holds = all(var != ZVAR for var in quot.den.variables())
-    return DIdentityReport(holds, quot, rhs)
+    return DIdentityReport(holds, quot)
 
 
 def test_d_identity_against_the_whole_quotient_oracle():

@@ -6,7 +6,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quiver_fmo.multipoly import (
     AdmissibilityError,
@@ -26,6 +26,7 @@ from quiver_fmo.multipoly import (
     diff_key,
     exact_div,
     identity_holds,
+    keyed_sum,
     linear_factors,
     linear_product,
     mon_degree,
@@ -33,6 +34,7 @@ from quiver_fmo.multipoly import (
     parse_poly,
     poly_gcd,
     poly_text,
+    ratfunc_sum,
     ratfunc_text,
     restrict_to_gamma,
     sweedler,
@@ -613,3 +615,48 @@ def test_identity_holds_per_key():
     # cancellation across keys does not count: keys stand for distinct
     # u-monomials
     assert not identity_holds([("a", W11, {}), ("b", -W11, {})])
+
+
+KEYED_FACTORS = [diff_key(wv(0, 1), wv(0, 2))[0], diff_key(wv(0, 1), ZVAR)[0], ("var", wv(1, 1))]
+keyed_terms = st.lists(st.tuples(
+    st.sampled_from([MPoly.one(), U11, U11 * MPoly.var(uv(0, 2), -1)]),
+    poly_strategy(WVARS + [ZVAR], max_terms=3, max_exp=2),
+    st.dictionaries(st.sampled_from(KEYED_FACTORS), st.integers(1, 2), max_size=2)),
+    max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(keyed_terms, st.sampled_from(["none", "first", "all"]), st.booleans())
+@example([], "none", False)
+@example([(U11, Z, {KEYED_FACTORS[0]: 1})], "none", True)
+@example([(U11, Z, {KEYED_FACTORS[0]: 1}), (MPoly.one(), W11, {})], "first", False)
+@example([(U11, Z, {KEYED_FACTORS[0]: 1}), (MPoly.one(), W11, {})], "all", False)
+def test_keyed_sum_against_the_whole_sum_and_the_normal_form(terms, cancel, own_factor):
+    """keyed_sum against ratfunc_sum of the u-restored terms and against the
+    general normal form of the expanded sum, with repeated keys, a key group
+    (or every group) cancelling to zero, and a numerator that carries a
+    factor of its own denominator."""
+    if own_factor and terms and terms[0][2]:
+        key, num, dfac = terms[0]
+        terms[0] = (key, num * candidate_poly(min(dfac)), dfac)
+    if cancel != "none":
+        doomed = {key for key, _, _ in terms[:1 if cancel == "first" else None]}
+        terms += [(key, -num, dfac) for key, num, dfac in terms if key in doomed]
+    got = keyed_sum(terms)
+    assert not factored_form_violations(got), factored_form_violations(got)
+    assert got == ratfunc_sum([(num * key, dfac) for key, num, dfac in terms])
+    if cancel == "all":
+        assert got.is_zero()
+    lcm = {}
+    for _, _, dfac in terms:
+        for k, e in dfac.items():
+            lcm[k] = max(lcm.get(k, 0), e)
+    num = MPoly.zero()
+    for key, n, dfac in terms:
+        for k, e in lcm.items():
+            n = n * candidate_poly(k) ** (e - dfac.get(k, 0))
+        num = num + n * key
+    den = MPoly.one()
+    for k, e in lcm.items():
+        den = den * candidate_poly(k) ** e
+    assert (got.num, got.den) == normal_form(num, den)
