@@ -63,8 +63,6 @@ from .km_embedding import (
     compose_embedding,
     forget_matter_step,
     fourier_step,
-    levi_restrict_mmo,
-    localize_mmo,
     split_and_project,
 )
 from .monopole_hilbert import (

@@ -231,23 +231,37 @@ def cmd_hilbert(args) -> int:
     return 0
 
 
-def _sweep_m(ctx, args):
+def _cases(args, ctx, signed: bool):
+    """The (m, f, sign) sweep of a verify subject: --m or every 0 <= m <= v,
+    --f (parsed once per m) or the dressing basis up to --max-degree, and
+    --sign or both signs; sign is None for an unsigned subject."""
     if args.m is None:
-        return list(itertools.product(*(range(vi + 1) for vi in ctx.v)))
-    m = _csv_ints(args.m, ctx.quiver.n, "m")
-    if any(not 0 <= mi <= vi for mi, vi in zip(m, ctx.v)):
-        raise InputError("need 0 <= m <= v componentwise")
-    return [m]
+        charges = itertools.product(*(range(vi + 1) for vi in ctx.v))
+    else:
+        m = _csv_ints(args.m, ctx.quiver.n, "m")
+        if any(not 0 <= mi <= vi for mi, vi in zip(m, ctx.v)):
+            raise InputError("need 0 <= m <= v componentwise")
+        charges = [m]
+    signs = [args.sign] if args.sign else ["+", "-"] if signed else [None]
+    for m in charges:
+        if args.f is not None:
+            dressings = [_dressing(args, ctx, m)]
+        else:
+            dressings = dressing_basis(ctx.v, m, args.max_degree)
+        for f in dressings:
+            for sign in signs:
+                yield m, f, sign
 
 
-def _sweep_f(ctx, args, m):
-    if args.f is not None:
-        return [_dressing(args, ctx, m)]
-    return list(dressing_basis(ctx.v, tuple(m), args.max_degree))
-
-
-def _sweep_signs(args):
-    return [args.sign] if args.sign else ["+", "-"]
+def _case(m, f, sign, **fields):
+    """One case row: the charge, the dressing, the sign when there is one,
+    and the given fields with every RatFunc rendered."""
+    row = {"m": list(m), "f": poly_text(f.value)}
+    if sign is not None:
+        row["sign"] = sign
+    for key, val in fields.items():
+        row[key] = _ratfunc_json(val) if isinstance(val, RatFunc) else val
+    return row
 
 
 def _defect_split(args, ctx, to_slice: bool) -> DefectSplit:
@@ -265,98 +279,57 @@ def _defect_split(args, ctx, to_slice: bool) -> DefectSplit:
     return split
 
 
-def _verify_restriction(args, ctx, cases):
+def _verify_restriction(args, ctx):
     v_prime = _defect_split(args, ctx, to_slice=True).v_prime
-    for m in _sweep_m(ctx, args):
-        for f in _sweep_f(ctx, args, m):
-            for sign in _sweep_signs(args):
-                rep = verify_restriction(ctx, v_prime, m, f, sign)
-                cases.append({
-                    "m": list(m), "f": poly_text(f.value), "sign": sign,
-                    "holds": rep.holds,
-                    "lhs": _ratfunc_json(rep.lhs),
-                    "rhs": _ratfunc_json(rep.rhs),
-                })
+    for m, f, sign in _cases(args, ctx, True):
+        rep = verify_restriction(ctx, v_prime, m, f, sign)
+        yield _case(m, f, sign, holds=rep.holds, lhs=rep.lhs, rhs=rep.rhs)
 
 
-def _verify_adding_defect(args, ctx, cases):
+def _verify_adding_defect(args, ctx):
     split = _defect_split(args, ctx, to_slice=False)
-    for m in _sweep_m(ctx, args):
-        for f in _sweep_f(ctx, args, m):
-            rep = verify_adding_defect_theorem(ctx, split, m, f)
-            cases.append({
-                "m": list(m), "f": poly_text(f.value),
-                "holds": rep.holds,
-                "lhs": _ratfunc_json(rep.lhs),
-                "rhs": _ratfunc_json(rep.rhs),
-            })
+    for m, f, sign in _cases(args, ctx, False):
+        rep = verify_adding_defect_theorem(ctx, split, m, f)
+        yield _case(m, f, sign, holds=rep.holds, lhs=rep.lhs, rhs=rep.rhs)
 
 
-def _verify_involution(args, ctx, cases):
-    for m in _sweep_m(ctx, args):
-        for f in _sweep_f(ctx, args, m):
-            rep = involution_fmo_report(ctx, m, f)
-            cases.append({
-                "m": list(m), "f": poly_text(f.value),
-                "holds": rep.swaps and rep.involutive,
-                "lhs": _ratfunc_json(rep.image),
-                "rhs": _ratfunc_json(rep.minus),
-            })
+def _verify_involution(args, ctx):
+    for m, f, sign in _cases(args, ctx, False):
+        rep = involution_fmo_report(ctx, m, f)
+        yield _case(m, f, sign, holds=rep.swaps and rep.involutive,
+                    lhs=rep.image, rhs=rep.minus)
 
 
-def _verify_d_identity(args, ctx, cases):
+def _verify_d_identity(args, ctx):
     for i in range(ctx.quiver.n):
         rep = d_identity_check(ctx, i)
-        cases.append({
-            "vertex": ctx.quiver.vertices[i],
-            "holds": rep.holds,
-            "d": _ratfunc_json(rep.d),
-        })
+        yield {"vertex": ctx.quiver.vertices[i], "holds": rep.holds,
+               "d": _ratfunc_json(rep.d)}
 
 
-def _verify_km(args, ctx, cases):
+def _verify_km(args, ctx):
     split = _defect_split(args, ctx, to_slice=True)
-    for m in _sweep_m(ctx, args):
-        for f in _sweep_f(ctx, args, m):
-            for sign in _sweep_signs(args):
-                try:
-                    rep = compose_embedding(ctx, split, m, f, sign)
-                except ConicityError as exc:
-                    cases.append({
-                        "m": list(m), "f": poly_text(f.value), "sign": sign,
-                        "skipped": "conicity fails: %s" % exc,
-                    })
-                    continue
-                cases.append({
-                    "m": list(m), "f": poly_text(f.value), "sign": sign,
-                    "holds": rep.matches_theorem,
-                    "stages": [
-                        {"stage": st.stage,
-                         "gamma": [list(t) for t in st.mmo.gamma] if st.mmo else None,
-                         "dressing": ratfunc_text(st.mmo.dressing) if st.mmo else "0",
-                         "factor": st.sign_log[-1][1]}
-                        for st in rep.states
-                    ],
-                    "lhs": _ratfunc_json(rep.result.value),
-                    "rhs": _ratfunc_json(rep.expected.value),
-                })
+    for m, f, sign in _cases(args, ctx, True):
+        try:
+            rep = compose_embedding(ctx, split, m, f, sign)
+        except ConicityError as exc:
+            yield _case(m, f, sign, skipped="conicity fails: %s" % exc)
+            continue
+        stages = [{"stage": st.stage,
+                   "gamma": [list(t) for t in st.mmo.gamma] if st.mmo else None,
+                   "dressing": ratfunc_text(st.mmo.dressing) if st.mmo else "0",
+                   "factor": st.sign_log[-1][1]}
+                  for st in rep.states]
+        yield _case(m, f, sign, holds=rep.matches_theorem, stages=stages,
+                    lhs=rep.result.value, rhs=rep.expected.value)
 
 
-def _verify_orientation(args, ctx, cases):
-    if not ctx.quiver.edges:
-        return
-    for k in range(len(ctx.quiver.edges)):
-        for m in _sweep_m(ctx, args):
-            for f in _sweep_f(ctx, args, m):
-                rep = orientation_flip_sign(ctx, k, m, f.value)
-                s, t = ctx.quiver.edges[k]
-                cases.append({
-                    "edge": {"source": ctx.quiver.vertices[s],
-                             "target": ctx.quiver.vertices[t]},
-                    "m": list(m), "f": poly_text(f.value),
-                    "predicted_sign": rep.sign,
-                    "holds": rep.matches,
-                })
+def _verify_orientation(args, ctx):
+    for k, (s, t) in enumerate(ctx.quiver.edges):
+        edge = {"source": ctx.quiver.vertices[s], "target": ctx.quiver.vertices[t]}
+        for m, f, sign in _cases(args, ctx, False):
+            rep = orientation_flip_sign(ctx, k, m, f)
+            yield _case(m, f, sign, edge=edge, predicted_sign=rep.sign, holds=rep.matches)
 
 
 VERIFY_SUBJECTS = {
@@ -371,8 +344,7 @@ VERIFY_SUBJECTS = {
 
 def cmd_verify(args) -> int:
     ctx = _context(args)
-    cases = []
-    VERIFY_SUBJECTS[args.subject](args, ctx, cases)
+    cases = list(VERIFY_SUBJECTS[args.subject](args, ctx))
     checked = [c for c in cases if "holds" in c]
     all_hold = all(c["holds"] for c in checked)
     report = {
@@ -395,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact monopole-operator computations for quiver gauge theories.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_order=False):
+    def common(p):
         p.add_argument("--quiver", required=True,
                        help="path to a quiver JSON file, or one of: %s"
                        % ", ".join(sorted(BUILTIN_QUIVERS)))

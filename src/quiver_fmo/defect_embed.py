@@ -15,7 +15,6 @@ from .multipoly import (
     RatFunc,
     U_KIND,
     W_KIND,
-    ZVAR,
     identity_holds,
     linear_factors,
     linear_product,
@@ -108,11 +107,6 @@ def phi_fmo_terms(ctx: GKLOContext, split: DefectSplit, m, f: PartialSymPoly):
                                        for q in _tail(split, t))
 
     yield from transport_terms(fmo_plus_terms(ctx, tuple(m), f, head=split.v_prime), image)
-
-
-def defect_L_poly(split: DefectSplit, i: int) -> MPoly:
-    """The monic tail factor prod_{r > v'_i} (z - w_{i,r})."""
-    return linear_product((ZVAR, wv(i, r)) for r in _tail(split, i))
 
 
 @dataclass(frozen=True)
@@ -210,13 +204,12 @@ def _tail_zero_term(num: MPoly, dfac: dict, split: DefectSplit):
 
 
 @lru_cache(maxsize=65536)
-def _plus_restriction_route(quiver, v, v_prime, m, f: PartialSymPoly):
-    """Framing-independent positive-side comparison of the tail-at-zero defect
-    route with the direct truncated operator: (holds, route, terms), where
-    route is the common value when the identity holds (terms empty), else the
-    tail-at-zero side, returned with its u-free subset terms."""
-    ctx = GKLOContext(quiver, DimData.make((0,) * quiver.n, v))
-    lhs_terms, rhs_terms, holds = _defect_sides(ctx, DefectSplit.make(v, v_prime), m, f, True)
+def _plus_restriction_route(ctx: GKLOContext, v_prime, m, f: PartialSymPoly):
+    """Positive-side comparison of the tail-at-zero defect route with the
+    direct truncated operator: (holds, route, terms), where route is the
+    common value when the identity holds (terms empty), else the tail-at-zero
+    side, returned with its u-free subset terms."""
+    lhs_terms, rhs_terms, holds = _defect_sides(ctx, DefectSplit.make(ctx.v, v_prime), m, f, True)
     if holds:
         return True, terms_value(rhs_terms, 1), ()
     return False, terms_value(lhs_terms, 1), tuple(lhs_terms)
@@ -225,13 +218,14 @@ def _plus_restriction_route(quiver, v, v_prime, m, f: PartialSymPoly):
 def verify_restriction(ctx: GKLOContext, v_prime, m, f, sign: str) -> VerifyReport:
     """Independent route to the slice restriction: the defect substitution
     specialized at the tail-at-zero divisor (composed with the involution for
-    the negative operators), compared against restrict_fmo_slice."""
+    the negative operators), compared against restrict_fmo_slice.  The
+    negative side reads M^-_m(tilde f) from the involution report of the
+    target slice, and both sides are zero when m > v'."""
     m = tuple(m)
     v_prime = tuple(v_prime)
     f = as_dressing(ctx, m, f)
     target = slice_target_context(ctx, v_prime)
-    plus_holds, plus_route, plus_terms = _plus_restriction_route(
-        ctx.quiver, ctx.v, v_prime, m, f)
+    plus_holds, plus_route, plus_terms = _plus_restriction_route(ctx, v_prime, m, f)
 
     if sign == "+":
         # a route that holds is the value of restrict_fmo_slice's defining sum
@@ -239,12 +233,12 @@ def verify_restriction(ctx: GKLOContext, v_prime, m, f, sign: str) -> VerifyRepo
         return VerifyReport(plus_holds, plus_route, rhs)
 
     # negative side along the involution route
-    rhs = restrict_fmo_slice(ctx, v_prime, m, f, "-").value
     if any(mi > vp for mi, vp in zip(m, v_prime)):
-        return VerifyReport(plus_holds and rhs.is_zero(), RatFunc.zero(), rhs)
+        return VerifyReport(plus_holds, RatFunc.zero(), RatFunc.zero())
+    rep = involution_fmo_report(target, m, tilde(f, v_prime))
     if plus_holds:
-        rep = involution_fmo_report(target, m, tilde(f, v_prime))
-        return VerifyReport(rep.swaps and rep.minus == rhs, rep.image, rhs)
-    iota_terms = transport_terms(plus_terms, partial(iota_image, target))
-    lhs = GKLOElement.make(terms_value(iota_terms, -1), "slice_loc_loc").value
-    return VerifyReport(False, lhs, rhs)
+        lhs = rep.image
+    else:
+        iota_terms = transport_terms(plus_terms, partial(iota_image, target))
+        lhs = GKLOElement.make(terms_value(iota_terms, -1), "slice_loc_loc").value
+    return VerifyReport(plus_holds and rep.swaps, lhs, rep.minus)

@@ -204,19 +204,22 @@ def transport_terms(terms, image):
         yield gamma, num, dfac
 
 
+def fmo(ctx: GKLOContext, m, f, sign: str) -> GKLOElement:
+    """Dressed fundamental monopole operator M^sign_m(f), cached."""
+    if sign not in ("+", "-"):
+        raise ValueError("sign must be '+' or '-'")
+    m = _check_m(ctx, m)
+    return _fmo_cached(ctx, m, as_dressing(ctx, m, f), sign)
+
+
 def fmo_plus(ctx: GKLOContext, m, f) -> GKLOElement:
     """Positive dressed fundamental monopole operator M^+_m(f)."""
-    m = _check_m(ctx, m)
-    f = as_dressing(ctx, m, f)
-    # the positive formula never reads the framing; cache across it
-    key_ctx = GKLOContext(ctx.quiver, DimData.make((0,) * ctx.quiver.n, ctx.v))
-    return _fmo_cached(key_ctx, m, f, "+")
+    return fmo(ctx, m, f, "+")
 
 
 def fmo_minus(ctx: GKLOContext, m, f) -> GKLOElement:
     """Negative dressed fundamental monopole operator M^-_m(f)."""
-    m = _check_m(ctx, m)
-    return _fmo_cached(ctx, m, as_dressing(ctx, m, f), "-")
+    return fmo(ctx, m, f, "-")
 
 
 @lru_cache(maxsize=65536)
@@ -224,14 +227,6 @@ def _fmo_cached(ctx: GKLOContext, m, f: PartialSymPoly, sign: str) -> GKLOElemen
     if sign == "+":
         return GKLOElement.make(terms_value(fmo_plus_terms(ctx, m, f), 1), "zastava_loc")
     return GKLOElement.make(terms_value(fmo_minus_terms(ctx, m, f), -1), "slice_loc")
-
-
-def fmo(ctx: GKLOContext, m, f, sign: str) -> GKLOElement:
-    if sign == "+":
-        return fmo_plus(ctx, m, f)
-    if sign == "-":
-        return fmo_minus(ctx, m, f)
-    raise ValueError("sign must be '+' or '-'")
 
 
 # ---------------------------------------------------------------------------
@@ -353,14 +348,17 @@ def involution_fmo_report(ctx: GKLOContext, m, f: PartialSymPoly) -> InvolutionR
     u_Gamma^{-1}, the u-monomial of the subset-Gamma term of M^-_m(f), so the
     swap identity splits into one exact polynomial identity per subset.  The
     reported image is the sum of those transformed terms.  Involutivity is
-    checked on the ring generators (the involution fixes the w's)."""
-    m = tuple(m)
-    minus = fmo_minus(ctx, m, f)
+    checked on the ring generators (the involution fixes the w's).  The
+    subset terms of M^-_m(f) are built once, for the swap identity and for
+    the reported M^-_m(f)."""
+    m = _check_m(ctx, m)
+    f = as_dressing(ctx, m, f)
+    minus_terms = list(fmo_minus_terms(ctx, m, f))
     iota_terms = list(transport_terms(fmo_plus_terms(ctx, m, f), partial(iota_image, ctx)))
-    swaps = identity_holds(iota_terms + [
-        (gamma, -num, dfac) for gamma, num, dfac in fmo_minus_terms(ctx, m, f)])
-    image = minus.value if swaps else terms_value(iota_terms, -1)
-    return InvolutionReport(image, minus.value, swaps, involution_on_generators(ctx))
+    swaps = identity_holds(iota_terms + [(gamma, -num, dfac) for gamma, num, dfac in minus_terms])
+    minus = GKLOElement.make(terms_value(minus_terms, -1), "slice_loc").value
+    image = minus if swaps else terms_value(iota_terms, -1)
+    return InvolutionReport(image, minus, swaps, involution_on_generators(ctx))
 
 
 # ---------------------------------------------------------------------------

@@ -217,16 +217,15 @@ def block_type(gamma) -> tuple:
                         for _, grp in itertools.groupby(tup)))
 
 
-DEFAULT_POINT_BUDGET = 2_000_000
+POINT_BUDGET = 2_000_000  # shell points; read at call time
 
 
-def hilbert_series(ctx: GKLOContext, order: int,
-                   point_budget: int = DEFAULT_POINT_BUDGET) -> TruncSeries:
+def hilbert_series(ctx: GKLOContext, order: int) -> TruncSeries:
     """Truncated monopole-formula Hilbert series: sum over dominant coweights
     of t^(2 Delta) times the stabilizer Poincare factor.
 
     One box_scan refuses bad theories and gives the degree bound that makes
-    the shells certified complete.  More than point_budget shell points
+    the shells certified complete.  More than POINT_BUDGET shell points
     raises EnumerationBudgetError before any point is evaluated.  Every point
     of degree <= order is counted under (degree, block type); each block
     type's stabilizer factor is built once, from a representative coweight,
@@ -244,10 +243,10 @@ def hilbert_series(ctx: GKLOContext, order: int,
     for norm in range(max_norm + 1):
         for split in compositions(norm, len(ctx.v)):
             points += prod(len(_decreasing_tuples(vi, n)) for vi, n in zip(ctx.v, split))
-        if points > point_budget:
+        if points > POINT_BUDGET:
             raise EnumerationBudgetError(
                 "more than %d shell points needed up to norm %d"
-                % (point_budget, max_norm))
+                % (POINT_BUDGET, max_norm))
     kept = Counter()  # (degree, block type) -> number of points
     representative = {}
     for norm in range(max_norm + 1):

@@ -117,10 +117,6 @@ def mon_mul(m1, m2):
     return tuple(out)
 
 
-def mon_degree(m) -> int:
-    return sum(e for _, e in m)
-
-
 def _MON_KEY(m):
     """Sort key of the graded lexicographic order over the fixed variable
     order: total degree first, then the exponent vectors compared at the
@@ -995,12 +991,6 @@ def _terms_over_lcm(terms):
     for num, dfac in items:
         N = N + _dfac_mul_into(num, _dfac_sub(lcm, dfac))
     return N, lcm
-
-
-def inverse_linear_product(pairs) -> RatFunc:
-    """1 / the product of the linear forms x_a - x_b over the (a, b) pairs."""
-    dfac, sign = linear_factors(pairs)
-    return RatFunc(MPoly.const(sign), dfac)
 
 
 def ratfunc_sum(terms) -> RatFunc:

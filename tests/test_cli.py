@@ -309,22 +309,29 @@ def test_enumeration_over_budget_is_refused(capsys, argv):
     assert err.startswith("refused: ") and err.count("\n") == 1
 
 
+CHEAP_VERIFY_SUBJECTS = ("restriction", "adding-defect", "km-embedding", "involution",
+                         "orientation")
+
+
 def _table_ops():
-    """classify, fmo and verify d-identity ops and hilbert ops up to order 10
-    from the benchmark table, with the stdout sha256 and exit code recorded
-    there."""
+    """classify, fmo and verify d-identity ops, hilbert ops up to order 10
+    and the ops of the other verify subjects recorded at <= 0.1 s from the
+    benchmark table, with the stdout sha256 and exit code recorded there."""
     path = Path(__file__).resolve().parent.parent / "bench" / "table.json"
     ops = json.loads(path.read_text())["ops"]
     for key, row in sorted(ops.items()):
         argv = key.split()
         if argv[0] in ("classify", "fmo") or argv[:2] == ["verify", "d-identity"] or (
-                argv[0] == "hilbert" and int(argv[argv.index("--order") + 1]) <= 10):
+                argv[0] == "hilbert" and int(argv[argv.index("--order") + 1]) <= 10) or (
+                argv[0] == "verify" and argv[1] in CHEAP_VERIFY_SUBJECTS
+                and row["cost_s"] <= 0.1):
             yield argv, row["sha256"], row["exit"]
 
 
 def test_table_ops_byte_identical(capsys):
     ops = list(_table_ops())
-    assert ops
+    assert {argv[1] for argv, _, _ in ops if argv[0] == "verify"} == \
+        {"d-identity", *CHEAP_VERIFY_SUBJECTS}
     for argv, sha, exit_code in ops:
         code, out, err = run(capsys, *argv)
         assert (hashlib.sha256(out.encode()).hexdigest(), code, err) == (sha, exit_code, ""), argv
@@ -341,3 +348,30 @@ def test_d_identity_sums_keyed_terms_only(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "d-identity", "--quiver", "a2",
                        "--w", "2,2", "--v", "3,3", "--json")
     assert code == 0 and json.loads(out)["all_hold"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    "verify involution --quiver a2 --w 2,2 --v 2,2",
+    "verify restriction --quiver a2 --w 2,2 --v 2,2 --vprime 1,1 --sign -",
+])
+def test_each_involution_report_builds_the_minus_terms_once(capsys, monkeypatch, argv):
+    """The involution report builds the subset terms of M^-_m(f) once, for
+    the swap identity and the reported M^-; negative restriction reads M^-
+    from that report and builds no terms of its own."""
+    from quiver_fmo import defect_embed, gklo
+
+    calls = []
+    real = gklo.fmo_minus_terms
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gklo, "fmo_minus_terms", counted)
+    for cache in (gklo._fmo_cached, gklo.involution_fmo_report,
+                  defect_embed._plus_restriction_route):
+        cache.cache_clear()
+    code, out, err = run(capsys, *argv.split(), "--json")
+    misses = gklo.involution_fmo_report.cache_info().misses
+    assert (code, err) == (0, "") and json.loads(out)["checked"] > 0
+    assert misses > 0 and len(calls) == misses

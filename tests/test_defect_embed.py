@@ -6,7 +6,16 @@ import itertools
 import pytest
 
 from quiver_fmo import defect_embed
-from quiver_fmo.multipoly import GKLOElement, MPoly, PartialSymPoly, RatFunc, uv, wv
+from quiver_fmo.multipoly import (
+    GKLOElement,
+    MPoly,
+    PartialSymPoly,
+    RatFunc,
+    ZVAR,
+    linear_product,
+    uv,
+    wv,
+)
 from quiver_fmo.quiver import a1_quiver, a2_quiver, affine_sl2_quiver, cartan_matrix, mat_vec
 from quiver_fmo.gklo import (
     chevalley,
@@ -19,7 +28,6 @@ from quiver_fmo.gklo import (
 )
 from quiver_fmo.defect_embed import (
     DefectSplit,
-    defect_L_poly,
     phi,
     phi_fmo_terms,
     restrict_fmo_slice,
@@ -57,6 +65,11 @@ def test_phi_rejects_negative_u():
     split = DefectSplit.make((2,), (1,))
     with pytest.raises(ValueError):
         phi(ctx, split, RatFunc.from_poly(MPoly.var(uv(0, 2), -1)))
+
+
+def defect_L_poly(split, i):
+    """The monic tail factor prod_{r > v'_i} (z - w_{i,r})."""
+    return linear_product((ZVAR, wv(i, r)) for r in range(split.v_prime[i] + 1, split.v[i] + 1))
 
 
 def test_phi_gklo_square():

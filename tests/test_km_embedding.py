@@ -1,12 +1,18 @@
 """The Levi/cone-point/Fourier/forget chain on dressed minuscule monopole
-operators, its localization oracle, and agreement with the direct slice
+operators, against the localization oracle and the direct slice
 restriction."""
 
 import itertools
 
 import pytest
 
-from quiver_fmo.multipoly import MPoly, PartialSymPoly, RatFunc, uv, wv
+from localization_oracle import (
+    check_stabilizer_invariance,
+    closed_form_signs,
+    levi_restrict_mmo,
+    localize_mmo,
+)
+from quiver_fmo.multipoly import MPoly, PartialSymPoly, RatFunc, ratfunc_sum, uv, wv
 from quiver_fmo.quiver import (
     DimData,
     a1_quiver,
@@ -19,6 +25,7 @@ from quiver_fmo.quiver import (
 from quiver_fmo.gklo import dressing_basis, make_context
 from quiver_fmo.defect_embed import (
     DefectSplit,
+    _tail_zero_term,
     restrict_fmo_slice,
     verify_adding_defect_theorem,
     verify_restriction,
@@ -27,8 +34,6 @@ from quiver_fmo.km_embedding import (
     ConicityError,
     DressedMMO,
     MinusculeError,
-    check_stabilizer_invariance,
-    closed_form_signs,
     compose_embedding,
     dual_weights,
     forget_factor,
@@ -36,8 +41,6 @@ from quiver_fmo.km_embedding import (
     fourier_sign,
     fourier_step,
     is_minuscule,
-    levi_restrict_mmo,
-    localize_mmo,
     omega,
     split_and_project,
     weights_n1_mix,
@@ -121,6 +124,47 @@ def test_levi_restriction_against_localization(gamma, v_prime):
             rhs[pt] = rhs.get(pt, RatFunc.zero()) + c
     rhs = {pt: c for pt, c in rhs.items() if not c.is_zero()}
     assert lhs == rhs
+
+
+CONE_POINT_CASES = [
+    (a1_quiver(), (3,), (2,)), (a1_quiver(), (3,), (1,)),
+    (a2_quiver(), (2, 2), (1, 1)), (a2_quiver(), (2, 1), (1, 0)),
+    (affine_sl2_quiver(), (2, 2), (1, 1)), (affine_sl2_quiver(), (2, 1), (1, 1)),
+]
+
+
+def test_split_is_levi_restriction_at_the_cone_point():
+    """split_and_project is the Levi restriction of the MMO followed by the
+    cone-point map: the Levi-dominant orbit part whose tail entries all
+    vanish, specialized at the tail-at-zero divisor."""
+    cases = 0
+    for quiver, v, v_prime in CONE_POINT_CASES:
+        split = DefectSplit.make(v, v_prime)
+        C = cartan_matrix(quiver)
+        w = next(w for w in (suite_w(quiver, v, v_prime, boost) for boost in range(3))
+                 if check_conicity(DimData.make(w, split.v_doubleprime), C).holds)
+        ctx = make_context(quiver, w, v)
+        for m in itertools.product(*(range(vp + 1) for vp in v_prime)):
+            # the -omega_m head is dominant with its -1 block last; the chain
+            # puts it first
+            relabel = {wv(i, r): wv(i, k) for i, (vp, mi) in enumerate(zip(v_prime, m))
+                       for k, r in enumerate([*range(vp - mi + 1, vp + 1),
+                                              *range(1, vp - mi + 1)], start=1)}
+            for f in dressing_basis(v, m, 2):
+                for eps, sign in ((1, "+"), (-1, "-")):
+                    parts = [part for part in levi_restrict_mmo(omega(m, v, eps), f.value, v_prime)
+                             if not any(any(tup[vp:]) for tup, vp in zip(part.gamma, v_prime))]
+                    assert len(parts) == 1
+                    dress = parts[0].dressing
+                    at_zero = _tail_zero_term(dress.num, dress.dfac, split)
+                    dress = ratfunc_sum([at_zero]) if at_zero else RatFunc.zero()
+                    if eps < 0:
+                        dress = dress.permute_vars(relabel)
+                    st = split_and_project(ctx, split, m, f, sign)
+                    assert st.mmo.gamma == omega(m, v_prime, eps)
+                    assert st.mmo.dressing == dress, (v, v_prime, m, f, sign)
+                    cases += 1
+    assert cases > 300
 
 
 # ---------------------------------------------------------------------------

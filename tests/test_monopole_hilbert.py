@@ -277,10 +277,13 @@ def test_hilbert_refuses_bad():
         hilbert_series(make_context(a1_quiver(), (2,), (2,)), 6)
 
 
-def test_hilbert_budget():
+def test_hilbert_budget(monkeypatch):
+    import quiver_fmo.monopole_hilbert as mh
+
+    monkeypatch.setattr(mh, "POINT_BUDGET", 3)
     ctx = make_context(affine_sl2_quiver(), (1, 0), (2, 2))
     with pytest.raises(EnumerationBudgetError):
-        hilbert_series(ctx, 10, point_budget=3)
+        hilbert_series(ctx, 10)
 
 
 def test_hilbert_budget_checked_before_any_point(monkeypatch):
@@ -290,9 +293,10 @@ def test_hilbert_budget_checked_before_any_point(monkeypatch):
         raise AssertionError("a shell point was evaluated")
 
     monkeypatch.setattr(mh, "two_delta_general", evaluated)
+    monkeypatch.setattr(mh, "POINT_BUDGET", 3)
     ctx = make_context(affine_sl2_quiver(), (1, 0), (2, 2))
     with pytest.raises(EnumerationBudgetError, match="more than 3 shell points"):
-        hilbert_series(ctx, 10, point_budget=3)
+        hilbert_series(ctx, 10)
 
 
 def test_budget_error_is_shared():

@@ -29,7 +29,6 @@ from quiver_fmo.multipoly import (
     keyed_sum,
     linear_factors,
     linear_product,
-    mon_degree,
     mon_mul,
     parse_poly,
     poly_gcd,
@@ -494,7 +493,7 @@ def mon_cmp_oracle(m1, m2) -> int:
     """Test oracle for _MON_KEY: graded lexicographic order over the fixed
     variable order by a two-pointer walk; a variable absent from one side
     counts as exponent 0."""
-    d1, d2 = mon_degree(m1), mon_degree(m2)
+    d1, d2 = sum(e for _, e in m1), sum(e for _, e in m2)
     if d1 != d2:
         return -1 if d1 < d2 else 1
     i = j = 0

@@ -108,8 +108,8 @@ def test_oracle_routes_stay_out_of_the_library():
 
 def test_only_multipoly_calls_the_ratfunc_constructor():
     # RatFunc(num, dfac) trusts its arguments to be canonical; every other
-    # module builds through make, from_poly, ratfunc_sum or
-    # inverse_linear_product, which establish the invariant
+    # module builds through make, from_poly or ratfunc_sum, which establish
+    # the invariant
     found = []
     for path in sorted(PACKAGE_DIR.glob("**/*.py")):
         if path.name == "multipoly.py":
