@@ -4,7 +4,8 @@ series, and the theorem-verification sweeps, with deterministic JSON output.
 Exit codes: 0 all checks pass, 1 a verification failed, 2 bad input, an
 unsatisfied precondition or an enumeration over its point budget, 3 internal
 inconsistency (a theorem-level check the library itself guarantees came out
-false).
+false), 141 standard output was closed before the report was written (the
+code a shell gives a process that SIGPIPE ends, as in ``... | head``).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 
 from .multipoly import (
@@ -65,6 +67,9 @@ BUILTIN_QUIVERS = {
     "a2": a2_quiver,
     "affine_sl2": affine_sl2_quiver,
 }
+
+
+EXIT_CLOSED_STDOUT = 141
 
 
 class InputError(ValueError):
@@ -410,7 +415,16 @@ def main(argv=None) -> int:
         for name in ("order", "max_degree"):
             if getattr(args, name, 0) < 0:
                 raise InputError("--%s must be non-negative" % name.replace("_", "-"))
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # what is still buffered goes to /dev/null, so the flush at exit
+        # cannot fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
     except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2

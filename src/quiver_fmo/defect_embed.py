@@ -116,15 +116,20 @@ class VerifyReport:
     rhs: RatFunc
 
 
-def _defect_sides(ctx: GKLOContext, split: DefectSplit, m, f: PartialSymPoly, at_zero: bool):
-    """(lhs, rhs, holds): phi of the subset terms of M^+_m(f), at the tail-zero
-    divisor when at_zero, against those of M^+_m(f^(1)) * f^(2) over v', summed
-    over the Sweedler pieces (tilde f alone at zero; none when m > v')."""
+def _defect_lhs(ctx: GKLOContext, split: DefectSplit, m, f: PartialSymPoly, at_zero: bool):
+    """phi of the subset terms of M^+_m(f), specialized at the tail-zero
+    divisor when at_zero."""
     lhs = []
     for gamma, num, dfac in phi_fmo_terms(ctx, split, m, f):
         t = _tail_zero_term(num, dfac, split) if at_zero else (num, dfac)
         if t is not None:
             lhs.append((gamma,) + t)
+    return lhs
+
+
+def _defect_rhs(ctx: GKLOContext, split: DefectSplit, m, f: PartialSymPoly, at_zero: bool):
+    """The subset terms of M^+_m(f^(1)) * f^(2) over v', summed over the
+    Sweedler pieces (tilde f alone at zero; none when m > v')."""
     rhs = []
     if all(mi <= vp for mi, vp in zip(m, split.v_prime)):
         sub_ctx = GKLOContext(ctx.quiver, DimData.make(ctx.w, split.v_prime))
@@ -132,22 +137,53 @@ def _defect_sides(ctx: GKLOContext, split: DefectSplit, m, f: PartialSymPoly, at
         for f1, f2 in pieces:
             rhs.extend((gamma, num * f2, dfac) for gamma, num, dfac
                        in fmo_plus_terms(sub_ctx, m, f1))
-    holds = identity_holds(lhs + [(gamma, -num, dfac) for gamma, num, dfac in rhs])
-    return lhs, rhs, holds
+    return rhs
+
+
+def _defect_identity(ctx: GKLOContext, split: DefectSplit, m, f: PartialSymPoly,
+                     at_zero: bool) -> bool:
+    """The defect comparison for one dressing, subset by subset."""
+    rhs = _defect_rhs(ctx, split, m, f, at_zero)
+    return identity_holds(_defect_lhs(ctx, split, m, f, at_zero)
+                          + [(gamma, -num, dfac) for gamma, num, dfac in rhs])
+
+
+@lru_cache(maxsize=65536)
+def _defect_core(ctx: GKLOContext, split: DefectSplit, m, at_zero: bool) -> bool:
+    """The defect comparison at f = 1, which decides it for every dressing.
+
+    A dressing f enters the subset-Gamma term of either side only as the
+    factor f|_Gamma: phi rescales u's and fixes w's, and on the right
+    sum f^(1)|_Gamma * f^(2) = f|_Gamma over the Sweedler pieces, since the
+    permutation behind restrict_to_gamma fixes the tail slots when Gamma
+    lies inside [v'].  The subset keys are distinct and the ring is a
+    domain, so for f != 0 the comparison holds exactly when it does at
+    f = 1.  At the tail-zero divisor the shared factor is tilde(f)|_Gamma,
+    which can vanish, so there a failing core does not decide."""
+    return _defect_identity(ctx, split, m, PartialSymPoly.make(1, m, ctx.v), at_zero)
 
 
 def verify_adding_defect_theorem(ctx: GKLOContext, split: DefectSplit, m, f) -> VerifyReport:
     """Check phi(M^+_m(f)) against the Sweedler-decomposed right-hand side
     sum of M^+_m(f^(1)) * f^(2) over the smaller ring (zero when m > v'),
-    subset by subset.  The sides are only materialized for the report."""
-    lhs_terms, rhs_terms, holds = _defect_sides(ctx, split, m, as_dressing(ctx, m, f), False)
-    rhs = terms_value(rhs_terms, 1)
-    return VerifyReport(holds, rhs if holds else terms_value(lhs_terms, 1), rhs)
+    subset by subset, through the f = 1 core.  Only the reported side is
+    built: the right-hand side, and phi's terms when the check fails."""
+    m = tuple(m)
+    f = as_dressing(ctx, m, f)
+    rhs = terms_value(_defect_rhs(ctx, split, m, f, False), 1)
+    if f.is_zero() or _defect_core(ctx, split, m, False):
+        return VerifyReport(True, rhs, rhs)
+    return VerifyReport(False, terms_value(_defect_lhs(ctx, split, m, f, False), 1), rhs)
 
 
 def slice_target_context(ctx: GKLOContext, v_prime) -> GKLOContext:
     """Context of the smaller slice: same quiver, v', and framing
     w' = w - C v'' (the lower coweight is unchanged); w' must be dominant."""
+    return _slice_target_context(ctx, tuple(v_prime))
+
+
+@lru_cache(maxsize=256)
+def _slice_target_context(ctx: GKLOContext, v_prime) -> GKLOContext:
     split = DefectSplit.make(ctx.v, v_prime)
     C = ctx.cartan
     w_prime = tuple(wi - x for wi, x in zip(ctx.w, mat_vec(C, split.v_doubleprime)))
@@ -208,10 +244,13 @@ def _plus_restriction_route(ctx: GKLOContext, v_prime, m, f: PartialSymPoly):
     """Positive-side comparison of the tail-at-zero defect route with the
     direct truncated operator: (holds, route, terms), where route is the
     common value when the identity holds (terms empty), else the tail-at-zero
-    side, returned with its u-free subset terms."""
-    lhs_terms, rhs_terms, holds = _defect_sides(ctx, DefectSplit.make(ctx.v, v_prime), m, f, True)
-    if holds:
-        return True, terms_value(rhs_terms, 1), ()
+    side, returned with its u-free subset terms.  The f = 1 core decides
+    when it holds; when it fails, this dressing is compared on its own."""
+    split = DefectSplit.make(ctx.v, v_prime)
+    if (f.is_zero() or _defect_core(ctx, split, m, True)
+            or _defect_identity(ctx, split, m, f, True)):
+        return True, terms_value(_defect_rhs(ctx, split, m, f, True), 1), ()
+    lhs_terms = _defect_lhs(ctx, split, m, f, True)
     return False, terms_value(lhs_terms, 1), tuple(lhs_terms)
 
 

@@ -347,18 +347,31 @@ def involution_fmo_report(ctx: GKLOContext, m, f: PartialSymPoly) -> InvolutionR
     The involution sends the subset-Gamma term of M^+_m(f) to a multiple of
     u_Gamma^{-1}, the u-monomial of the subset-Gamma term of M^-_m(f), so the
     swap identity splits into one exact polynomial identity per subset.  The
-    reported image is the sum of those transformed terms.  Involutivity is
-    checked on the ring generators (the involution fixes the w's).  The
-    subset terms of M^-_m(f) are built once, for the swap identity and for
-    the reported M^-_m(f)."""
+    dressing enters both sides of each one only as the factor f|_Gamma (the
+    involution fixes the w's), and the ring is a domain, so the identity is
+    checked once per charge, by the report at f = 1, and that verdict holds
+    for every nonzero f; f = 0 swaps trivially.  The reported image is the
+    sum of the transformed terms, built only when the identity fails.
+    Involutivity is checked on the ring generators.  The subset terms of
+    M^-_m(f) are built once, for the reported M^-_m(f) and, at f = 1, for
+    the swap identity."""
     m = _check_m(ctx, m)
     f = as_dressing(ctx, m, f)
     minus_terms = list(fmo_minus_terms(ctx, m, f))
-    iota_terms = list(transport_terms(fmo_plus_terms(ctx, m, f), partial(iota_image, ctx)))
-    swaps = identity_holds(iota_terms + [(gamma, -num, dfac) for gamma, num, dfac in minus_terms])
     minus = GKLOElement.make(terms_value(minus_terms, -1), "slice_loc").value
-    image = minus if swaps else terms_value(iota_terms, -1)
+    unit = PartialSymPoly.make(1, m, ctx.v)
+    if f == unit:
+        swaps = identity_holds(list(_iota_plus_terms(ctx, m, f))
+                               + [(gamma, -num, dfac) for gamma, num, dfac in minus_terms])
+    else:
+        swaps = f.is_zero() or involution_fmo_report(ctx, m, unit).swaps
+    image = minus if swaps else terms_value(_iota_plus_terms(ctx, m, f), -1)
     return InvolutionReport(image, minus, swaps, involution_on_generators(ctx))
+
+
+def _iota_plus_terms(ctx: GKLOContext, m, f: PartialSymPoly):
+    """The involution applied to the subset terms of M^+_m(f)."""
+    return transport_terms(fmo_plus_terms(ctx, m, f), partial(iota_image, ctx))
 
 
 # ---------------------------------------------------------------------------

@@ -79,15 +79,8 @@ def test_returned_values_carry_the_factored_form():
 
 @pytest.fixture
 def failing_identities(monkeypatch):
-    caches = (gklo.involution_fmo_report, gklo.involution_on_generators,
-              defect_embed._plus_restriction_route)
-    for cache in caches:
-        cache.cache_clear()
     for module in (gklo, defect_embed):
         monkeypatch.setattr(module, "identity_holds", lambda keyed: False)
-    yield
-    for cache in caches:
-        cache.cache_clear()
 
 
 def test_failing_sides_carry_the_factored_form(failing_identities):

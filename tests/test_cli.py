@@ -3,11 +3,14 @@ determinism of the output bytes."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from quiver_fmo.cli import main
+from quiver_fmo.cli import EXIT_CLOSED_STDOUT, main
 from quiver_fmo.multipoly import RatFunc
 
 
@@ -77,7 +80,6 @@ def test_hilbert_closed_form(capsys):
 def test_hilbert_scans_the_box_once(capsys):
     from quiver_fmo.quiver import box_scan
 
-    box_scan.cache_clear()
     code, _, _ = run(capsys, "hilbert", "--quiver", "a2", "--w", "2,2", "--v", "1,1",
                      "--order", "4", "--json")
     assert code == 0
@@ -202,7 +204,6 @@ def test_verify_involution_takes_the_termwise_route(capsys, monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("quiver_fmo") and getattr(module, "chevalley", None) is real:
             monkeypatch.setattr(module, "chevalley", _raise)
-    gklo.involution_fmo_report.cache_clear()
     code, out, _ = run(capsys, "verify", "involution", "--quiver", "affine_sl2",
                        "--w", "1,0", "--v", "1,1", "--json")
     assert code == 0
@@ -230,13 +231,9 @@ def test_failing_negative_restriction_takes_the_termwise_route(capsys, monkeypat
             monkeypatch.setattr(module, "chevalley", _raise)
     monkeypatch.setattr(RatFunc, "subs_u", _raise)
     monkeypatch.setattr(defect_embed, "identity_holds", lambda keyed: False)
-    defect_embed._plus_restriction_route.cache_clear()
-    try:
-        code, out, err = run(capsys, "verify", "restriction", "--quiver", "a2",
-                             "--w", "2,2", "--v", "2,2", "--vprime", "1,1",
-                             "--sign", "-", "--json")
-    finally:
-        defect_embed._plus_restriction_route.cache_clear()
+    code, out, err = run(capsys, "verify", "restriction", "--quiver", "a2",
+                         "--w", "2,2", "--v", "2,2", "--vprime", "1,1",
+                         "--sign", "-", "--json")
     assert code == 1 and err == ""
     data = json.loads(out)
     assert data["checked"] > 0 and not data["all_hold"]
@@ -244,16 +241,12 @@ def test_failing_negative_restriction_takes_the_termwise_route(capsys, monkeypat
 
 def test_every_verify_subject_runs_without_gcd_or_substitution(capsys, monkeypatch):
     # the gcd kernel and the whole-element substitution are test oracles only
-    from quiver_fmo import defect_embed, gklo, multipoly
+    from quiver_fmo import gklo, multipoly
     from quiver_fmo.cli import VERIFY_SUBJECTS
 
     monkeypatch.setattr(multipoly, "poly_gcd", _raise)
     monkeypatch.setattr(multipoly.RatFunc, "subs_u", _raise)
     monkeypatch.setattr(gklo, "chevalley_u_image", _raise)
-    caches = (gklo._fmo_cached, gklo.involution_fmo_report, gklo.involution_on_generators,
-              defect_embed._plus_restriction_route)
-    for cache in caches:
-        cache.cache_clear()
     for subject in sorted(VERIFY_SUBJECTS):
         code, out, err = run(capsys, "verify", subject, "--quiver", "a2", "--w", "2,2",
                              "--v", "2,2", "--vprime", "1,1", "--json")
@@ -358,7 +351,7 @@ def test_each_involution_report_builds_the_minus_terms_once(capsys, monkeypatch,
     """The involution report builds the subset terms of M^-_m(f) once, for
     the swap identity and the reported M^-; negative restriction reads M^-
     from that report and builds no terms of its own."""
-    from quiver_fmo import defect_embed, gklo
+    from quiver_fmo import gklo
 
     calls = []
     real = gklo.fmo_minus_terms
@@ -368,10 +361,27 @@ def test_each_involution_report_builds_the_minus_terms_once(capsys, monkeypatch,
         return real(*args)
 
     monkeypatch.setattr(gklo, "fmo_minus_terms", counted)
-    for cache in (gklo._fmo_cached, gklo.involution_fmo_report,
-                  defect_embed._plus_restriction_route):
-        cache.cache_clear()
     code, out, err = run(capsys, *argv.split(), "--json")
     misses = gklo.involution_fmo_report.cache_info().misses
     assert (code, err) == (0, "") and json.loads(out)["checked"] > 0
     assert misses > 0 and len(calls) == misses
+
+
+@pytest.mark.parametrize("argv,lines", [
+    # 180 kB of JSON, more than a pipe holds: the reader leaves mid-report
+    ("verify km-embedding --quiver a2 --w 2,2 --v 2,2 --vprime 1,1 --json", 2),
+    # a short report still buffered when the reader has gone: the final flush fails
+    ("classify --quiver a2 --w 2,2 --v 2,2 --json", 0),
+])
+def test_closed_stdout_exits_quietly_with_its_own_code(argv, lines):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen([sys.executable, "-m", "quiver_fmo.cli", *argv.split()],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = [proc.stdout.readline() for _ in range(lines)]
+    proc.stdout.close()  # as `| head -<lines>` does
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_CLOSED_STDOUT
+    assert err == b""
+    assert head == [b"{\n", b'  "all_hold": true,\n'][:lines]

@@ -147,7 +147,8 @@ def test_adding_defect_dressed_sweep():
 
 def test_failing_adding_defect_builds_lhs_from_the_terms_it_has(monkeypatch):
     # with every subset identity forced to fail, the reported lhs is phi of
-    # M^+_m(f), built from the phi terms the check already ran
+    # M^+_m(f), built from phi terms: once for the f = 1 core of each
+    # (split, m), at its first dressing, and once for the lhs of each case
     starts = []
     real = defect_embed.phi_fmo_terms
 
@@ -164,10 +165,13 @@ def test_failing_adding_defect_builds_lhs_from_the_terms_it_has(monkeypatch):
         for v_prime in itertools.product(*(range(vi + 1) for vi in v)):
             split = DefectSplit.make(v, v_prime)
             for m in itertools.product(*(range(vi + 1) for vi in v)):
-                for f in dressing_basis(v, m, 1):
+                for k, f in enumerate(dressing_basis(v, m, 1)):
                     starts.clear()
+                    cores = defect_embed._defect_core.cache_info().misses
                     rep = verify_adding_defect_theorem(ctx, split, m, f)
-                    assert not rep.holds and len(starts) == 1, (v, v_prime, m)
+                    core = defect_embed._defect_core.cache_info().misses - cores
+                    assert not rep.holds and core == (k == 0), (v, v_prime, m)
+                    assert len(starts) == 1 + core, (v, v_prime, m)
                     assert rep.lhs == phi(ctx, split, fmo_plus(ctx, m, f)).value
                     checked += not rep.lhs.is_zero()
     assert checked > 20
@@ -221,24 +225,20 @@ def test_failing_negative_restriction_is_iota_of_the_plus_route(monkeypatch):
     # the involution of the tail-at-zero route, as the substitution oracle
     # computes it
     monkeypatch.setattr(defect_embed, "identity_holds", lambda keyed: False)
-    defect_embed._plus_restriction_route.cache_clear()
     checked = 0
-    try:
-        for quiver, v in [(a1_quiver(), (3,)), (a2_quiver(), (2, 1)),
-                          (affine_sl2_quiver(), (2, 1))]:
-            for v_prime in itertools.product(*(range(vi + 1) for vi in v)):
-                w = suite_w(quiver, v, v_prime)
-                ctx = make_context(quiver, w, v)
-                target = slice_target_context(ctx, v_prime)
-                for m in itertools.product(*(range(vp + 1) for vp in v_prime)):
-                    for f in dressing_basis(v, m, 1):
-                        plus = verify_restriction(ctx, v_prime, m, f, "+")
-                        minus = verify_restriction(ctx, v_prime, m, f, "-")
-                        assert not plus.holds and not minus.holds
-                        want = chevalley(
-                            target, GKLOElement.make(plus.lhs, "slice_loc_loc")).value
-                        assert minus.lhs == want, (v, v_prime, m)
-                        checked += not want.is_zero()
-    finally:
-        defect_embed._plus_restriction_route.cache_clear()
+    for quiver, v in [(a1_quiver(), (3,)), (a2_quiver(), (2, 1)),
+                      (affine_sl2_quiver(), (2, 1))]:
+        for v_prime in itertools.product(*(range(vi + 1) for vi in v)):
+            w = suite_w(quiver, v, v_prime)
+            ctx = make_context(quiver, w, v)
+            target = slice_target_context(ctx, v_prime)
+            for m in itertools.product(*(range(vp + 1) for vp in v_prime)):
+                for f in dressing_basis(v, m, 1):
+                    plus = verify_restriction(ctx, v_prime, m, f, "+")
+                    minus = verify_restriction(ctx, v_prime, m, f, "-")
+                    assert not plus.holds and not minus.holds
+                    want = chevalley(
+                        target, GKLOElement.make(plus.lhs, "slice_loc_loc")).value
+                    assert minus.lhs == want, (v, v_prime, m)
+                    checked += not want.is_zero()
     assert checked > 50

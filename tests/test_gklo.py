@@ -475,21 +475,14 @@ def test_involution_report_failing_subsets_report_the_image(monkeypatch):
             yield gamma, -num, dfac
 
     monkeypatch.setattr(gklo, "fmo_minus_terms", negated)
-    gklo.involution_fmo_report.cache_clear()
-    gklo._fmo_cached.cache_clear()
-    try:
-        for quiver, w, v in INVOLUTION_GRID:
-            ctx = make_context(quiver, w, v)
-            for m in itertools.product(*(range(vi + 1) for vi in v)):
-                for f in dressing_basis(v, m, 1):
-                    rep = involution_fmo_report(ctx, m, f)
-                    img = chevalley(ctx, fmo_plus(ctx, m, f)).value
-                    assert rep.swaps is img.is_zero(), (w, v, m, poly_text(f.value))
-                    assert rep.image == img
-    finally:
-        # drop the cached values computed from the negated terms
-        gklo.involution_fmo_report.cache_clear()
-        gklo._fmo_cached.cache_clear()
+    for quiver, w, v in INVOLUTION_GRID:
+        ctx = make_context(quiver, w, v)
+        for m in itertools.product(*(range(vi + 1) for vi in v)):
+            for f in dressing_basis(v, m, 1):
+                rep = involution_fmo_report(ctx, m, f)
+                img = chevalley(ctx, fmo_plus(ctx, m, f)).value
+                assert rep.swaps is img.is_zero(), (w, v, m, poly_text(f.value))
+                assert rep.image == img
 
 
 # ---------------------------------------------------------------------------
