@@ -15,7 +15,6 @@ from .multipoly import (
     poly_text,
     ratfunc_text,
     restrict_to_gamma,
-    sweedler,
     tilde,
     uv,
     wv,

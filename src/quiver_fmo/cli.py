@@ -323,7 +323,7 @@ def _verify_km(args, ctx):
         stages = [{"stage": st.stage,
                    "gamma": [list(t) for t in st.mmo.gamma] if st.mmo else None,
                    "dressing": ratfunc_text(st.mmo.dressing) if st.mmo else "0",
-                   "factor": st.sign_log[-1][1]}
+                   "factor": st.factor}
                   for st in rep.states]
         yield _case(m, f, sign, holds=rep.matches_theorem, stages=stages,
                     lhs=rep.result.value, rhs=rep.expected.value)

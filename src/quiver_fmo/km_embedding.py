@@ -134,7 +134,7 @@ class ChainState:
     mmo: DressedMMO | None  # None encodes the zero element
     v_prime: tuple
     v_dprime: tuple
-    sign_log: tuple  # ((stage, sign or factor text), ...)
+    factor: str  # this stage's sign or factor text, "zero" for the zero element
 
 
 def _check_stage_denominator(state: ChainState):
@@ -164,13 +164,13 @@ def split_and_project(ctx: GKLOContext, split: DefectSplit, m, f, sign: str) -> 
             % (cone.witness, cone.min_value))
     eps = 1 if sign == "+" else -1
     if any(mi > vp for mi, vp in zip(m, split.v_prime)):
-        return ChainState("split", None, split.v_prime, vdp, (("split", "zero"),))
+        return ChainState("split", None, split.v_prime, vdp, "zero")
     ft = tilde(f, split.v_prime).value
     head = {("var", wv(i, p)): vdp[i] for i, mi in enumerate(m) if vdp[i]
             for p in range(1, mi + 1)}
     sign = eps ** sum(head.values())
     mmo = DressedMMO(omega(m, split.v_prime, eps), ratfunc_sum([(ft * sign, head)]))
-    state = ChainState("split", mmo, split.v_prime, vdp, (("split", "1"),))
+    state = ChainState("split", mmo, split.v_prime, vdp, "1")
     _check_stage_denominator(state)
     return state
 
@@ -180,8 +180,7 @@ def fourier_step(ctx: GKLOContext, state: ChainState, which: int) -> ChainState:
     around, the second dualizes half of the leftover framing block."""
     stage = "fourier%d" % which
     if state.mmo is None:
-        return ChainState(stage, None, state.v_prime, state.v_dprime,
-                          state.sign_log + ((stage, "zero"),))
+        return ChainState(stage, None, state.v_prime, state.v_dprime, "zero")
     if which == 1:
         weights = weights_n1_mix(ctx.quiver, state.v_prime, state.v_dprime)
     elif which == 2:
@@ -190,8 +189,7 @@ def fourier_step(ctx: GKLOContext, state: ChainState, which: int) -> ChainState:
         raise ValueError("which must be 1 or 2")
     sign = fourier_sign(weights, state.mmo.gamma)
     mmo = DressedMMO(state.mmo.gamma, state.mmo.dressing * sign)
-    new = ChainState(stage, mmo, state.v_prime, state.v_dprime,
-                     state.sign_log + ((stage, "%+d" % sign),))
+    new = ChainState(stage, mmo, state.v_prime, state.v_dprime, "%+d" % sign)
     _check_stage_denominator(new)
     return new
 
@@ -200,14 +198,12 @@ def forget_matter_step(ctx: GKLOContext, state: ChainState) -> ChainState:
     """Forget the leftover framing block and the dual of its other half; the
     dressing picks up the negatively-pairing weight product."""
     if state.mmo is None:
-        return ChainState("forget", None, state.v_prime, state.v_dprime,
-                          state.sign_log + (("forget", "zero"),))
+        return ChainState("forget", None, state.v_prime, state.v_dprime, "zero")
     forgotten = weights_n4_half(state.v_prime, state.v_dprime) \
         + dual_weights(weights_n4_half(state.v_prime, state.v_dprime))
     factor = forget_factor(forgotten, state.mmo.gamma)
     mmo = DressedMMO(state.mmo.gamma, state.mmo.dressing * factor)
-    new = ChainState("forget", mmo, state.v_prime, state.v_dprime,
-                     state.sign_log + (("forget", poly_text(factor)),))
+    new = ChainState("forget", mmo, state.v_prime, state.v_dprime, poly_text(factor))
     _check_stage_denominator(new)
     return new
 

@@ -218,6 +218,7 @@ def block_type(gamma) -> tuple:
 
 
 POINT_BUDGET = 2_000_000  # shell points; read at call time
+ORDER_BUDGET = 1_000  # series order; read at call time
 
 
 def hilbert_series(ctx: GKLOContext, order: int) -> TruncSeries:
@@ -225,8 +226,9 @@ def hilbert_series(ctx: GKLOContext, order: int) -> TruncSeries:
     of t^(2 Delta) times the stabilizer Poincare factor.
 
     One box_scan refuses bad theories and gives the degree bound that makes
-    the shells certified complete.  More than POINT_BUDGET shell points
-    raises EnumerationBudgetError before any point is evaluated.  Every point
+    the shells certified complete.  An order above ORDER_BUDGET, or more
+    than POINT_BUDGET shell points, raises EnumerationBudgetError before any
+    shell is counted or any series is allocated.  Every point
     of degree <= order is counted under (degree, block type); each block
     type's stabilizer factor is built once, from a representative coweight,
     and the result is the sum of count * t^degree * factor.
@@ -236,6 +238,9 @@ def hilbert_series(ctx: GKLOContext, order: int) -> TruncSeries:
         raise BadTheoryError(
             "degree %d at m=%r: the grading is not bounded below"
             % (scan.min_value, scan.witness))
+    if order > ORDER_BUDGET:
+        raise EnumerationBudgetError(
+            "order %d is above the budget of %d" % (order, ORDER_BUDGET))
     if not any(ctx.v):
         return TruncSeries.one(order)
     max_norm = int(Fraction(order) / scan.min_ratio)

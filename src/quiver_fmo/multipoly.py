@@ -29,6 +29,8 @@ from functools import lru_cache
 from math import comb, gcd as int_gcd
 from operator import itemgetter
 
+from .quiver import EnumerationBudgetError
+
 # ---------------------------------------------------------------------------
 # variables
 
@@ -980,16 +982,30 @@ class RatFunc:
         return "RatFunc(%s)" % ratfunc_text(self)
 
 
+EXPANSION_BUDGET = 10 ** 6  # terms of one expansion over an lcm; read at call time
+
+
 def _terms_over_lcm(terms):
+    """The numerators brought over the lcm of their factored denominators,
+    summed.  Each missing form x_a - x_b at most doubles a numerator's terms,
+    so sum len(num) * 2^(missing x_a - x_b) bounds the expansion; above
+    EXPANSION_BUDGET it raises EnumerationBudgetError before expanding."""
     items = [(num, dfac) for num, dfac in terms if not num.is_zero()]
     lcm = {}
     for _, dfac in items:
         for k, e in dfac.items():
             if lcm.get(k, 0) < e:
                 lcm[k] = e
+    missing = [_dfac_sub(lcm, dfac) for _, dfac in items]
+    bound = sum(len(num.terms) << sum(e for k, e in miss.items() if k[0] != "var")
+                for (num, _), miss in zip(items, missing))
+    if bound > EXPANSION_BUDGET:
+        raise EnumerationBudgetError(
+            "a sum over a common denominator could expand to %d terms, more than %d"
+            % (bound, EXPANSION_BUDGET))
     N = MPoly.zero()
-    for num, dfac in items:
-        N = N + _dfac_mul_into(num, _dfac_sub(lcm, dfac))
+    for (num, _), miss in zip(items, missing):
+        N = N + _dfac_mul_into(num, miss)
     return N, lcm
 
 
@@ -1164,27 +1180,6 @@ def tilde(f: PartialSymPoly, v_prime) -> PartialSymPoly:
     dead = [wv(i, r) for i, (vpi, vi) in enumerate(zip(v_prime, f.v))
             for r in range(vpi + 1, vi + 1)]
     return PartialSymPoly(f.value.subs_zero(dead), f.m, v_prime)
-
-
-def sweedler(f: PartialSymPoly, v_prime):
-    """Decompose f over head variables (slots <= v'_i) times tail monomials
-    (slots > v'_i); returns [(head: PartialSymPoly over v', tail: MPoly)] with
-    sum(head*tail) == f, ordered by tail monomial."""
-    v_prime = tuple(v_prime)
-    if any(not mi <= vpi <= vi for mi, vpi, vi in zip(f.m, v_prime, f.v)):
-        raise ValueError("need m <= v' <= v componentwise")
-    tail_vars = {wv(i, r) for i, (vpi, vi) in enumerate(zip(v_prime, f.v))
-                 for r in range(vpi + 1, vi + 1)}
-    groups = {}
-    for mon, c in f.value.terms.items():
-        tail = tuple((var, e) for var, e in mon if var in tail_vars)
-        head = tuple((var, e) for var, e in mon if var not in tail_vars)
-        groups.setdefault(tail, {})[head] = c
-    out = []
-    for tail in sorted(groups, key=_MON_KEY):
-        head_poly = PartialSymPoly(MPoly(groups[tail]), f.m, v_prime)
-        out.append((head_poly, MPoly({tail: 1})))
-    return out
 
 
 # ---------------------------------------------------------------------------

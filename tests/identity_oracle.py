@@ -4,9 +4,15 @@ dressing on its own, with no verdict shared between dressings.
 The library checks the involution swap, the adding-defect comparison and the
 tail-at-zero restriction route once per charge, at f = 1, and reuses that
 verdict for every dressing (``gklo.involution_fmo_report``,
-``defect_embed._defect_core``).  These oracles run the same subset-term
-comparison for the given f, and build the reports from that verdict, so the
-tests can compare every field of a library report with them.
+``defect_embed._defect_core``, ``defect_embed._plus_restriction_route``).
+These oracles run the subset-term comparison for the given f, and build the
+reports from that verdict, so the tests can compare every field of a library
+report with them.
+
+The adding-defect right-hand side is built here as the paper writes it, in
+Sweedler form: sum M^+_m(f^(1)) * f^(2) over the pieces of ``sweedler``.
+The library dresses M^+_m over v' by f itself, which has the same subset
+terms because the permutation behind restrict_to_gamma fixes the tail slots.
 """
 
 from functools import partial
@@ -30,8 +36,38 @@ from quiver_fmo.gklo import (
     terms_value,
     transport_terms,
 )
-from quiver_fmo.multipoly import GKLOElement, RatFunc, identity_holds, sweedler, tilde
+from quiver_fmo.multipoly import (
+    GKLOElement,
+    MPoly,
+    PartialSymPoly,
+    RatFunc,
+    _MON_KEY,
+    identity_holds,
+    tilde,
+    wv,
+)
 from quiver_fmo.quiver import DimData
+
+
+def sweedler(f: PartialSymPoly, v_prime):
+    """Decompose f over head variables (slots <= v'_i) times tail monomials
+    (slots > v'_i); returns [(head: PartialSymPoly over v', tail: MPoly)] with
+    sum(head*tail) == f, ordered by tail monomial."""
+    v_prime = tuple(v_prime)
+    if any(not mi <= vpi <= vi for mi, vpi, vi in zip(f.m, v_prime, f.v)):
+        raise ValueError("need m <= v' <= v componentwise")
+    tail_vars = {wv(i, r) for i, (vpi, vi) in enumerate(zip(v_prime, f.v))
+                 for r in range(vpi + 1, vi + 1)}
+    groups = {}
+    for mon, c in f.value.terms.items():
+        tail = tuple((var, e) for var, e in mon if var in tail_vars)
+        head = tuple((var, e) for var, e in mon if var not in tail_vars)
+        groups.setdefault(tail, {})[head] = c
+    out = []
+    for tail in sorted(groups, key=_MON_KEY):
+        head_poly = PartialSymPoly(MPoly(groups[tail]), f.m, v_prime)
+        out.append((head_poly, MPoly({tail: 1})))
+    return out
 
 
 def _negated(terms):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -295,9 +296,16 @@ def test_invalid_input_exits_2(capsys, argv):
 @pytest.mark.parametrize("argv", [
     "classify --quiver a2 --w 1,1 --v 4000,4000",
     "hilbert --quiver a2 --w 2,2 --v 2,2 --order 60",
+    # the series accumulation is quadratic in the order; v = 0 allocated it
+    "hilbert --quiver a1 --w 4 --v 1 --order 100000",
+    "hilbert --quiver a1 --w 4 --v 0 --order 1000000",
+    # 252 subsets, but each numerator would expand over all 45 forms x_a - x_b
+    "fmo --quiver a1 --w 2 --v 10 --m 5 --json",
 ])
 def test_enumeration_over_budget_is_refused(capsys, argv):
+    t0 = time.perf_counter()
     code, out, err = run(capsys, *argv.split())
+    assert time.perf_counter() - t0 < 1.0
     assert code == 2 and out == ""
     assert err.startswith("refused: ") and err.count("\n") == 1
 

@@ -273,8 +273,10 @@ def test_hilbert_v_zero():
 
 
 def test_hilbert_refuses_bad():
-    with pytest.raises(BadTheoryError):
-        hilbert_series(make_context(a1_quiver(), (2,), (2,)), 6)
+    # a bad theory is reported as bad before the order budget is read
+    for order in (6, 10 ** 6):
+        with pytest.raises(BadTheoryError):
+            hilbert_series(make_context(a1_quiver(), (2,), (2,)), order)
 
 
 def test_hilbert_budget(monkeypatch):
@@ -297,6 +299,23 @@ def test_hilbert_budget_checked_before_any_point(monkeypatch):
     ctx = make_context(affine_sl2_quiver(), (1, 0), (2, 2))
     with pytest.raises(EnumerationBudgetError, match="more than 3 shell points"):
         hilbert_series(ctx, 10)
+
+
+@pytest.mark.parametrize("v", [(1,), (0,)])
+def test_hilbert_order_budget_checked_before_any_shell_or_series(monkeypatch, v):
+    import quiver_fmo.monopole_hilbert as mh
+
+    def counted(*args):
+        raise AssertionError("a shell was counted or a series allocated")
+
+    monkeypatch.setattr(mh, "compositions", counted)
+    monkeypatch.setattr(mh.TruncSeries, "one", staticmethod(counted))
+    ctx = make_context(a1_quiver(), (4,), v)
+    with pytest.raises(EnumerationBudgetError, match="above the budget of 1000"):
+        hilbert_series(ctx, mh.ORDER_BUDGET + 1)
+    monkeypatch.setattr(mh, "ORDER_BUDGET", 5)
+    with pytest.raises(EnumerationBudgetError, match="order 6 is above the budget of 5"):
+        hilbert_series(ctx, 6)
 
 
 def test_budget_error_is_shared():

@@ -36,13 +36,13 @@ from quiver_fmo.multipoly import (
     ratfunc_sum,
     ratfunc_text,
     restrict_to_gamma,
-    sweedler,
     tilde,
     try_div,
     uv,
     var_text,
     wv,
 )
+from identity_oracle import sweedler
 from ratfunc_oracle import factored_form_violations, normal_form
 
 W11, W12, W13 = MPoly.var(wv(0, 1)), MPoly.var(wv(0, 2)), MPoly.var(wv(0, 3))
@@ -659,3 +659,25 @@ def test_keyed_sum_against_the_whole_sum_and_the_normal_form(terms, cancel, own_
     for k, e in lcm.items():
         den = den * candidate_poly(k) ** e
     assert (got.num, got.den) == normal_form(num, den)
+
+
+def test_expansion_bound_is_checked_before_expanding(monkeypatch):
+    # three terms over the three forms w_a - w_b: each numerator misses two
+    # forms of the lcm, and (w1 + w2) has two terms, so the bound is 2*4 + 4 + 4
+    from quiver_fmo import multipoly
+    from quiver_fmo.quiver import EnumerationBudgetError
+
+    d12, d13, d23 = (diff_key(wv(0, a), wv(0, b))[0] for a, b in ((1, 2), (1, 3), (2, 3)))
+    terms = [(W11 + W12, {d12: 1}), (MPoly.one(), {d13: 1}), (-MPoly.one(), {d23: 1})]
+    expanded = []
+    real = multipoly._dfac_mul_into
+    monkeypatch.setattr(multipoly, "_dfac_mul_into",
+                        lambda num, dfac: expanded.append(1) or real(num, dfac))
+    monkeypatch.setattr(multipoly, "EXPANSION_BUDGET", 15)
+    with pytest.raises(EnumerationBudgetError, match="expand to 16 terms, more than 15"):
+        ratfunc_sum(terms)
+    assert expanded == []
+    monkeypatch.setattr(multipoly, "EXPANSION_BUDGET", 16)
+    assert ratfunc_sum(terms) == (RatFunc.from_poly(W11 + W12) / RatFunc.from_poly(W11 - W12)
+                                  + RatFunc.from_poly(W11 - W13) ** -1
+                                  - RatFunc.from_poly(W12 - W13) ** -1)

@@ -13,13 +13,15 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import identity_oracle
 from identity_oracle import (
     adding_defect_report_per_f,
     involution_report_per_f,
     restriction_report_per_f,
+    sweedler,
 )
-from quiver_fmo import defect_embed, gklo
-from quiver_fmo.cli import main
+from quiver_fmo import cli, defect_embed, gklo
+from quiver_fmo.cli import build_parser, main
 from quiver_fmo.defect_embed import (
     DefectSplit,
     slice_target_context,
@@ -27,7 +29,7 @@ from quiver_fmo.defect_embed import (
     verify_restriction,
 )
 from quiver_fmo.gklo import dressing_basis, involution_fmo_report, make_context
-from quiver_fmo.multipoly import MPoly, PartialSymPoly, restrict_to_gamma, sweedler
+from quiver_fmo.multipoly import MPoly, PartialSymPoly, W_KIND, restrict_to_gamma, tilde
 from quiver_fmo.quiver import Quiver, a1_quiver, a2_quiver, affine_sl2_quiver
 
 THREE_CYCLE = Quiver.from_json({
@@ -178,39 +180,56 @@ def test_zero_dressing_holds_when_every_core_fails(monkeypatch):
 
 
 def table_ops(prefix, max_cost):
+    """The argv of each bench table op with the prefix and cost <= max_cost."""
     path = Path(__file__).resolve().parent.parent / "bench" / "table.json"
     ops = json.loads(path.read_text())["ops"]
-    return [(key.split(), row["sha256"], row["exit"]) for key, row in sorted(ops.items())
+    return [key.split() for key, row in sorted(ops.items())
             if key.startswith(prefix) and row["cost_s"] <= max_cost]
 
 
-def test_failing_tail_zero_core_falls_back_to_the_same_bytes(capsys, monkeypatch):
-    # a tail-zero core that fails leaves each dressing to its own check,
-    # which decides the same cases the same way
-    real_core, real_identity = defect_embed._defect_core, defect_embed._defect_identity
-    fallbacks = []
+def test_failing_tail_zero_identity_matches_the_per_f_oracle(monkeypatch):
+    # the sign step of the tail-zero specialization is taken on the wrong end
+    # of x_a - x_b (when b is the tail slot), in the library and in the
+    # oracle alike, so the tail-zero identity genuinely fails for some
+    # charges; every restriction report of the cheap table grid still equals
+    # the per-dressing oracle's, and where tilde(f) = 0 the route holds with
+    # both sides zero
+    real = defect_embed._tail_zero_term
 
-    def counted(ctx, split, m, f, at_zero):
-        fallbacks.append(at_zero)
-        return real_identity(ctx, split, m, f, at_zero)
+    def missigned(num, dfac, split):
+        t = real(num, dfac, split)
+        flips = sum(mult for cand, mult in dfac.items() if cand[0] != "var"
+                    and cand[2][0] == W_KIND and cand[2][2] > split.v_prime[cand[2][1]])
+        return t if t is None or flips % 2 == 0 else (-t[0], t[1])
 
-    monkeypatch.setattr(defect_embed, "_defect_core",
-                        lambda ctx, split, m, at_zero: not at_zero and real_core(
-                            ctx, split, m, at_zero))
-    monkeypatch.setattr(defect_embed, "_defect_identity", counted)
-    ops = table_ops("verify restriction", 0.1)
-    assert len(ops) > 20
-    for argv, sha, exit_code in ops:
-        code, out, err = run(capsys, *argv)
-        assert (hashlib.sha256(out.encode()).hexdigest(), code, err) == (sha, exit_code, ""), argv
-    assert fallbacks and all(fallbacks)
+    for module in (defect_embed, identity_oracle):
+        monkeypatch.setattr(module, "_tail_zero_term", missigned)
+    seen = Counter()
+    for argv in table_ops("verify restriction", 0.1):
+        args = build_parser().parse_args(argv)
+        ctx = cli._context(args)
+        v_prime = cli._defect_split(args, ctx, to_slice=True).v_prime
+        for m, f, sign in cli._cases(args, ctx, True):
+            rep = verify_restriction(ctx, v_prime, m, f, sign)
+            assert rep == restriction_report_per_f(ctx, v_prime, m, f, sign), (argv, m, sign)
+            if any(mi > vp for mi, vp in zip(m, v_prime)):
+                continue
+            if tilde(f, v_prime).is_zero():
+                assert rep.holds and rep.lhs.is_zero() and rep.rhs.is_zero(), (argv, m)
+                seen["vanishing"] += 1
+            else:
+                seen[rep.holds] += 1
+    assert seen[False] > 20 and seen[True] > 20 and seen["vanishing"] > 20, seen
 
 
 @pytest.mark.parametrize("argv,routes", [
     ("verify adding-defect --quiver a2 --w 2,2 --v 3,3 --vprime 3,2",
-     {"_defect_identity": 16}),
+     {"_defect_core": 16}),
     ("verify involution --quiver a2 --w 2,2 --v 2,2",
      {"involution_fmo_report": 9, "involution_on_generators": 1}),
+    ("verify restriction --quiver a2 --w 2,2 --v 3,3 --vprime 2,2",
+     {"_plus_restriction_route": 9, "involution_fmo_report": 9,
+      "involution_on_generators": 1}),
 ])
 def test_identities_run_once_per_charge_and_route(capsys, monkeypatch, argv, routes):
     calls = Counter()
