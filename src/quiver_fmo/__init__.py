@@ -4,7 +4,6 @@ between slices and zastava spaces, and the monopole-formula Hilbert series.
 """
 
 from .multipoly import (
-    GKLOElement,
     MPoly,
     ParseError,
     PartialSymPoly,
@@ -40,8 +39,6 @@ from .gklo import (
     d_identity_check,
     dressing_basis,
     fmo,
-    fmo_minus,
-    fmo_plus,
     lagrange_charge,
     make_context,
     orientation_flip_sign,

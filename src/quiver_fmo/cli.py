@@ -36,10 +36,11 @@ from .quiver import (
     affine_classify,
     box_scan,
     cartan_matrix,
+    level_check,
     mu_pairing,
-    theorem_prediction,
 )
 from .gklo import (
+    FMO_RING,
     GKLOContext,
     InternalError,
     d_identity_check,
@@ -81,7 +82,7 @@ def _load_quiver(spec: str) -> Quiver:
         return BUILTIN_QUIVERS[spec]()
     try:
         return Quiver.load(spec)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, ValueError, RecursionError) as exc:
         raise InputError("cannot load quiver from %r: %s" % (spec, exc)) from None
 
 
@@ -177,21 +178,17 @@ def cmd_classify(args) -> int:
         "mu_pairing": list(mp.vector),
         "mu_dominant": mp.dominant,
     }
-    prediction = theorem_prediction(C, d)
+    prediction, direct = level_check(d, C)
     if info.kind == "affine":
         report["marks"] = list(info.marks)
         report["level"] = info.level(d, C)
     report["theorem_prediction"] = prediction
-    exit_code = 0
     if prediction is not None:
-        direct = ("good" if scan.good
-                  else "conical-not-good" if scan.conical else "not-conical")
         report["direct"] = direct
-        if direct != prediction:
-            report["internal_error"] = "level prediction disagrees with the direct check"
-            exit_code = 3
+    if direct != prediction:
+        report["internal_error"] = "level prediction disagrees with the direct check"
     _emit(report, args.json)
-    return exit_code
+    return 3 if direct != prediction else 0
 
 
 def cmd_fmo(args) -> int:
@@ -209,8 +206,8 @@ def cmd_fmo(args) -> int:
         "m": list(m),
         "sign": sign,
         "dressing": poly_text(f.value),
-        "ring": element.ring_tag,
-        "result": _ratfunc_json(element.value),
+        "ring": FMO_RING[sign],
+        "result": _ratfunc_json(element),
     }
     _emit(report, args.json)
     return 0
@@ -221,7 +218,7 @@ def cmd_hilbert(args) -> int:
     cls = classify_theory(ctx)
     report = {
         "classification": cls.kind,
-        "min_degree": cls.min_degree,
+        "min_degree": cls.min_value,
         "witness": list(cls.witness) if cls.witness is not None else None,
         "order": args.order,
         "poisson_cone_point": cls.kind == "good",
@@ -326,7 +323,7 @@ def _verify_km(args, ctx):
                    "factor": st.factor}
                   for st in rep.states]
         yield _case(m, f, sign, holds=rep.matches_theorem, stages=stages,
-                    lhs=rep.result.value, rhs=rep.expected.value)
+                    lhs=rep.result, rhs=rep.expected)
 
 
 def _verify_orientation(args, ctx):

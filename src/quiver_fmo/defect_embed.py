@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .multipoly import (
-    GKLOElement,
     MPoly,
     PartialSymPoly,
     RatFunc,
@@ -18,12 +17,14 @@ from .multipoly import (
     identity_holds,
     linear_factors,
     linear_product,
+    localized,
     tilde,
     uv,
     wv,
 )
 from .quiver import DimData, mat_vec
 from .gklo import (
+    FMO_RING,
     GKLOContext,
     as_dressing,
     fmo,
@@ -72,11 +73,10 @@ def phi_u_image(ctx: GKLOContext, split: DefectSplit, i: int, r: int):
     return RatFunc.make(num * MPoly.var(uv(i, r)), den)
 
 
-def phi(ctx: GKLOContext, split: DefectSplit, e) -> GKLOElement:
+def phi(ctx: GKLOContext, split: DefectSplit, value: RatFunc) -> RatFunc:
     """Test oracle: the adding-defect substitution on a whole element.
     Requires non-negative u-exponents (some u's are sent to zero); a term
     containing a killed u is dropped wholesale before any normalization."""
-    value = e.value if isinstance(e, GKLOElement) else e
     if split.v != ctx.v:
         raise ValueError("split does not match the context")
     for mon in value.num.terms:
@@ -87,7 +87,7 @@ def phi(ctx: GKLOContext, split: DefectSplit, e) -> GKLOElement:
     for i, vi in enumerate(split.v):
         for r in range(1, vi + 1):
             mapping[uv(i, r)] = phi_u_image(ctx, split, i, r)
-    return GKLOElement.make(value.subs_u(mapping), "defect_loc")
+    return localized(value.subs_u(mapping), "defect_loc")
 
 
 def _tail(split: DefectSplit, i: int):
@@ -186,14 +186,13 @@ def _slice_target_context(ctx: GKLOContext, v_prime) -> GKLOContext:
     return GKLOContext(ctx.quiver, DimData.make(w_prime, split.v_prime))
 
 
-def restrict_fmo_slice(ctx: GKLOContext, v_prime, m, f, sign: str) -> GKLOElement:
+def restrict_fmo_slice(ctx: GKLOContext, v_prime, m, f, sign: str) -> RatFunc:
     """Image of M^sign_m(f) under restriction to the smaller slice:
     M^sign_m(tilde f) in the v' context, or zero when m > v'."""
     m = tuple(m)
     f = as_dressing(ctx, m, f)
-    tag = "zastava_loc" if sign == "+" else "slice_loc"
     if any(mi > vp for mi, vp in zip(m, v_prime)):
-        return GKLOElement.make(RatFunc.zero(), tag)
+        return localized(RatFunc.zero(), FMO_RING[sign])
     target = slice_target_context(ctx, v_prime)
     return fmo(target, m, tilde(f, v_prime), sign)
 
@@ -271,7 +270,7 @@ def verify_restriction(ctx: GKLOContext, v_prime, m, f, sign: str) -> VerifyRepo
     route_terms = () if holds else _defect_lhs(ctx, split, m, f, True)
 
     if sign == "+":
-        rhs = fmo(target, m, f_tilde, "+").value
+        rhs = fmo(target, m, f_tilde, "+")
         return VerifyReport(holds, rhs if holds else terms_value(route_terms, 1), rhs)
 
     # negative side along the involution route
@@ -280,5 +279,5 @@ def verify_restriction(ctx: GKLOContext, v_prime, m, f, sign: str) -> VerifyRepo
         lhs = rep.image
     else:
         iota_terms = transport_terms(route_terms, partial(iota_image, target))
-        lhs = GKLOElement.make(terms_value(iota_terms, -1), "slice_loc_loc").value
+        lhs = localized(terms_value(iota_terms, -1), "slice_loc_loc")
     return VerifyReport(holds and rep.swaps, lhs, rep.minus)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .multipoly import (
-    GKLOElement,
     MPoly,
     PartialSymPoly,
     RatFunc,
@@ -21,6 +20,7 @@ from .multipoly import (
     keyed_sum,
     linear_factors,
     linear_product,
+    localized,
     restrict_to_gamma,
     uv,
     wv,
@@ -204,29 +204,24 @@ def transport_terms(terms, image):
         yield gamma, num, dfac
 
 
-def fmo(ctx: GKLOContext, m, f, sign: str) -> GKLOElement:
-    """Dressed fundamental monopole operator M^sign_m(f), cached."""
+# The localized ring that M^sign_m(f) lives in, by sign
+FMO_RING = {"+": "zastava_loc", "-": "slice_loc"}
+
+
+def fmo(ctx: GKLOContext, m, f, sign: str) -> RatFunc:
+    """Dressed fundamental monopole operator M^sign_m(f), cached and checked
+    to live in FMO_RING[sign]."""
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     m = _check_m(ctx, m)
     return _fmo_cached(ctx, m, as_dressing(ctx, m, f), sign)
 
 
-def fmo_plus(ctx: GKLOContext, m, f) -> GKLOElement:
-    """Positive dressed fundamental monopole operator M^+_m(f)."""
-    return fmo(ctx, m, f, "+")
-
-
-def fmo_minus(ctx: GKLOContext, m, f) -> GKLOElement:
-    """Negative dressed fundamental monopole operator M^-_m(f)."""
-    return fmo(ctx, m, f, "-")
-
-
 @lru_cache(maxsize=65536)
-def _fmo_cached(ctx: GKLOContext, m, f: PartialSymPoly, sign: str) -> GKLOElement:
+def _fmo_cached(ctx: GKLOContext, m, f: PartialSymPoly, sign: str) -> RatFunc:
     if sign == "+":
-        return GKLOElement.make(terms_value(fmo_plus_terms(ctx, m, f), 1), "zastava_loc")
-    return GKLOElement.make(terms_value(fmo_minus_terms(ctx, m, f), -1), "slice_loc")
+        return localized(terms_value(fmo_plus_terms(ctx, m, f), 1), FMO_RING["+"])
+    return localized(terms_value(fmo_minus_terms(ctx, m, f), -1), FMO_RING["-"])
 
 
 # ---------------------------------------------------------------------------
@@ -288,16 +283,15 @@ def chevalley_u_image(ctx: GKLOContext, i: int, r: int) -> RatFunc:
     return RatFunc.make(num, den) * -_out_sign(ctx, i)
 
 
-def chevalley(ctx: GKLOContext, e) -> GKLOElement:
+def chevalley(ctx: GKLOContext, value: RatFunc) -> RatFunc:
     """Test oracle: apply the involution w |-> w, u |-> (edge ratio) * w^w *
     u^{-1} to a whole element by substitution.  The library applies it
     termwise, with transport_terms and iota_image."""
-    value = e.value if isinstance(e, GKLOElement) else e
     mapping = {}
     for i, vi in enumerate(ctx.v):
         for r in range(1, vi + 1):
             mapping[uv(i, r)] = chevalley_u_image(ctx, i, r)
-    return GKLOElement.make(value.subs_u(mapping), "slice_loc_loc")
+    return localized(value.subs_u(mapping), "slice_loc_loc")
 
 
 def iota_image(ctx: GKLOContext, i: int, r: int):
@@ -358,7 +352,7 @@ def involution_fmo_report(ctx: GKLOContext, m, f: PartialSymPoly) -> InvolutionR
     m = _check_m(ctx, m)
     f = as_dressing(ctx, m, f)
     minus_terms = list(fmo_minus_terms(ctx, m, f))
-    minus = GKLOElement.make(terms_value(minus_terms, -1), "slice_loc").value
+    minus = localized(terms_value(minus_terms, -1), FMO_RING["-"])
     unit = PartialSymPoly.make(1, m, ctx.v)
     if f == unit:
         swaps = identity_holds(list(_iota_plus_terms(ctx, m, f))
@@ -473,8 +467,5 @@ def dressing_basis(v, m, max_degree: int = 2):
 
 def _orbit_sum(i, slots, pattern) -> MPoly:
     """Sum of w_{i,slots}^sigma(pattern) over distinct permutations."""
-    out = MPoly.zero()
-    for perm in set(itertools.permutations(pattern)):
-        mon = tuple(sorted((wv(i, r), e) for r, e in zip(slots, perm) if e))
-        out = out + MPoly({mon: 1})
-    return out
+    return MPoly({tuple(sorted((wv(i, r), e) for r, e in zip(slots, perm) if e)): 1
+                  for perm in set(itertools.permutations(pattern))})

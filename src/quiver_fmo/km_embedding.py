@@ -10,18 +10,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .multipoly import (
-    GKLOElement,
     MPoly,
     PartialSymPoly,
     RatFunc,
     W_KIND,
+    localized,
     poly_text,
     ratfunc_sum,
     tilde,
     wv,
 )
 from .quiver import DimData, check_conicity
-from .gklo import GKLOContext, as_dressing, fmo, fmo_sign
+from .gklo import FMO_RING, GKLOContext, as_dressing, fmo, fmo_sign
 from .defect_embed import DefectSplit, restrict_fmo_slice, slice_target_context
 
 
@@ -210,18 +210,17 @@ def forget_matter_step(ctx: GKLOContext, state: ChainState) -> ChainState:
 
 @dataclass(frozen=True)
 class ChainReport:
-    result: GKLOElement
-    expected: GKLOElement
+    result: RatFunc
+    expected: RatFunc
     matches_theorem: bool
     states: tuple
 
 
-def mmo_to_gklo(target: GKLOContext, m, state: ChainState, sign: str) -> GKLOElement:
+def mmo_to_gklo(target: GKLOContext, m, state: ChainState, sign: str) -> RatFunc:
     """Convert the final MMO back to a monopole operator in birational
     coordinates; the dressing must have become polynomial."""
-    tag = "zastava_loc" if sign == "+" else "slice_loc"
     if state.mmo is None:
-        return GKLOElement.make(RatFunc.zero(), tag)
+        return localized(RatFunc.zero(), FMO_RING[sign])
     dress = state.mmo.dressing
     if not dress.is_poly():
         raise ValueError("chain ended with a non-polynomial dressing: %r" % dress)
@@ -248,4 +247,4 @@ def compose_embedding(ctx: GKLOContext, split: DefectSplit, m, f, sign: str) -> 
     target = slice_target_context(ctx, split.v_prime)
     result = mmo_to_gklo(target, m, states[-1], sign)
     expected = restrict_fmo_slice(ctx, split.v_prime, m, f, sign)
-    return ChainReport(result, expected, result.value == expected.value, tuple(states))
+    return ChainReport(result, expected, result == expected, tuple(states))

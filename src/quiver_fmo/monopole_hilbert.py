@@ -21,7 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import prod
 
-from .quiver import EnumerationBudgetError, box_scan, compositions, two_delta_minuscule
+from .quiver import (BoxScan, EnumerationBudgetError, box_scan, compositions,
+                     two_delta_minuscule)
 from .gklo import GKLOContext
 
 
@@ -132,24 +133,12 @@ def fmo_degree(ctx: GKLOContext, m, dressing_degree: int = 0) -> int:
 # classification
 
 
-@dataclass(frozen=True)
-class TheoryClass:
-    kind: str  # "good" | "ugly" | "bad"
-    min_degree: int | None
-    witness: tuple | None
-
-    @property
-    def conical(self) -> bool:
-        return self.kind in ("good", "ugly")
-
-
-def classify_theory(ctx: GKLOContext) -> TheoryClass:
-    """Minimum of the doubled degree over the monopole generators: good if
-    >= 2, ugly if exactly 1, bad if <= 0.  v = 0 counts as good (no
+def classify_theory(ctx: GKLOContext) -> BoxScan:
+    """The box scan of the theory: its min_value is the minimum of the
+    doubled degree over the monopole generators, and its kind is good if
+    that is >= 2, ugly if exactly 1, bad if <= 0.  v = 0 counts as good (no
     generators besides the Casimirs)."""
-    scan = box_scan(ctx.dims, ctx.cartan)
-    kind = "good" if scan.good else "ugly" if scan.conical else "bad"
-    return TheoryClass(kind, scan.min_value, scan.witness)
+    return box_scan(ctx.dims, ctx.cartan)
 
 
 def degree_lower_bound(ctx: GKLOContext) -> Fraction:

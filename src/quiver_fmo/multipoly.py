@@ -1204,40 +1204,27 @@ def _factor_admissible(cand, tag: str) -> bool:
     return a[1] == b[1]  # same vertex
 
 
-@dataclass(frozen=True)
-class GKLOElement:
-    """A rational function together with the localization it is declared to
-    live in.  The checked constructor make tests the denominator (and, for
-    the zastava and defect rings, the u-exponents) against that localization;
-    the element carries no arithmetic, and callers compute on .value."""
-
-    value: RatFunc
-    ring_tag: str
-
-    @staticmethod
-    def make(value: RatFunc, ring_tag: str) -> "GKLOElement":
-        if ring_tag not in RING_TAGS:
-            raise ValueError("unknown ring tag %r" % ring_tag)
-        for cand in value.dfac:
-            if not _factor_admissible(cand, ring_tag):
-                raise AdmissibilityError("factor %s not invertible in %s"
-                                         % (poly_text(candidate_poly(cand)), ring_tag))
-        if ring_tag in ("zastava_loc", "defect_loc"):
-            for mon in value.num.terms:
-                for var, e in mon:
-                    if var[0] == U_KIND and e < 0:
-                        raise AdmissibilityError("negative u-exponent in %s" % ring_tag)
-        return GKLOElement(value, ring_tag)
-
-    def is_zero(self) -> bool:
-        return self.value.is_zero()
+def localized(value: RatFunc, ring_tag: str) -> RatFunc:
+    """value, checked to live in the declared localization: its denominator
+    (and, for the zastava and defect rings, its u-exponents) is tested
+    against ring_tag; raises AdmissibilityError when it does not."""
+    if ring_tag not in RING_TAGS:
+        raise ValueError("unknown ring tag %r" % ring_tag)
+    for cand in value.dfac:
+        if not _factor_admissible(cand, ring_tag):
+            raise AdmissibilityError("factor %s not invertible in %s"
+                                     % (poly_text(candidate_poly(cand)), ring_tag))
+    if ring_tag in ("zastava_loc", "defect_loc"):
+        for mon in value.num.terms:
+            for var, e in mon:
+                if var[0] == U_KIND and e < 0:
+                    raise AdmissibilityError("negative u-exponent in %s" % ring_tag)
+    return value
 
 
-def check_symmetric(value, v) -> bool:
+def check_symmetric(value: RatFunc, v) -> bool:
     """True iff the element is fixed by the simultaneous action of S_v on the
     (w_{i,r}, u_{i,r}) pairs, checked on adjacent transpositions."""
-    if isinstance(value, GKLOElement):
-        value = value.value
     for i, vi in enumerate(v):
         for r in range(1, vi):
             if value.permute_vars(_swap_map(i, r, r + 1, include_u=True)) != value:
@@ -1279,12 +1266,9 @@ def _check_budget(what: str, terms: int, bits: int):
 
 def parse_poly(text: str, n_vertices: int | None = None) -> MPoly:
     """Parse the canonical text grammar: w[i,r], u[i,r], z, integers and
-    fractions, + - * and ^ or ** for powers.  Vertex indices are 1-based."""
-    try:
-        # the printed grammar uses ^ for powers; Python's ^ binds too loosely
-        tree = ast.parse(text.strip().replace("^", "**"), mode="eval")
-    except SyntaxError as exc:
-        raise ParseError("cannot parse %r: %s" % (text, exc)) from None
+    fractions, + - * and ^ or ** for powers.  Vertex indices are 1-based.
+    Input nested too deeply for the interpreter's parser or recursion limit
+    is a ParseError."""
 
     def ev(node):
         if isinstance(node, ast.Expression):
@@ -1361,4 +1345,9 @@ def parse_poly(text: str, n_vertices: int | None = None) -> MPoly:
             return MPoly.var((kind, i - 1, r))
         raise ParseError("unsupported syntax element %s" % type(node).__name__)
 
-    return ev(tree)
+    try:
+        # the printed grammar uses ^ for powers; Python's ^ binds too loosely
+        return ev(ast.parse(text.strip().replace("^", "**"), mode="eval"))
+    except (SyntaxError, RecursionError, MemoryError) as exc:
+        # the parser reports a stack overflow as a MemoryError with no message
+        raise ParseError("cannot parse %r: %s" % (text, str(exc) or "nested too deeply")) from None

@@ -185,6 +185,11 @@ class BoxScan(NamedTuple):
     def good(self) -> bool:
         return self.min_value is None or self.min_value >= 2
 
+    @property
+    def kind(self) -> str:
+        """good, ugly (conical but not good) or bad (not conical)."""
+        return "good" if self.good else "ugly" if self.conical else "bad"
+
 
 @lru_cache(maxsize=256)
 def box_scan(d: DimData, C) -> BoxScan:
@@ -371,3 +376,13 @@ def theorem_prediction(C, d: DimData) -> str | None:
             return "conical-not-good"
         return "not-conical"
     return None
+
+
+def level_check(d: DimData, C):
+    """(theorem_prediction, the kind of the pair's box scan under the same
+    names); (None, None) where the theorem predicts nothing."""
+    prediction = theorem_prediction(C, d)
+    if prediction is None:
+        return None, None
+    names = {"good": "good", "ugly": "conical-not-good", "bad": "not-conical"}
+    return prediction, names[box_scan(d, C).kind]

@@ -37,12 +37,12 @@ from quiver_fmo.gklo import (
     transport_terms,
 )
 from quiver_fmo.multipoly import (
-    GKLOElement,
     MPoly,
     PartialSymPoly,
     RatFunc,
     _MON_KEY,
     identity_holds,
+    localized,
     tilde,
     wv,
 )
@@ -81,7 +81,7 @@ def involution_report_per_f(ctx, m, f) -> InvolutionReport:
     iota_terms = list(transport_terms(fmo_plus_terms(ctx, m, f), partial(iota_image, ctx)))
     minus_terms = list(fmo_minus_terms(ctx, m, f))
     swaps = identity_holds(iota_terms + _negated(minus_terms))
-    minus = GKLOElement.make(terms_value(minus_terms, -1), "slice_loc").value
+    minus = localized(terms_value(minus_terms, -1), "slice_loc")
     image = minus if swaps else terms_value(iota_terms, -1)
     return InvolutionReport(image, minus, swaps, involution_on_generators(ctx))
 
@@ -122,7 +122,7 @@ def restriction_report_per_f(ctx, v_prime, m, f, sign: str) -> VerifyReport:
     lhs, rhs, holds = defect_sides_per_f(ctx, split, m, f, True)
     route = terms_value(rhs if holds else lhs, 1)
     if sign == "+":
-        direct = route if holds else restrict_fmo_slice(ctx, v_prime, m, f, "+").value
+        direct = route if holds else restrict_fmo_slice(ctx, v_prime, m, f, "+")
         return VerifyReport(holds, route, direct)
     if any(mi > vp for mi, vp in zip(m, v_prime)):
         return VerifyReport(holds, RatFunc.zero(), RatFunc.zero())
@@ -132,5 +132,5 @@ def restriction_report_per_f(ctx, v_prime, m, f, sign: str) -> VerifyReport:
         image = rep.image
     else:
         iota_terms = transport_terms(lhs, partial(iota_image, target))
-        image = GKLOElement.make(terms_value(iota_terms, -1), "slice_loc_loc").value
+        image = localized(terms_value(iota_terms, -1), "slice_loc_loc")
     return VerifyReport(holds and rep.swaps, image, rep.minus)

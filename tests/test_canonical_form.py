@@ -11,8 +11,7 @@ from quiver_fmo.quiver import a1_quiver, a2_quiver, affine_sl2_quiver
 from quiver_fmo.gklo import (
     d_identity_check,
     dressing_basis,
-    fmo_minus,
-    fmo_plus,
+    fmo,
     involution_fmo_report,
     make_context,
 )
@@ -36,8 +35,8 @@ def returned_values(quiver, w, v):
     boxes = list(itertools.product(*(range(vi + 1) for vi in v)))
     for m in boxes:
         for f in dressing_basis(v, m, 1):
-            yield "fmo+", fmo_plus(ctx, m, f).value
-            yield "fmo-", fmo_minus(ctx, m, f).value
+            yield "fmo+", fmo(ctx, m, f, "+")
+            yield "fmo-", fmo(ctx, m, f, "-")
             rep = involution_fmo_report(ctx, m, f)
             yield "involution image", rep.image
             yield "involution minus", rep.minus
@@ -57,8 +56,8 @@ def returned_values(quiver, w, v):
                         chain = compose_embedding(ctx, split, m, f, sign)
                     except ConicityError:
                         continue
-                    yield "chain result", chain.result.value
-                    yield "chain expected", chain.expected.value
+                    yield "chain result", chain.result
+                    yield "chain expected", chain.expected
                     for state in chain.states:
                         if state.mmo is not None:
                             yield "chain " + state.stage, state.mmo.dressing

@@ -175,10 +175,11 @@ def test_quiver_file_input(capsys, tmp_path):
     {"vertices": ["a", "b"], "edges": [["a", "b"]]},
     {"vertices": 5, "edges": []},
     [1, 2],
+    pytest.param("[" * 100000 + "]" * 100000, id="nested past the decoder limit"),
 ])
 def test_malformed_quiver_file_exits_2(capsys, tmp_path, data):
     path = tmp_path / "quiver.json"
-    path.write_text(json.dumps(data))
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
     code, out, err = run(capsys, "classify", "--quiver", str(path),
                          "--w", "1,1", "--v", "1,1", "--json")
     assert code == 2 and out == ""
@@ -191,6 +192,123 @@ def test_output_deterministic(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+# Human-readable output (no --json), byte for byte: an fmo report, a verify
+# report with nested lists, an ugly theory's hilbert report and a classify
+# report with the level prediction.
+HUMAN_GOLDENS = {
+    "fmo --quiver a1 --w 2 --v 2 --m 1 --sign -": (
+        "dressing: 1\n"
+        "m:\n"
+        "  1\n"
+        "result:\n"
+        "  den: w[1,1] - w[1,2]\n"
+        "  num: -w[1,1]^2*u[1,1]^-1 + w[1,2]^2*u[1,2]^-1\n"
+        "ring: slice_loc\n"
+        "sign: -\n"
+    ),
+    "verify km-embedding --quiver a1 --w 4 --v 2 --vprime 1 --m 1 --f 1 --sign +": (
+        "all_hold: True\n"
+        "cases:\n"
+        "  f: 1\n"
+        "  holds: True\n"
+        "  lhs:\n"
+        "    den: 1\n"
+        "    num: u[1,1]\n"
+        "  m:\n"
+        "    1\n"
+        "  rhs:\n"
+        "    den: 1\n"
+        "    num: u[1,1]\n"
+        "  sign: +\n"
+        "  stages:\n"
+        "    dressing: (1)/(w[1,1])\n"
+        "    factor: 1\n"
+        "    gamma:\n"
+        "      1\n"
+        "      --\n"
+        "    stage: split\n"
+        "    --\n"
+        "    dressing: (1)/(w[1,1])\n"
+        "    factor: +1\n"
+        "    gamma:\n"
+        "      1\n"
+        "      --\n"
+        "    stage: fourier1\n"
+        "    --\n"
+        "    dressing: (-1)/(w[1,1])\n"
+        "    factor: -1\n"
+        "    gamma:\n"
+        "      1\n"
+        "      --\n"
+        "    stage: fourier2\n"
+        "    --\n"
+        "    dressing: 1\n"
+        "    factor: -w[1,1]\n"
+        "    gamma:\n"
+        "      1\n"
+        "      --\n"
+        "    stage: forget\n"
+        "    --\n"
+        "  --\n"
+        "checked: 1\n"
+        "skipped: 0\n"
+        "subject: km-embedding\n"
+    ),
+    "hilbert --quiver affine_sl2 --w 1,0 --v 1,1 --order 4": (
+        "classification: ugly\n"
+        "coeffs:\n"
+        "  1\n"
+        "  2\n"
+        "  6\n"
+        "  10\n"
+        "  19\n"
+        "min_degree: 1\n"
+        "order: 4\n"
+        "poisson_cone_point: False\n"
+        "witness:\n"
+        "  1\n"
+        "  1\n"
+    ),
+    "classify --quiver affine_sl2 --w 1,0 --v 1,1": (
+        "conical: True\n"
+        "direct: conical-not-good\n"
+        "good: False\n"
+        "kind: affine\n"
+        "level: 1\n"
+        "marks:\n"
+        "  1\n"
+        "  1\n"
+        "min_value: 1\n"
+        "mu_dominant: True\n"
+        "mu_pairing:\n"
+        "  1\n"
+        "  0\n"
+        "theorem_prediction: conical-not-good\n"
+        "witness:\n"
+        "  1\n"
+        "  1\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(HUMAN_GOLDENS))
+def test_human_output_bytes(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out, err) == (0, HUMAN_GOLDENS[argv], "")
+
+
+def test_classify_disagreeing_prediction_exits_3(capsys, monkeypatch):
+    from quiver_fmo import quiver
+
+    monkeypatch.setattr(quiver, "theorem_prediction", lambda C, d: "not-conical")
+    code, out, err = run(capsys, "classify", "--quiver", "a1", "--w", "2", "--v", "1",
+                         "--json")
+    data = json.loads(out)
+    assert (code, err) == (3, "")
+    assert (data["theorem_prediction"], data["direct"]) == ("not-conical", "good")
+    assert data["internal_error"] == "level prediction disagrees with the direct check"
 
 
 def _raise(*args, **kwargs):
@@ -286,6 +404,14 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     "verify adding-defect --quiver a2 --w 2,2 --v 2,2",
     "hilbert --quiver a1 --w 2 --v 1 --order -1",
     "verify involution --quiver a1 --w 2 --v 1 --max-degree -1",
+    # dressings nested past the recursion limit of the evaluator, of the
+    # parser's AST construction and of the parser's own stack
+    pytest.param("fmo --quiver a1 --w 2 --v 2 --m 0 --f " + "+".join(["w[1,1]"] * 1500),
+                 id="fmo --f sum of 1500 terms"),
+    pytest.param("fmo --quiver a1 --w 2 --v 2 --m 0 --f=" + "-" * 3000 + "1",
+                 id="fmo --f 3000 unary minuses"),
+    pytest.param("fmo --quiver a1 --w 2 --v 2 --m 0 --f=" + "-" * 100000 + "1",
+                 id="fmo --f 100000 unary minuses"),
 ])
 def test_invalid_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv.split())

@@ -7,12 +7,12 @@ import pytest
 
 from quiver_fmo import defect_embed
 from quiver_fmo.multipoly import (
-    GKLOElement,
     MPoly,
     PartialSymPoly,
     RatFunc,
     ZVAR,
     linear_product,
+    localized,
     tilde,
     uv,
     wv,
@@ -21,7 +21,7 @@ from quiver_fmo.quiver import a1_quiver, a2_quiver, affine_sl2_quiver, cartan_ma
 from quiver_fmo.gklo import (
     chevalley,
     dressing_basis,
-    fmo_plus,
+    fmo,
     lagrange_charge,
     make_context,
     q_image,
@@ -52,13 +52,13 @@ def suite_w(quiver, v, v_prime):
 def test_phi_on_u_variables():
     ctx = make_context(a1_quiver(), (2,), (2,))
     split = DefectSplit.make((2,), (1,))
-    e1 = fmo_plus(ctx, (0,), PartialSymPoly.make(1, (0,), (2,)))
-    assert phi(ctx, split, e1).value == RatFunc.one()
+    e1 = fmo(ctx, (0,), PartialSymPoly.make(1, (0,), (2,)), "+")
+    assert phi(ctx, split, e1) == RatFunc.one()
     u1 = RatFunc.from_poly(U11)
     u2 = RatFunc.from_poly(U12)
-    assert phi(ctx, split, GKLOElement.make(u1, "zastava_loc")).value \
+    assert phi(ctx, split, localized(u1, "zastava_loc")) \
         == RatFunc.from_poly((W11 - W12) * U11)
-    assert phi(ctx, split, GKLOElement.make(u2, "zastava_loc")).value.is_zero()
+    assert phi(ctx, split, localized(u2, "zastava_loc")).is_zero()
 
 
 def test_phi_rejects_negative_u():
@@ -85,8 +85,8 @@ def test_phi_gklo_square():
             L = RatFunc.from_poly(defect_L_poly(split, i))
             assert RatFunc.from_poly(q_image(ctx, i)) \
                 == RatFunc.from_poly(q_image(sub, i)) * L
-            assert phi(ctx, split, fmo_plus(ctx, *lagrange_charge(ctx, i))).value \
-                == fmo_plus(sub, *lagrange_charge(sub, i)).value * L, (v, v_prime, i)
+            assert phi(ctx, split, fmo(ctx, *lagrange_charge(ctx, i), "+")) \
+                == fmo(sub, *lagrange_charge(sub, i), "+") * L, (v, v_prime, i)
 
 
 def test_phi_terms_at_the_ends_of_the_charge_range():
@@ -129,7 +129,7 @@ def test_phi_termwise_equals_phi_of_normalized():
         split = DefectSplit.make(v, v_prime)
         for m in itertools.product(*(range(vi + 1) for vi in v)):
             for f in dressing_basis(v, m, 1):
-                slow = phi(ctx, split, fmo_plus(ctx, m, f)).value
+                slow = phi(ctx, split, fmo(ctx, m, f, "+"))
                 fast = terms_value(phi_fmo_terms(ctx, split, m, f), 1)
                 assert slow == fast, (v, v_prime, m)
 
@@ -173,7 +173,7 @@ def test_failing_adding_defect_builds_lhs_from_the_terms_it_has(monkeypatch):
                     core = defect_embed._defect_core.cache_info().misses - cores
                     assert not rep.holds and core == (k == 0), (v, v_prime, m)
                     assert len(starts) == 1 + core, (v, v_prime, m)
-                    assert rep.lhs == phi(ctx, split, fmo_plus(ctx, m, f)).value
+                    assert rep.lhs == phi(ctx, split, fmo(ctx, m, f, "+"))
                     checked += not rep.lhs.is_zero()
     assert checked > 20
 
@@ -192,11 +192,11 @@ def test_slice_target_framing():
 
 def test_restrict_examples():
     ctx = make_context(a1_quiver(), (2,), (2,))
-    assert restrict_fmo_slice(ctx, (1,), (1,), MPoly.one(), "+").value \
+    assert restrict_fmo_slice(ctx, (1,), (1,), MPoly.one(), "+") \
         == RatFunc.from_poly(U11)
-    assert restrict_fmo_slice(ctx, (1,), (2,), MPoly.one(), "+").value.is_zero()
+    assert restrict_fmo_slice(ctx, (1,), (2,), MPoly.one(), "+").is_zero()
     killer = PartialSymPoly.make(W11 * W12, (0,), (2,))
-    assert restrict_fmo_slice(ctx, (1,), (0,), killer, "+").value.is_zero()
+    assert restrict_fmo_slice(ctx, (1,), (0,), killer, "+").is_zero()
 
 
 def test_restriction_both_signs_examples():
@@ -241,7 +241,7 @@ def test_failing_negative_restriction_is_iota_of_the_plus_route(monkeypatch):
                     vanishes = tilde(f, v_prime).is_zero()
                     assert plus.holds == minus.holds == vanishes, (v, v_prime, m)
                     want = chevalley(
-                        target, GKLOElement.make(plus.lhs, "slice_loc_loc")).value
+                        target, localized(plus.lhs, "slice_loc_loc"))
                     assert minus.lhs == want, (v, v_prime, m)
                     checked += not want.is_zero()
     assert checked > 50

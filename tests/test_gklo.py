@@ -29,8 +29,7 @@ from quiver_fmo.gklo import (
     chevalley_u_image,
     d_identity_check,
     dressing_basis,
-    fmo_minus,
-    fmo_plus,
+    fmo,
     fmo_sign,
     involution_fmo_report,
     lagrange_charge,
@@ -111,13 +110,13 @@ def lagrange_p(ctx, i, sign):
 def test_p_image_a1():
     ctx = make_context(a1_quiver(), (2,), (2,))
     expected = RatFunc.make((Z - W12) * U11 - (Z - W11) * U12, W11 - W12)
-    assert fmo_plus(ctx, *lagrange_charge(ctx, 0)).value == expected
+    assert fmo(ctx, *lagrange_charge(ctx, 0), "+") == expected
 
 
 def test_p_image_single_slot_no_out_edges():
     ctx = make_context(a2_quiver(), (0, 0), (1, 1))
     # vertex 1 has no outgoing edge
-    assert fmo_plus(ctx, *lagrange_charge(ctx, 1)).value == RatFunc.make(MPoly.var(uv(1, 1)))
+    assert fmo(ctx, *lagrange_charge(ctx, 1), "+") == RatFunc.make(MPoly.var(uv(1, 1)))
 
 
 def test_p_is_dressed_fmo():
@@ -127,21 +126,21 @@ def test_p_is_dressed_fmo():
         for i in range(quiver.n):
             m, f = lagrange_charge(ctx, i)
             assert m == tuple(int(j == i) for j in range(quiver.n))
-            assert fmo_plus(ctx, m, f).value == lagrange_p(ctx, i, "+"), (w, v, i)
-            assert fmo_minus(ctx, m, f).value == lagrange_p(ctx, i, "-"), (w, v, i)
+            assert fmo(ctx, m, f, "+") == lagrange_p(ctx, i, "+"), (w, v, i)
+            assert fmo(ctx, m, f, "-") == lagrange_p(ctx, i, "-"), (w, v, i)
 
 
 def test_p_minus_single():
     ctx = make_context(a1_quiver(), (3,), (1,))
-    assert fmo_minus(ctx, *lagrange_charge(ctx, 0)).value \
+    assert fmo(ctx, *lagrange_charge(ctx, 0), "-") \
         == RatFunc.make(-W11 ** 3 * MPoly.var(uv(0, 1), -1))
 
 
 def test_q_is_fmo_at_zero():
     ctx = make_context(a1_quiver(), (2,), (2,))
     dress = PartialSymPoly.make((Z - W11) * (Z - W12), (0,), (2,))
-    assert fmo_plus(ctx, (0,), dress).value == RatFunc.from_poly(q_image(ctx, 0))
-    assert fmo_minus(ctx, (0,), dress).value == RatFunc.from_poly(q_image(ctx, 0))
+    assert fmo(ctx, (0,), dress, "+") == RatFunc.from_poly(q_image(ctx, 0))
+    assert fmo(ctx, (0,), dress, "-") == RatFunc.from_poly(q_image(ctx, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -151,33 +150,33 @@ def test_q_is_fmo_at_zero():
 def test_fmo_plus_examples():
     ctx = make_context(a1_quiver(), (2,), (2,))
     f = PartialSymPoly.make(W11 + W12, (0,), (2,))
-    assert fmo_plus(ctx, (0,), f).value == RatFunc.from_poly(W11 + W12)
-    assert fmo_plus(ctx, (1,), MPoly.one()).value == RatFunc.make(U11 - U12, W11 - W12)
+    assert fmo(ctx, (0,), f, "+") == RatFunc.from_poly(W11 + W12)
+    assert fmo(ctx, (1,), MPoly.one(), "+") == RatFunc.make(U11 - U12, W11 - W12)
 
 
 def test_fmo_minus_examples():
     ctx1 = make_context(a1_quiver(), (3,), (1,))
-    assert fmo_minus(ctx1, (1,), MPoly.one()).value == \
+    assert fmo(ctx1, (1,), MPoly.one(), "-") == \
         RatFunc.make(-W11 ** 3 * MPoly.var(uv(0, 1), -1))
     ctx = make_context(a1_quiver(), (2,), (2,))
     # hand expansion of the two-subset sum; the overall sign (-1)^{m.v} = +1
     expected = RatFunc.make(W11 ** 2 * MPoly.var(uv(0, 1), -1), W12 - W11) \
         + RatFunc.make(W12 ** 2 * MPoly.var(uv(0, 2), -1), W11 - W12)
-    assert fmo_minus(ctx, (1,), MPoly.one()).value == expected
+    assert fmo(ctx, (1,), MPoly.one(), "-") == expected
 
 
 def test_fmo_m_out_of_range():
     ctx = make_context(a1_quiver(), (2,), (1,))
     with pytest.raises(ValueError):
-        fmo_plus(ctx, (2,), MPoly.one())
+        fmo(ctx, (2,), MPoly.one(), "+")
     with pytest.raises(ValueError):
-        fmo_minus(ctx, (-1,), MPoly.one())
+        fmo(ctx, (-1,), MPoly.one(), "-")
 
 
 def test_fmo_rejects_non_symmetric_dressing():
     ctx = make_context(a1_quiver(), (2,), (2,))
     with pytest.raises(ValueError):
-        fmo_plus(ctx, (0,), W11)
+        fmo(ctx, (0,), W11, "+")
 
 
 def test_lambda0_linearity():
@@ -191,9 +190,8 @@ def test_lambda0_linearity():
         for m in itertools.product(*(range(vi + 1) for vi in v)):
             g = dressing_basis(v, m, 1)[-1]
             prod = PartialSymPoly.make(sym * g.value, m, v)
-            for op in (fmo_plus, fmo_minus):
-                assert op(ctx, m, prod).value == \
-                    RatFunc.from_poly(sym) * op(ctx, m, g).value
+            for sign in "+-":
+                assert fmo(ctx, m, prod, sign) == RatFunc.from_poly(sym) * fmo(ctx, m, g, sign)
 
 
 INVOLUTION_GRID = [(a1_quiver(), (2,), (2,)), (a2_quiver(), (1, 1), (1, 1)),
@@ -207,8 +205,8 @@ def test_fmo_invariance_small_grid():
         ctx = make_context(quiver, w, v)
         for m in itertools.product(*(range(vi + 1) for vi in v)):
             for f in dressing_basis(v, m, 2)[:6]:
-                assert check_symmetric(fmo_plus(ctx, m, f), v), (w, v, m)
-                assert check_symmetric(fmo_minus(ctx, m, f), v), (w, v, m)
+                assert check_symmetric(fmo(ctx, m, f, "+"), v), (w, v, m)
+                assert check_symmetric(fmo(ctx, m, f, "-"), v), (w, v, m)
 
 
 def direct_subset_terms(ctx, m, f, sign):
@@ -253,8 +251,8 @@ def test_generators_at_m_zero_yield_the_dressing():
         for f in dressing_basis(v, m, 1):
             for terms in (gklo.fmo_plus_terms, gklo.fmo_minus_terms):
                 assert list(terms(ctx, m, f)) == [(empty, f.value, {})]
-            assert fmo_plus(ctx, m, f).value == RatFunc.from_poly(f.value)
-            assert fmo_minus(ctx, m, f).value == RatFunc.from_poly(f.value)
+            assert fmo(ctx, m, f, "+") == RatFunc.from_poly(f.value)
+            assert fmo(ctx, m, f, "-") == RatFunc.from_poly(f.value)
 
 
 def test_transport_terms_leaves_its_input_alone():
@@ -378,9 +376,9 @@ def test_d_identity_against_the_whole_quotient_oracle():
 
 def test_chevalley_a1_single():
     ctx = make_context(a1_quiver(), (3,), (1,))
-    e = fmo_plus(ctx, (1,), MPoly.one())
+    e = fmo(ctx, (1,), MPoly.one(), "+")
     img = chevalley(ctx, e)
-    assert img.value == RatFunc.make(-W11 ** 3 * MPoly.var(uv(0, 1), -1))
+    assert img == RatFunc.make(-W11 ** 3 * MPoly.var(uv(0, 1), -1))
 
 
 def test_chevalley_involutive_and_swaps_fmos():
@@ -390,11 +388,11 @@ def test_chevalley_involutive_and_swaps_fmos():
         ctx = make_context(quiver, w, v)
         for m in itertools.product(*(range(vi + 1) for vi in v)):
             for f in dressing_basis(v, m, 1):
-                plus = fmo_plus(ctx, m, f)
-                minus = fmo_minus(ctx, m, f)
+                plus = fmo(ctx, m, f, "+")
+                minus = fmo(ctx, m, f, "-")
                 img = chevalley(ctx, plus)
-                assert img.value == minus.value, (w, v, m, poly_text(f.value))
-                assert chevalley(ctx, img).value == plus.value
+                assert img == minus, (w, v, m, poly_text(f.value))
+                assert chevalley(ctx, img) == plus
 
 
 def test_involution_report_against_chevalley_oracle():
@@ -402,14 +400,14 @@ def test_involution_report_against_chevalley_oracle():
         ctx = make_context(quiver, w, v)
         for m in itertools.product(*(range(vi + 1) for vi in v)):
             for f in dressing_basis(v, m, 1):
-                plus = fmo_plus(ctx, m, f)
-                minus = fmo_minus(ctx, m, f)
+                plus = fmo(ctx, m, f, "+")
+                minus = fmo(ctx, m, f, "-")
                 img = chevalley(ctx, plus)
                 rep = involution_fmo_report(ctx, m, f)
-                assert rep.image == img.value, (w, v, m, poly_text(f.value))
-                assert rep.minus == minus.value
-                assert rep.swaps == (img.value == minus.value)
-                assert rep.involutive == (chevalley(ctx, img).value == plus.value)
+                assert rep.image == img, (w, v, m, poly_text(f.value))
+                assert rep.minus == minus
+                assert rep.swaps == (img == minus)
+                assert rep.involutive == (chevalley(ctx, img) == plus)
 
 
 def involution_on_generators_by_substitution(ctx):
@@ -480,7 +478,7 @@ def test_involution_report_failing_subsets_report_the_image(monkeypatch):
         for m in itertools.product(*(range(vi + 1) for vi in v)):
             for f in dressing_basis(v, m, 1):
                 rep = involution_fmo_report(ctx, m, f)
-                img = chevalley(ctx, fmo_plus(ctx, m, f)).value
+                img = chevalley(ctx, fmo(ctx, m, f, "+"))
                 assert rep.swaps is img.is_zero(), (w, v, m, poly_text(f.value))
                 assert rep.image == img
 
@@ -496,7 +494,7 @@ def transported_matches_oracle(ctx, edge_index, m, f):
     s, t = ctx.quiver.edges[edge_index]
     sign = (-1) ** (m[t] * (ctx.v[s] - m[s]))
     flipped_ctx = GKLOContext(ctx.quiver.flip_edge(edge_index), ctx.dims)
-    flipped = fmo_plus(flipped_ctx, m, f)
+    flipped = fmo(flipped_ctx, m, f, "+")
     transition = {}
     for p in range(1, ctx.v[s] + 1):
         fac = RatFunc.one()
@@ -508,7 +506,7 @@ def transported_matches_oracle(ctx, edge_index, m, f):
         for p in range(1, ctx.v[s] + 1):
             den = den * (MPoly.var(wv(t, q)) - MPoly.var(wv(s, p)))
         transition[uv(t, q)] = RatFunc.make(MPoly.var(uv(t, q)), den)
-    return flipped.value.subs_u(transition) == fmo_plus(ctx, m, f).value * sign
+    return flipped.subs_u(transition) == fmo(ctx, m, f, "+") * sign
 
 
 def test_orientation_examples():

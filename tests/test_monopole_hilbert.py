@@ -175,9 +175,9 @@ def test_fmo_degree():
 def test_classify_examples():
     assert classify_theory(make_context(a1_quiver(), (2,), (1,))).kind == "good"
     cls = classify_theory(make_context(affine_sl2_quiver(), (1, 0), (1, 1)))
-    assert cls.kind == "ugly" and cls.min_degree == 1 and cls.witness == (1, 1)
+    assert cls.kind == "ugly" and cls.min_value == 1 and cls.witness == (1, 1)
     cls = classify_theory(make_context(a1_quiver(), (2,), (2,)))
-    assert cls.kind == "bad" and cls.min_degree == 0
+    assert cls.kind == "bad" and cls.min_value == 0
 
 
 def brute_force_box(quiver, w, v):
@@ -210,7 +210,7 @@ def test_classify_agrees_with_box_checks():
                 d = DimData.make(w, v)
                 ctx = make_context(quiver, w, v)
                 cls = classify_theory(ctx)
-                assert (cls.min_degree, cls.witness) == (best, witness), (w, v)
+                assert (cls.min_value, cls.witness) == (best, witness), (w, v)
                 assert cls.kind == ("good" if best is None or best >= 2
                                     else "ugly" if best == 1 else "bad")
                 assert check_good(d, C) == (cls.kind == "good", best, witness)

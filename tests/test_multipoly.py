@@ -11,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 from quiver_fmo.multipoly import (
     AdmissibilityError,
     DenominatorError,
-    GKLOElement,
     MPoly,
     ParseError,
     PartialSymPoly,
@@ -29,6 +28,7 @@ from quiver_fmo.multipoly import (
     keyed_sum,
     linear_factors,
     linear_product,
+    localized,
     mon_mul,
     parse_poly,
     poly_gcd,
@@ -451,20 +451,20 @@ def test_check_symmetric():
 
 def test_ring_tag_validation():
     ok = RatFunc.make(U11, W11 - W12)
-    GKLOElement.make(ok, "slice_loc")
-    GKLOElement.make(ok, "zastava_loc")
+    localized(ok, "slice_loc")
+    localized(ok, "zastava_loc")
     bad_cross = RatFunc.make(U11, MPoly.var(wv(0, 1)) - MPoly.var(wv(1, 1)))
     with pytest.raises(AdmissibilityError):
-        GKLOElement.make(bad_cross, "slice_loc")
-    GKLOElement.make(bad_cross, "defect_loc")
+        localized(bad_cross, "slice_loc")
+    localized(bad_cross, "defect_loc")
     bad_w = RatFunc.make(U11, W11)
     with pytest.raises(AdmissibilityError):
-        GKLOElement.make(bad_w, "slice_loc")
-    GKLOElement.make(bad_w, "slice_loc_loc")
+        localized(bad_w, "slice_loc")
+    localized(bad_w, "slice_loc_loc")
     neg_u = RatFunc.make(MPoly.var(uv(0, 1), -1))
     with pytest.raises(AdmissibilityError):
-        GKLOElement.make(neg_u, "zastava_loc")
-    GKLOElement.make(neg_u, "slice_loc")
+        localized(neg_u, "zastava_loc")
+    localized(neg_u, "slice_loc")
 
 
 def test_ratfunc_text_shapes():
