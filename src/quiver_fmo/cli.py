@@ -27,7 +27,6 @@ from .multipoly import (
     ratfunc_text,
 )
 from .quiver import (
-    DimData,
     EnumerationBudgetError,
     Quiver,
     a1_quiver,
@@ -35,7 +34,6 @@ from .quiver import (
     affine_sl2_quiver,
     affine_classify,
     box_scan,
-    cartan_matrix,
     level_check,
     mu_pairing,
 )
@@ -158,14 +156,8 @@ def _dressing(args, ctx, m) -> PartialSymPoly:
 
 
 def cmd_classify(args) -> int:
-    q = _load_quiver(args.quiver)
-    C = cartan_matrix(q)
-    w = _csv_ints(args.w, q.n, "w")
-    v = _csv_ints(args.v, q.n, "v")
-    try:
-        d = DimData.make(w, v)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    ctx = _context(args)
+    d, C = ctx.dims, ctx.cartan
     scan = box_scan(d, C)
     info = affine_classify(C)
     mp = mu_pairing(d, C)
@@ -327,9 +319,10 @@ def _verify_km(args, ctx):
 
 
 def _verify_orientation(args, ctx):
+    cases = list(_cases(args, ctx, False))
     for k, (s, t) in enumerate(ctx.quiver.edges):
         edge = {"source": ctx.quiver.vertices[s], "target": ctx.quiver.vertices[t]}
-        for m, f, sign in _cases(args, ctx, False):
+        for m, f, sign in cases:
             rep = orientation_flip_sign(ctx, k, m, f)
             yield _case(m, f, sign, edge=edge, predicted_sign=rep.sign, holds=rep.matches)
 

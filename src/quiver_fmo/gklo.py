@@ -25,7 +25,7 @@ from .multipoly import (
     uv,
     wv,
 )
-from .quiver import DimData, Quiver, cartan_matrix, compositions
+from .quiver import DimData, EnumerationBudgetError, Quiver, cartan_matrix, compositions
 
 
 @dataclass(frozen=True)
@@ -425,11 +425,42 @@ def orientation_flip_sign(ctx: GKLOContext, edge_index: int, m, f=None) -> Orien
 # ---------------------------------------------------------------------------
 # dressing bases for the verification suites
 
+DRESSING_BASIS_BUDGET = 10 ** 4  # elements of one dressing basis; read at call time
+
+
+def _basis_size(sizes, max_degree, cap) -> int:
+    """Number of block-sorted exponent patterns over blocks of the given
+    sizes in total degree <= max_degree, from partition counts and without
+    building any; a value over cap as soon as the count passes cap."""
+    if not sizes:
+        return 1
+    if max_degree >= cap:
+        return cap + 1  # the first block alone has a pattern in every degree
+    parts = [[] for _ in sizes]  # parts[b][d][k]: partitions of d into <= k parts
+    series = [[] for _ in sizes]  # series[b][d]: patterns of blocks 0..b in degree d
+    count = 0
+    for d in range(max_degree + 1):
+        for b, size in enumerate(sizes):
+            rows = parts[b]
+            row = [int(d == 0)]
+            for k in range(1, min(d, size) + 1):
+                prev = rows[d - k]
+                row.append(row[-1] + prev[min(k, len(prev) - 1)])
+            rows.append(row)
+            series[b].append(row[-1] if b == 0 else
+                             sum(series[b - 1][a] * rows[d - a][-1] for a in range(d + 1)))
+        count += series[-1][d]
+        if count > cap:
+            break
+    return count
+
 
 @lru_cache(maxsize=None)
 def dressing_basis(v, m, max_degree: int = 2):
     """Symmetrized-monomial basis of the dressing ring in total degree
-    <= max_degree: one orbit sum per block-sorted exponent pattern."""
+    <= max_degree: one orbit sum per block-sorted exponent pattern.  Raises
+    EnumerationBudgetError, before building any element, when the basis has
+    more than DRESSING_BASIS_BUDGET elements."""
     v, m = tuple(v), tuple(m)
     blocks = []  # (vertex, slots)
     for i, vi in enumerate(v):
@@ -439,6 +470,12 @@ def dressing_basis(v, m, max_degree: int = 2):
             blocks.append((i, head))
         if tail:
             blocks.append((i, tail))
+    size = _basis_size([len(slots) for _, slots in blocks], max_degree,
+                       DRESSING_BASIS_BUDGET)
+    if size > DRESSING_BASIS_BUDGET:
+        raise EnumerationBudgetError(
+            "the dressing basis up to degree %d has more than %d elements"
+            % (max_degree, DRESSING_BASIS_BUDGET))
 
     def block_patterns(size, deg):
         # weakly decreasing exponent tuples of the given total degree

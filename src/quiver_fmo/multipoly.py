@@ -1270,6 +1270,21 @@ def parse_poly(text: str, n_vertices: int | None = None) -> MPoly:
     Input nested too deeply for the interpreter's parser or recursion limit
     is a ParseError."""
 
+    def binop(op, a, b):
+        if isinstance(op, ast.Add):
+            return a + b
+        if isinstance(op, ast.Sub):
+            return a - b
+        if isinstance(op, ast.Mult):
+            _check_budget("a product", len(a.terms) * len(b.terms),
+                          _norm_bits(a) + _norm_bits(b))
+            return a * b
+        if isinstance(op, ast.Div):
+            if not b.is_const() or b.is_zero():
+                raise ParseError("division only by nonzero constants")
+            return a * (Fraction(1) / Fraction(b.const_value()))
+        raise ParseError("unsupported operator")
+
     def ev(node):
         if isinstance(node, ast.Expression):
             return ev(node.body)
@@ -1309,20 +1324,17 @@ def parse_poly(text: str, n_vertices: int | None = None) -> MPoly:
                     if c == 1 and len(m) == 1 and m[0][0][0] == U_KIND:
                         return MPoly.var(m[0][0], m[0][1] * e)
                 raise ParseError("negative exponent only allowed on a u-variable")
-            a, b = ev(node.left), ev(node.right)
-            if isinstance(node.op, ast.Add):
-                return a + b
-            if isinstance(node.op, ast.Sub):
-                return a - b
-            if isinstance(node.op, ast.Mult):
-                _check_budget("a product", len(a.terms) * len(b.terms),
-                              _norm_bits(a) + _norm_bits(b))
-                return a * b
-            if isinstance(node.op, ast.Div):
-                if not b.is_const() or b.is_zero():
-                    raise ParseError("division only by nonzero constants")
-                return a * (Fraction(1) / Fraction(b.const_value()))
-            raise ParseError("unsupported operator")
+            # fold a left-nested chain such as a + b - c or a * b * c
+            # iteratively, so that a flat sum or product costs no recursion
+            # per operator
+            chain = []
+            while isinstance(node, ast.BinOp) and not isinstance(node.op, ast.Pow):
+                chain.append(node)
+                node = node.left
+            a = ev(node)
+            for link in reversed(chain):
+                a = binop(link.op, a, ev(link.right))
+            return a
         if isinstance(node, ast.Subscript):
             if not isinstance(node.value, ast.Name) or node.value.id not in ("w", "u"):
                 raise ParseError("only w[i,r] and u[i,r] may be subscripted")

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as int_gcd, prod
+from math import gcd, lcm, prod
 from typing import NamedTuple
 
 BOX_POINT_BUDGET = 10 ** 7
@@ -238,91 +238,6 @@ def check_good(d: DimData, C) -> BoxReport:
 # finite / affine / indefinite trichotomy
 
 
-def _inertia(M):
-    """Sylvester inertia (n_pos, n_neg, n_zero) of a symmetric matrix, by
-    exact congruence diagonalization."""
-    n = len(M)
-    A = [[Fraction(M[i][j]) for j in range(n)] for i in range(n)]
-    pos = neg = zero = 0
-    rows = list(range(n))
-    while rows:
-        pivot = None
-        for i in rows:
-            if A[i][i] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            hot = None
-            for i in rows:
-                for j in rows:
-                    if i != j and A[i][j] != 0:
-                        hot = (i, j)
-                        break
-                if hot:
-                    break
-            if hot is None:
-                zero += len(rows)
-                break
-            i, j = hot
-            # congruence: row/col i += row/col j makes A[i][i] = 2*A[i][j] != 0
-            for k in range(n):
-                A[i][k] += A[j][k]
-            for k in range(n):
-                A[k][i] += A[k][j]
-            pivot = i
-        p = A[pivot][pivot]
-        if p > 0:
-            pos += 1
-        else:
-            neg += 1
-        rows.remove(pivot)
-        for i in rows:
-            if A[i][pivot] != 0:
-                f = A[i][pivot] / p
-                for k in range(n):
-                    A[i][k] -= f * A[pivot][k]
-                for k in range(n):
-                    A[k][i] -= f * A[k][pivot]
-    return pos, neg, zero
-
-
-def _kernel_vector(M):
-    """A nonzero rational kernel vector of M, or None if M is invertible.
-    Only called when the kernel is one-dimensional."""
-    n = len(M)
-    A = [[Fraction(M[i][j]) for j in range(n)] for i in range(n)]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        sel = None
-        for i in range(r, n):
-            if A[i][c] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        A[r], A[sel] = A[sel], A[r]
-        inv = 1 / A[r][c]
-        A[r] = [x * inv for x in A[r]]
-        for i in range(n):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == n:
-            break
-    free = [c for c in range(n) if c not in piv_cols]
-    if not free:
-        return None
-    c0 = free[0]
-    x = [Fraction(0)] * n
-    x[c0] = Fraction(1)
-    for row, c in zip(range(r), piv_cols):
-        x[c] = -A[row][c0]
-    return tuple(x)
-
-
 @dataclass(frozen=True)
 class AffineData:
     """Trichotomy of a symmetric Cartan matrix; in the affine case also the
@@ -338,26 +253,43 @@ class AffineData:
 
 
 def affine_classify(C) -> AffineData:
+    """Type of a symmetric Cartan matrix from one exact elimination on
+    diagonal pivots.  In a positive semidefinite matrix a zero diagonal entry
+    has a zero row, so diagonal pivots suffice: C is finite iff every pivot
+    is positive, and otherwise positive semidefinite iff no pivot is negative
+    and no zero pivot's remaining row is nonzero; then the zero pivots count
+    the corank.  Corank 1 is affine iff the kernel line has positive marks."""
     n = len(C)
-    pos, neg, zero = _inertia(C)
-    if neg == 0 and zero == 0:
-        return AffineData("finite")
-    if neg == 0 and zero == 1:
-        ker = _kernel_vector(C)
-        lcm = 1
-        for x in ker:
-            lcm = lcm * x.denominator // int_gcd(lcm, x.denominator)
-        ints = [int(x * lcm) for x in ker]
-        g = 0
-        for x in ints:
-            g = int_gcd(g, x)
-        ints = [x // g for x in ints]
-        if all(x < 0 for x in ints):
-            ints = [-x for x in ints]
-        if not all(x > 0 for x in ints):
+    A = [[Fraction(x) for x in row] for row in C]
+    zeros = []
+    for k in range(n):
+        p = A[k][k]
+        if p < 0 or (p == 0 and any(A[k][k + 1:])):
             return AffineData("indefinite")
-        return AffineData("affine", tuple(ints))
-    return AffineData("indefinite")
+        if p == 0:
+            zeros.append(k)
+            continue
+        for i in range(k + 1, n):
+            f = A[i][k] / p
+            if f:
+                for j in range(k, n):
+                    A[i][j] -= f * A[k][j]
+    if not zeros:
+        return AffineData("finite")
+    if len(zeros) > 1:
+        return AffineData("indefinite")
+    # x vanishes past the zero pivot; the reduced rows above it fix the rest
+    x = [Fraction(0)] * n
+    x[zeros[0]] = Fraction(1)
+    for k in reversed(range(zeros[0])):
+        x[k] = -sum(A[k][j] * x[j] for j in range(k + 1, n)) / A[k][k]
+    scale = lcm(*(xi.denominator for xi in x))
+    ints = [int(xi * scale) for xi in x]
+    g = gcd(*ints)
+    marks = tuple(xi // g for xi in ints)
+    if not all(xi > 0 for xi in marks):
+        return AffineData("indefinite")
+    return AffineData("affine", marks)
 
 
 def theorem_prediction(C, d: DimData) -> str | None:

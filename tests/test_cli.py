@@ -404,10 +404,11 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     "verify adding-defect --quiver a2 --w 2,2 --v 2,2",
     "hilbert --quiver a1 --w 2 --v 1 --order -1",
     "verify involution --quiver a1 --w 2 --v 1 --max-degree -1",
-    # dressings nested past the recursion limit of the evaluator, of the
-    # parser's AST construction and of the parser's own stack
-    pytest.param("fmo --quiver a1 --w 2 --v 2 --m 0 --f " + "+".join(["w[1,1]"] * 1500),
-                 id="fmo --f sum of 1500 terms"),
+    "verify orientation --quiver a1 --w 2 --v 2 --m 5",
+    # dressings nested past the limit of the parser's AST construction and
+    # of the parser's own stack
+    pytest.param("fmo --quiver a1 --w 2 --v 2 --m 0 --f " + "+".join(["w[1,1]"] * 5000),
+                 id="fmo --f sum of 5000 terms"),
     pytest.param("fmo --quiver a1 --w 2 --v 2 --m 0 --f=" + "-" * 3000 + "1",
                  id="fmo --f 3000 unary minuses"),
     pytest.param("fmo --quiver a1 --w 2 --v 2 --m 0 --f=" + "-" * 100000 + "1",
@@ -419,8 +420,16 @@ def test_invalid_input_exits_2(capsys, argv):
     assert err.startswith("input error: ") and err.count("\n") == 1
 
 
+def test_flat_dressing_sum_is_parsed_without_recursion(capsys):
+    code, out, err = run(capsys, "fmo", "--quiver", "a1", "--w", "2", "--v", "2", "--m", "0",
+                         "--f", "+".join(["w[1,1]*w[1,2]"] * 1500))
+    assert (code, err) == (0, "")
+    assert "dressing: 1500*w[1,1]*w[1,2]\n" in out
+
+
 @pytest.mark.parametrize("argv", [
     "classify --quiver a2 --w 1,1 --v 4000,4000",
+    "verify involution --quiver a2 --w 2,2 --v 3,3 --max-degree 100000",
     "hilbert --quiver a2 --w 2,2 --v 2,2 --order 60",
     # the series accumulation is quadratic in the order; v = 0 allocated it
     "hilbert --quiver a1 --w 4 --v 1 --order 100000",

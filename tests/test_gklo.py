@@ -20,7 +20,13 @@ from quiver_fmo.multipoly import (
     uv,
     wv,
 )
-from quiver_fmo.quiver import Quiver, a1_quiver, a2_quiver, affine_sl2_quiver
+from quiver_fmo.quiver import (
+    EnumerationBudgetError,
+    Quiver,
+    a1_quiver,
+    a2_quiver,
+    affine_sl2_quiver,
+)
 from quiver_fmo import gklo
 from quiver_fmo.gklo import (
     DIdentityReport,
@@ -541,3 +547,18 @@ def test_orientation_against_substitution_oracle():
                     rep = orientation_flip_sign(ctx, k, m, f)
                     assert rep.matches == transported_matches_oracle(ctx, k, m, f), (
                         w, v, k, m, poly_text(f.value))
+
+
+@pytest.mark.parametrize("v,m", [((3,), (1,)), ((2, 2), (1, 0)), ((1, 2, 1), (0, 1, 1))])
+def test_dressing_basis_budget_is_its_exact_size(monkeypatch, v, m):
+    # the partition count that guards the build is the size of the basis
+    for degree in range(4):
+        size = len(dressing_basis(v, m, degree))
+        dressing_basis.cache_clear()
+        monkeypatch.setattr(gklo, "DRESSING_BASIS_BUDGET", size)
+        assert len(dressing_basis(v, m, degree)) == size
+        dressing_basis.cache_clear()
+        monkeypatch.setattr(gklo, "DRESSING_BASIS_BUDGET", size - 1)
+        with pytest.raises(EnumerationBudgetError, match="more than %d" % (size - 1)):
+            dressing_basis(v, m, degree)
+        monkeypatch.undo()

@@ -20,6 +20,7 @@ from quiver_fmo.quiver import (
     cartan_matrix,
     check_conicity,
     check_good,
+    mat_vec,
     mu_pairing,
     theorem_prediction,
     two_delta_minuscule,
@@ -156,6 +157,80 @@ def test_affine_marks_scaled_primitive():
     tri = Quiver(("0", "1", "2"), ((0, 1), (1, 2), (2, 0)))
     info = affine_classify(cartan_matrix(tri))
     assert info.kind == "affine" and info.marks == (1, 1, 1)
+
+
+def _tree(path, extra=()):
+    """Quiver with the path 0 - 1 - ... - (path - 1) and the extra edges, on
+    the vertices 0 up to the largest endpoint."""
+    n = max([path] + [max(e) + 1 for e in extra])
+    return Quiver(tuple(str(i) for i in range(n)),
+                  tuple((i, i + 1) for i in range(path - 1)) + tuple(extra))
+
+
+def _e(n):
+    """E_n = T(2, 3, n - 3): a path of n - 1 vertices and one more vertex
+    joined to the third."""
+    return _tree(n - 1, [(2, n - 1)])
+
+
+# Kac, Infinite-dimensional Lie algebras, Tables Fin and Aff 1 (simply laced),
+# with the marks listed in vertex order
+KAC_TABLE = [
+    ("A6", _tree(6), "finite", None),
+    ("D5", _tree(4, [(2, 4)]), "finite", None),
+    ("E6", _e(6), "finite", None),
+    ("E7", _e(7), "finite", None),
+    ("E8", _e(8), "finite", None),
+    ("A1 + A2", Quiver(("0", "1", "2"), ((1, 2),)), "finite", None),
+    ("affine A1", AFF, "affine", (1, 1)),
+    ("affine A3", _tree(4, [(3, 0)]), "affine", (1, 1, 1, 1)),
+    ("affine D4", _tree(1, [(0, i) for i in range(1, 5)]), "affine", (2, 1, 1, 1, 1)),
+    ("affine D6", _tree(5, [(5, 1), (6, 3)]), "affine", (1, 2, 2, 2, 1, 1, 1)),
+    ("affine E6", _tree(5, [(2, 5), (5, 6)]), "affine", (1, 2, 3, 2, 1, 2, 1)),
+    ("affine E7", _tree(7, [(3, 7)]), "affine", (1, 2, 3, 4, 3, 2, 1, 2)),
+    ("affine E8", _tree(8, [(5, 8)]), "affine", (1, 2, 3, 4, 5, 6, 4, 2, 3)),
+    ("E10 = T(2,3,7)", _e(10), "indefinite", None),
+    ("3 edges, rank 2", Quiver(("0", "1"), ((0, 1),) * 3), "indefinite", None),
+    ("affine A1 + A1", Quiver(("0", "1", "2"), ((0, 1),) * 2), "indefinite", None),
+    ("affine A1 + affine A1", Quiver(("0", "1", "2", "3"), ((0, 1),) * 2 + ((2, 3),) * 2),
+     "indefinite", None),
+]
+
+
+@pytest.mark.parametrize("name,q,kind,marks", KAC_TABLE, ids=[row[0] for row in KAC_TABLE])
+def test_affine_classify_matches_kac_tables(name, q, kind, marks):
+    info = affine_classify(cartan_matrix(q))
+    assert (info.kind, info.marks) == (kind, marks)
+
+
+def _det(M):
+    n = len(M)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = (-1) ** inversions
+        for i in range(n):
+            term *= M[i][perm[i]]
+        total += term
+    return total
+
+
+def test_affine_classify_exhaustive_small_ranks():
+    """Finite exactly when every leading principal minor is positive
+    (Sylvester's criterion), and affine marks span the kernel of C, over every
+    symmetric C of rank <= 3 with off-diagonal entries in {0, -1, -2}."""
+    for n in (1, 2, 3):
+        pairs = list(itertools.combinations(range(n), 2))
+        for off in itertools.product((0, -1, -2), repeat=len(pairs)):
+            C = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+            for (i, j), x in zip(pairs, off):
+                C[i][j] = C[j][i] = x
+            info = affine_classify(tuple(map(tuple, C)))
+            sylvester = all(_det([row[:k] for row in C[:k]]) > 0 for k in range(1, n + 1))
+            assert (info.kind == "finite") == sylvester, C
+            if info.kind == "affine":
+                assert all(x > 0 for x in info.marks)
+                assert mat_vec(C, info.marks) == (0,) * n, C
 
 
 def test_level():
