@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .multipoly import (
     MPoly,
@@ -22,6 +22,7 @@ from .multipoly import (
     PartialSymPoly,
     RatFunc,
     SymmetryError,
+    den_text,
     poly_text,
     parse_poly,
     ratfunc_text,
@@ -95,12 +96,64 @@ def _csv_ints(text: str, n: int, name: str):
 
 
 def _ratfunc_json(value: RatFunc):
-    return {"num": poly_text(value.num), "den": poly_text(value.den)}
+    return {"num": poly_text(value.num), "den": den_text(value.dfac)}
+
+
+def _json_text(report) -> str:
+    """json.dumps(report, sort_keys=True, indent=2), written directly for a
+    report of dicts with str keys, lists, str, int, bool and None."""
+    out = []
+    _json_into(out, report, "\n")
+    return "".join(out)
+
+
+def _json_into(out, value, newline):
+    """Append the text of value to out; newline is the line break and the
+    indent in front of value's closing bracket."""
+    if type(value) is str:
+        out.append(encode_basestring_ascii(value))
+        return
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        sep = "{" + inner
+        for key, val in sorted(value.items()):
+            head = sep + encode_basestring_ascii(key) + ": "
+            if type(val) is str:
+                out.append(head + encode_basestring_ascii(val))
+            else:
+                out.append(head)
+                _json_into(out, val, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        sep = "[" + inner
+        for val in value:
+            out.append(sep)
+            _json_into(out, val, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError("Object of type %s is not JSON serializable"
+                        % type(value).__name__)
 
 
 def _emit(report, as_json: bool):
     if as_json:
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(_json_text(report))
     else:
         _emit_human(report)
 

@@ -29,6 +29,7 @@ from .gklo import (
     as_dressing,
     fmo,
     fmo_plus_terms,
+    fmo_value,
     involution_fmo_report,
     iota_image,
     terms_value,
@@ -126,15 +127,21 @@ def _defect_lhs(ctx: GKLOContext, split: DefectSplit, m, f: PartialSymPoly, at_z
     return lhs
 
 
-def _defect_rhs(ctx: GKLOContext, split: DefectSplit, m, f: PartialSymPoly):
-    """The subset terms of M^+_m(f) over v' (none when m > v').  For Gamma
-    inside [v'] the permutation behind restrict_to_gamma fixes the tail
-    slots, so f|_Gamma is the sum of f^(1)|_Gamma * f^(2) over the Sweedler
-    pieces of f: these are the terms of sum M^+_m(f^(1)) * f^(2)."""
+def _rhs_context(ctx: GKLOContext, split: DefectSplit, m):
+    """The context over v' with the framing of ctx, where the right-hand side
+    M^+_m(f) of the adding-defect comparison lives; None when m > v'.  For
+    Gamma inside [v'] the permutation behind restrict_to_gamma fixes the
+    tail slots, so f|_Gamma is the sum of f^(1)|_Gamma * f^(2) over the
+    Sweedler pieces of f, and M^+_m(f) over v' is sum M^+_m(f^(1)) * f^(2)."""
     if any(mi > vp for mi, vp in zip(m, split.v_prime)):
-        return []
-    sub_ctx = GKLOContext(ctx.quiver, DimData.make(ctx.w, split.v_prime))
-    return list(fmo_plus_terms(sub_ctx, m, f))
+        return None
+    return GKLOContext(ctx.quiver, DimData.make(ctx.w, split.v_prime))
+
+
+def _defect_rhs(ctx: GKLOContext, split: DefectSplit, m, f: PartialSymPoly):
+    """The subset terms of the right-hand side (none when m > v')."""
+    sub_ctx = _rhs_context(ctx, split, m)
+    return [] if sub_ctx is None else list(fmo_plus_terms(sub_ctx, m, f))
 
 
 def _negated(terms):
@@ -151,7 +158,7 @@ def _defect_core(ctx: GKLOContext, split: DefectSplit, m) -> bool:
     terms are dressed by f itself (see _defect_rhs).  The subset keys are
     distinct and the ring is a domain, so for f != 0 the comparison holds
     exactly when it does at f = 1."""
-    unit = PartialSymPoly.make(1, m, ctx.v)
+    unit = PartialSymPoly.symmetric(MPoly.one(), m, ctx.v)
     return identity_holds(_defect_lhs(ctx, split, m, unit, False)
                           + _negated(_defect_rhs(ctx, split, m, unit)))
 
@@ -160,11 +167,12 @@ def verify_adding_defect_theorem(ctx: GKLOContext, split: DefectSplit, m, f) -> 
     """Check phi(M^+_m(f)) against sum M^+_m(f^(1)) * f^(2) over the smaller
     ring (zero when m > v'), subset by subset, through the f = 1 core.  The
     right-hand side is M^+_m over v' dressed by f itself, whose subset terms
-    are the Sweedler sum's (see _defect_rhs).  Only the reported side is
+    are the Sweedler sum's (see _rhs_context).  Only the reported side is
     built: the right-hand side, and phi's terms when the check fails."""
     m = tuple(m)
     f = as_dressing(ctx, m, f)
-    rhs = terms_value(_defect_rhs(ctx, split, m, f), 1)
+    sub_ctx = _rhs_context(ctx, split, m)
+    rhs = RatFunc.zero() if sub_ctx is None else fmo_value(sub_ctx, m, f, "+")
     if f.is_zero() or _defect_core(ctx, split, m):
         return VerifyReport(True, rhs, rhs)
     return VerifyReport(False, terms_value(_defect_lhs(ctx, split, m, f, False), 1), rhs)
@@ -242,7 +250,7 @@ def _plus_restriction_route(ctx: GKLOContext, v_prime, m) -> bool:
     subset term is tilde(f)|_Gamma, a relabelling of tilde(f), so this
     verdict decides every f with tilde(f) != 0."""
     split = DefectSplit.make(ctx.v, v_prime)
-    unit = PartialSymPoly.make(1, m, ctx.v)
+    unit = PartialSymPoly.symmetric(MPoly.one(), m, ctx.v)
     return identity_holds(_defect_lhs(ctx, split, m, unit, True)
                           + _negated(_defect_rhs(ctx, split, m, unit)))
 

@@ -16,11 +16,14 @@ from .multipoly import (
     PartialSymPoly,
     RatFunc,
     ZVAR,
+    core_sum,
+    head_tail_divides,
     identity_holds,
     keyed_sum,
     linear_factors,
     linear_product,
     localized,
+    over_lcm,
     restrict_to_gamma,
     uv,
     wv,
@@ -219,9 +222,42 @@ def fmo(ctx: GKLOContext, m, f, sign: str) -> RatFunc:
 
 @lru_cache(maxsize=65536)
 def _fmo_cached(ctx: GKLOContext, m, f: PartialSymPoly, sign: str) -> RatFunc:
-    if sign == "+":
-        return localized(terms_value(fmo_plus_terms(ctx, m, f), 1), FMO_RING["+"])
-    return localized(terms_value(fmo_minus_terms(ctx, m, f), -1), FMO_RING["-"])
+    return localized(fmo_value(ctx, m, f, sign), FMO_RING[sign])
+
+
+def _signed_terms(ctx: GKLOContext, m, f: PartialSymPoly, sign: str):
+    return fmo_plus_terms(ctx, m, f) if sign == "+" else fmo_minus_terms(ctx, m, f)
+
+
+def fmo_value(ctx: GKLOContext, m, f: PartialSymPoly, sign: str) -> RatFunc:
+    """M^sign_m(f) over ctx, unchecked, for a valid charge m.  f may be a
+    dressing over a larger v with the same m (the adding-defect right-hand
+    side): then f|_Gamma keeps the slots past ctx.v.
+
+    The subset-Gamma term is f|_Gamma * A_Gamma / D_Gamma * u_Gamma^{+-1}.
+    A_Gamma has only forms across an edge (no loops) and framing powers, so
+    a form of D_Gamma can cancel only through f|_Gamma, and it does exactly
+    when its relabelling, a form w_{i,a} - w_{i,b} with a <= m_i < b,
+    divides f.  When none does, every subset term is reduced as it stands
+    and M^sign_m(f) is sum f|_Gamma * N_Gamma / L over the f = 1 core of
+    _fmo_core; otherwise (and for f = 0) the subset terms are summed."""
+    if f.is_zero() or head_tail_divides(f, ctx.v):
+        return terms_value(_signed_terms(ctx, m, f, sign), 1 if sign == "+" else -1)
+    pairs, lcm = _fmo_core(ctx, m, sign)
+    return core_sum(((restrict_to_gamma(f, gamma), num) for gamma, num in pairs), lcm)
+
+
+@lru_cache(maxsize=1024)
+def _fmo_core(ctx: GKLOContext, m, sign: str):
+    """The f = 1 core of M^sign_m over ctx: the pairs (Gamma, N_Gamma), N_Gamma
+    = A_Gamma u_Gamma^{+-1} L / D_Gamma expanded, and the lcm L of the D_Gamma.
+    Refused by over_lcm's budget before anything is expanded."""
+    unit = PartialSymPoly.symmetric(MPoly.one(), m, ctx.v)
+    exp = 1 if sign == "+" else -1
+    terms = list(_signed_terms(ctx, m, unit, sign))
+    nums, lcm = over_lcm((_u_gamma(gamma, exp) * num, dfac) for gamma, num, dfac in terms)
+    # no numerator is zero at f = 1, so over_lcm keeps them all, in order
+    return tuple(zip([gamma for gamma, _, _ in terms], nums)), lcm
 
 
 # ---------------------------------------------------------------------------
@@ -346,17 +382,17 @@ def involution_fmo_report(ctx: GKLOContext, m, f: PartialSymPoly) -> InvolutionR
     checked once per charge, by the report at f = 1, and that verdict holds
     for every nonzero f; f = 0 swaps trivially.  The reported image is the
     sum of the transformed terms, built only when the identity fails.
-    Involutivity is checked on the ring generators.  The subset terms of
-    M^-_m(f) are built once, for the reported M^-_m(f) and, at f = 1, for
-    the swap identity."""
+    Involutivity is checked on the ring generators.  The reported M^-_m(f)
+    comes from fmo_value; at f = 1 the swap identity builds the subset terms
+    of M^-_m once more."""
     m = _check_m(ctx, m)
     f = as_dressing(ctx, m, f)
-    minus_terms = list(fmo_minus_terms(ctx, m, f))
-    minus = localized(terms_value(minus_terms, -1), FMO_RING["-"])
-    unit = PartialSymPoly.make(1, m, ctx.v)
+    minus = localized(fmo_value(ctx, m, f, "-"), FMO_RING["-"])
+    unit = PartialSymPoly.symmetric(MPoly.one(), m, ctx.v)
     if f == unit:
         swaps = identity_holds(list(_iota_plus_terms(ctx, m, f))
-                               + [(gamma, -num, dfac) for gamma, num, dfac in minus_terms])
+                               + [(gamma, -num, dfac) for gamma, num, dfac
+                                  in fmo_minus_terms(ctx, m, f)])
     else:
         swaps = f.is_zero() or involution_fmo_report(ctx, m, unit).swaps
     image = minus if swaps else terms_value(_iota_plus_terms(ctx, m, f), -1)
@@ -498,7 +534,7 @@ def dressing_basis(v, m, max_degree: int = 2):
                 poly = MPoly.one()
                 for (i, slots), pat in zip(blocks, choice):
                     poly = poly * _orbit_sum(i, slots, pat)
-                out.append(PartialSymPoly.make(poly, m, v))
+                out.append(PartialSymPoly.symmetric(poly, m, v))
     return tuple(out)
 
 

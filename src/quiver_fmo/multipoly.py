@@ -16,6 +16,9 @@ terms: it reduces each key group, then adds the groups over their lcm with no
 cancellation pass.  A linear form in w and z divides no u-monomial, so it
 divides the total only if it divides the reduced numerator of each group whose
 denominator carries it to the lcm's power, which the reduction rules out.
+core_sum is the same sum when every group is one term that is reduced as it
+stands, up to a scale: its numerators come over the lcm once, and each sum
+only scales and adds them.
 """
 
 from __future__ import annotations
@@ -288,9 +291,6 @@ class MPoly:
         if self._hash is None:
             self._hash = hash(frozenset(self.terms.items()))
         return self._hash
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: _MON_KEY(t[0]), reverse=True)
 
     def leading(self):
         """(monomial, coeff) maximal in graded lex order."""
@@ -985,11 +985,13 @@ class RatFunc:
 EXPANSION_BUDGET = 10 ** 6  # terms of one expansion over an lcm; read at call time
 
 
-def _terms_over_lcm(terms):
-    """The numerators brought over the lcm of their factored denominators,
-    summed.  Each missing form x_a - x_b at most doubles a numerator's terms,
-    so sum len(num) * 2^(missing x_a - x_b) bounds the expansion; above
-    EXPANSION_BUDGET it raises EnumerationBudgetError before expanding."""
+def over_lcm(terms):
+    """The nonzero numerators of (numerator, factored-denominator) pairs,
+    each brought over the lcm of their denominators: (an iterator of the
+    expanded numerators, in order, and the lcm).  Each missing form x_a - x_b
+    at most doubles a numerator's terms, so sum len(num) * 2^(missing x_a -
+    x_b) bounds the expansion; above EXPANSION_BUDGET it raises
+    EnumerationBudgetError before expanding."""
     items = [(num, dfac) for num, dfac in terms if not num.is_zero()]
     lcm = {}
     for _, dfac in items:
@@ -1003,9 +1005,16 @@ def _terms_over_lcm(terms):
         raise EnumerationBudgetError(
             "a sum over a common denominator could expand to %d terms, more than %d"
             % (bound, EXPANSION_BUDGET))
+    return (_dfac_mul_into(num, miss) for (num, _), miss in zip(items, missing)), lcm
+
+
+def _terms_over_lcm(terms):
+    """The numerators brought over the lcm of their factored denominators,
+    summed; see over_lcm."""
+    nums, lcm = over_lcm(terms)
     N = MPoly.zero()
-    for (num, _), miss in zip(items, missing):
-        N = N + _dfac_mul_into(num, miss)
+    for num in nums:
+        N = N + num
     return N, lcm
 
 
@@ -1049,6 +1058,26 @@ def keyed_sum(keyed_terms) -> RatFunc:
     return RatFunc(num, lcm)
 
 
+def core_sum(pairs, lcm: dict) -> RatFunc:
+    """The sum of scale * numerator over (scale, numerator) pairs, over the
+    factored denominator lcm.  This is the keyed_sum of terms with distinct
+    keys brought over their lcm by over_lcm (the numerators) whose scales
+    cancel no form of their own denominators, so no form of lcm divides the
+    sum, which is therefore canonical; the caller guarantees this."""
+    out = {}
+    get = out.get
+    for scale, num in pairs:
+        for m2, c2 in scale.terms.items():
+            for m1, c1 in num.terms.items():
+                m = mon_mul(m1, m2)
+                n = get(m, 0) + c1 * c2
+                if n:
+                    out[m] = n
+                else:
+                    del out[m]
+    return RatFunc(MPoly({m: _coeff(c) for m, c in out.items()}), dict(lcm))
+
+
 # ---------------------------------------------------------------------------
 # text form
 
@@ -1067,18 +1096,34 @@ def poly_text(p: MPoly) -> str:
 @lru_cache(maxsize=4096)
 def _poly_text(p: MPoly) -> str:
     """poly_text, once per polynomial: equal polynomials (1 and Fraction(1)
-    coefficients included) render to the same text."""
+    coefficients included) render to the same text.  Terms come in the
+    descending _MON_KEY order, here as (degree, the exponent vector over the
+    polynomial's own sorted variables): the first variable where two
+    monomials differ decides, as in _MON_KEY."""
     if p.is_zero():
         return "0"
+    variables = sorted(p.variables())
+    index = {v: k for k, v in enumerate(variables)}
+    names = {v: var_text(v) for v in variables}
+    zero = [0] * len(variables)
+
+    def key(term):
+        vec = zero.copy()
+        deg = 0
+        for v, e in term[0]:
+            vec[index[v]] = e
+            deg += e
+        return deg, vec
+
     parts = []
-    for m, c in p.sorted_terms():
+    for m, c in sorted(p.terms.items(), key=key, reverse=True):
         factors = []
         neg = c < 0
         ac = -c if neg else c
         if ac != 1 or not m:
             factors.append(_coeff_text(ac))
         for v, e in m:
-            factors.append(var_text(v) + ("^%d" % e if e != 1 else ""))
+            factors.append(names[v] if e == 1 else "%s^%d" % (names[v], e))
         text = "*".join(factors)
         if not parts:
             parts.append("-" + text if neg else text)
@@ -1087,10 +1132,21 @@ def _poly_text(p: MPoly) -> str:
     return "".join(parts)
 
 
+def den_text(dfac: dict) -> str:
+    """poly_text of the denominator with the factor dict dfac, expanded once
+    per distinct dict."""
+    return _den_text(frozenset(dfac.items()))
+
+
+@lru_cache(maxsize=1024)
+def _den_text(factors: frozenset) -> str:
+    return poly_text(_dfac_mul_into(MPoly.one(), dict(factors)))
+
+
 def ratfunc_text(f: RatFunc) -> str:
     if f.is_poly():
         return poly_text(f.as_poly())
-    return "(%s)/(%s)" % (poly_text(f.num), poly_text(f.den))
+    return "(%s)/(%s)" % (poly_text(f.num), den_text(f.dfac))
 
 
 # ---------------------------------------------------------------------------
@@ -1152,6 +1208,16 @@ class PartialSymPoly:
             value = MPoly.const(value)
         return PartialSymPoly(value, tuple(m), tuple(v))
 
+    @staticmethod
+    def symmetric(value: MPoly, m, v) -> "PartialSymPoly":
+        """A dressing that is block-symmetric by construction (an orbit sum,
+        a unit, or derived from a checked dressing), built without the
+        checks of make."""
+        f = object.__new__(PartialSymPoly)
+        for name, val in (("value", value), ("m", tuple(m)), ("v", tuple(v))):
+            object.__setattr__(f, name, val)
+        return f
+
     def is_zero(self) -> bool:
         return self.value.is_zero()
 
@@ -1172,6 +1238,14 @@ def restrict_to_gamma(f: PartialSymPoly, gamma) -> MPoly:
     return f.value.permute_vars(varmap)
 
 
+def head_tail_divides(f: PartialSymPoly, v) -> bool:
+    """Whether some form w_{i,a} - w_{i,b} with a <= m_i < b <= v_i divides
+    f (v <= f.v).  The block symmetry of f permutes these forms transitively
+    at each vertex, so the form with a = 1, b = m_i + 1 decides the vertex."""
+    return any(_difference_divides(f.value, wv(i, 1), wv(i, mi + 1))
+               for i, (mi, vi) in enumerate(zip(f.m, v)) if 0 < mi < vi)
+
+
 def tilde(f: PartialSymPoly, v_prime) -> PartialSymPoly:
     """Set the variables w_{i,r} with r > v'_i to zero."""
     v_prime = tuple(v_prime)
@@ -1179,7 +1253,8 @@ def tilde(f: PartialSymPoly, v_prime) -> PartialSymPoly:
         raise ValueError("need m <= v' <= v componentwise")
     dead = [wv(i, r) for i, (vpi, vi) in enumerate(zip(v_prime, f.v))
             for r in range(vpi + 1, vi + 1)]
-    return PartialSymPoly(f.value.subs_zero(dead), f.m, v_prime)
+    # zeroing tail slots keeps both blocks of every vertex symmetric
+    return PartialSymPoly.symmetric(f.value.subs_zero(dead), f.m, v_prime)
 
 
 # ---------------------------------------------------------------------------

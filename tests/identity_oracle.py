@@ -13,6 +13,10 @@ The adding-defect right-hand side is built here as the paper writes it, in
 Sweedler form: sum M^+_m(f^(1)) * f^(2) over the pieces of ``sweedler``.
 The library dresses M^+_m over v' by f itself, which has the same subset
 terms because the permutation behind restrict_to_gamma fixes the tail slots.
+
+Every value M^sign_m(f) here is the keyed sum of the subset terms of f
+(``fmo_value_per_f``); the library reads it from the f = 1 core of its
+charge (``gklo.fmo_value``) whenever no head-tail form divides f.
 """
 
 from functools import partial
@@ -68,6 +72,15 @@ def sweedler(f: PartialSymPoly, v_prime):
         head_poly = PartialSymPoly(MPoly(groups[tail]), f.m, v_prime)
         out.append((head_poly, MPoly({tail: 1})))
     return out
+
+
+def fmo_value_per_f(ctx, m, f, sign: str):
+    """M^sign_m(f) as the keyed sum of the subset terms of f itself."""
+    m = tuple(m)
+    f = as_dressing(ctx, m, f)
+    if sign == "+":
+        return terms_value(fmo_plus_terms(ctx, m, f), 1)
+    return terms_value(fmo_minus_terms(ctx, m, f), -1)
 
 
 def _negated(terms):

@@ -7,12 +7,16 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from quiver_fmo import cli, gklo, multipoly
 from quiver_fmo.cli import EXIT_CLOSED_STDOUT, main
 from quiver_fmo.multipoly import RatFunc
+from quiver_fmo.quiver import EnumerationBudgetError
 
 
 def run(capsys, *argv):
@@ -445,6 +449,31 @@ def test_enumeration_over_budget_is_refused(capsys, argv):
     assert err.startswith("refused: ") and err.count("\n") == 1
 
 
+def test_small_budget_refuses_a_sweep_on_the_core_route(capsys, monkeypatch):
+    # a1 v=6 m=1: the f = 1 core of M^- would expand 6 subset numerators
+    # over the 10 forms each denominator lacks, 6 * 2^10 terms by the bound
+    refused = []
+    real = gklo._fmo_core
+
+    def spied(*args):
+        try:
+            return real(*args)
+        except EnumerationBudgetError:
+            refused.append(args[1:])
+            raise
+
+    def per_dressing_sum(*args):
+        raise AssertionError("a value was summed from its own subset terms")
+
+    monkeypatch.setattr(gklo, "_fmo_core", spied)
+    monkeypatch.setattr(gklo, "terms_value", per_dressing_sum)
+    monkeypatch.setattr(multipoly, "EXPANSION_BUDGET", 6 * 2 ** 10 - 1)
+    code, out, err = run(capsys, "verify", "involution", "--quiver", "a1",
+                         "--w", "2", "--v", "6", "--json")
+    assert (code, out) == (2, "") and err.startswith("refused: ")
+    assert refused == [((1,), "-")]
+
+
 CHEAP_VERIFY_SUBJECTS = ("restriction", "adding-defect", "km-embedding", "involution",
                          "orientation")
 
@@ -486,16 +515,22 @@ def test_d_identity_sums_keyed_terms_only(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["all_hold"] is True
 
 
-@pytest.mark.parametrize("argv", [
-    "verify involution --quiver a2 --w 2,2 --v 2,2",
-    "verify restriction --quiver a2 --w 2,2 --v 2,2 --vprime 1,1 --sign -",
-])
-def test_each_involution_report_builds_the_minus_terms_once(capsys, monkeypatch, argv):
-    """The involution report builds the subset terms of M^-_m(f) once, for
-    the swap identity and the reported M^-; negative restriction reads M^-
-    from that report and builds no terms of its own."""
-    from quiver_fmo import gklo
+# (charges, dressings outside the core) of each run; every charge of the
+# restriction target has a dressing with tilde(f) = 0
+MINUS_TERM_RUNS = {
+    "verify involution --quiver a2 --w 2,2 --v 2,2": (9, 0),
+    "verify restriction --quiver a2 --w 2,2 --v 2,2 --vprime 1,1 --sign -": (4, 4),
+}
 
+
+@pytest.mark.parametrize("argv", list(MINUS_TERM_RUNS))
+def test_each_involution_report_builds_the_minus_terms_once(capsys, monkeypatch, argv):
+    """The subset terms of M^-_m are built once per charge for the f = 1
+    core that every reported M^-_m(f) is read from, once more per charge
+    for the swap identity at f = 1, and once per dressing that the core does
+    not cover (here f = 0); negative restriction reads M^- from the
+    involution report and builds no terms of its own."""
+    charges, fallbacks = MINUS_TERM_RUNS[argv]
     calls = []
     real = gklo.fmo_minus_terms
 
@@ -505,9 +540,13 @@ def test_each_involution_report_builds_the_minus_terms_once(capsys, monkeypatch,
 
     monkeypatch.setattr(gklo, "fmo_minus_terms", counted)
     code, out, err = run(capsys, *argv.split(), "--json")
-    misses = gklo.involution_fmo_report.cache_info().misses
     assert (code, err) == (0, "") and json.loads(out)["checked"] > 0
-    assert misses > 0 and len(calls) == misses
+    assert gklo._fmo_core.cache_info().misses == charges
+    per_unit_charge = Counter((ctx, m) for ctx, m, f in calls if f.value == 1)
+    assert len(per_unit_charge) == charges and set(per_unit_charge.values()) == {2}
+    others = [f for _, _, f in calls if f.value != 1]
+    assert len(others) == fallbacks and all(f.is_zero() for f in others)
+    assert len(calls) == 2 * charges + fallbacks
 
 
 @pytest.mark.parametrize("argv,lines", [
@@ -528,3 +567,21 @@ def test_closed_stdout_exits_quietly_with_its_own_code(argv, lines):
     assert proc.wait(timeout=60) == EXIT_CLOSED_STDOUT
     assert err == b""
     assert head == [b"{\n", b'  "all_hold": true,\n'][:lines]
+
+
+json_scalars = (st.none() | st.booleans() | st.integers()
+                | st.integers(min_value=-2 ** 200, max_value=2 ** 200) | st.text())
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(), inner)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+@example({"q\"uote": ['back\\slash', "\x00\x1f\x7f\n\t", "\u00e9\u2603\U0001d11e"],
+          "big": [2 ** 100, -2 ** 100, 0, -1], "flags": [True, False, None],
+          "empty": [{}, [], (), ""], "": {"nested": {"a": [[], {}]}}})
+def test_json_writer_matches_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)

@@ -681,3 +681,24 @@ def test_expansion_bound_is_checked_before_expanding(monkeypatch):
     assert ratfunc_sum(terms) == (RatFunc.from_poly(W11 + W12) / RatFunc.from_poly(W11 - W12)
                                   + RatFunc.from_poly(W11 - W13) ** -1
                                   - RatFunc.from_poly(W12 - W13) ** -1)
+
+
+def poly_text_oracle(p: MPoly) -> str:
+    """Test oracle for the term order of poly_text: the terms sorted by
+    descending _MON_KEY, each rendered on its own."""
+    parts = []
+    for m, c in sorted(p.terms.items(), key=lambda t: _MON_KEY(t[0]), reverse=True):
+        text = poly_text(MPoly({m: -c if c < 0 else c}))
+        if parts:
+            parts.append((" - " if c < 0 else " + ") + text)
+        else:
+            parts.append("-" + text if c < 0 else text)
+    return "".join(parts) or "0"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(monomials, unique=True, max_size=12),
+       st.lists(st.one_of(st.integers(-5, 5).filter(bool), nonzero), min_size=12, max_size=12))
+def test_poly_text_orders_terms_by_mon_key(ms, coeffs):
+    p = MPoly(dict(zip(ms, coeffs)))
+    assert poly_text(p) == poly_text_oracle(p)

@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 import identity_oracle
 from identity_oracle import (
     adding_defect_report_per_f,
+    fmo_value_per_f,
     involution_report_per_f,
     restriction_report_per_f,
     sweedler,
@@ -28,8 +29,18 @@ from quiver_fmo.defect_embed import (
     verify_adding_defect_theorem,
     verify_restriction,
 )
-from quiver_fmo.gklo import dressing_basis, involution_fmo_report, make_context
-from quiver_fmo.multipoly import MPoly, PartialSymPoly, W_KIND, restrict_to_gamma, tilde
+from quiver_fmo.gklo import dressing_basis, fmo, involution_fmo_report, make_context
+from quiver_fmo.multipoly import (
+    MPoly,
+    PartialSymPoly,
+    W_KIND,
+    _difference_divides,
+    head_tail_divides,
+    parse_poly,
+    restrict_to_gamma,
+    tilde,
+    wv,
+)
 from quiver_fmo.quiver import Quiver, a1_quiver, a2_quiver, affine_sl2_quiver
 
 THREE_CYCLE = Quiver.from_json({
@@ -105,6 +116,88 @@ def test_restriction_core_matches_the_per_f_oracle(case, data):
     for sign in "+-":
         assert verify_restriction(ctx, v_prime, m, f, sign) == \
             restriction_report_per_f(ctx, v_prime, m, f, sign), sign
+
+
+@settings(max_examples=60, deadline=None)
+@given(dressed_charges(), st.sampled_from("+-"))
+def test_fmo_core_matches_the_per_f_oracle(case, sign):
+    ctx, m, f = case
+    assert fmo(ctx, m, f, sign) == fmo_value_per_f(ctx, m, f, sign)
+    # one form per vertex decides whether any head-tail form divides f
+    assert head_tail_divides(f, ctx.v) == any(
+        _difference_divides(f.value, wv(i, a), wv(i, b))
+        for i, (mi, vi) in enumerate(zip(m, ctx.v))
+        for a in range(1, mi + 1) for b in range(mi + 1, vi + 1))
+
+
+# (quiver, w, v, m, dressing) with a head-tail form dividing the dressing
+HEAD_TAIL_DRESSINGS = [
+    (a1_quiver(), (3,), (3,), (1,), "(w[1,1]-w[1,2])*(w[1,1]-w[1,3])"),
+    (a2_quiver(), (2, 2), (2, 2), (1, 1), "w[2,1]-w[2,2]"),
+    (affine_sl2_quiver(), (2, 2), (2, 2), (1, 0), "w[1,1]^2-w[1,2]^2"),
+    (THREE_CYCLE, (2, 0, 1), (2, 1, 2), (1, 0, 1), "(w[1,1]-w[1,2])*w[3,1]"),
+]
+
+
+@pytest.mark.parametrize("quiver,w,v,m,text", HEAD_TAIL_DRESSINGS)
+def test_zero_and_head_tail_dressings_sum_their_own_terms(monkeypatch, quiver, w, v, m, text):
+    def no_core(*args):
+        raise AssertionError("the f = 1 core was read")
+
+    monkeypatch.setattr(gklo, "_fmo_core", no_core)
+    ctx = make_context(quiver, w, v)
+    for f in (PartialSymPoly.make(parse_poly(text), m, v), PartialSymPoly.make(0, m, v)):
+        assert f.is_zero() or head_tail_divides(f, v)
+        for sign in "+-":
+            assert fmo(ctx, m, f, sign) == fmo_value_per_f(ctx, m, f, sign), (text, sign)
+
+
+# stdout sha256 of runs whose dressing has a head-tail factor, recorded
+# before M^sign_m(f) was read from the f = 1 cores
+HEAD_TAIL = "(w[1,1]-w[1,2])*(w[1,1]-w[1,3])"
+HEAD_TAIL_RUNS = {
+    ("fmo --quiver a2 --w 2,2 --v 3,2 --m 1,1", HEAD_TAIL):
+        "ccf478d8457a0b401fa842c7ac081ea888f56a243975557e32054c482f43819e",
+    ("fmo --quiver a2 --w 2,2 --v 3,2 --m 1,1 --sign -", HEAD_TAIL):
+        "502943a2ec3041f775e4e9f321587e9fbef97ac27477cafce98d29873451eb30",
+    ("fmo --quiver affine_sl2 --w 1,1 --v 2,2 --m 1,1 --sign -", "w[2,1]-w[2,2]"):
+        "e850cabcc3fec22d82c8e4cc653180e8ba87e03ee466c2d8f2945fbed9cfb793",
+    ("verify involution --quiver a2 --w 2,2 --v 2,2 --m 1,0", "w[1,1]-w[1,2]"):
+        "b5f7e6ab9b90a4c13f965976b5c04b5134f0af5d2654ab7e2332c6e04742955d",
+    ("verify adding-defect --quiver a2 --w 2,2 --v 3,3 --vprime 2,2 --m 1,0", HEAD_TAIL):
+        "3d7574312ff66e054709b15bd7bf093e83eaf49141e478a32a5f6f9339f7fd0f",
+    ("verify restriction --quiver a2 --w 2,2 --v 3,3 --vprime 2,2 --m 1,1", HEAD_TAIL):
+        "547142a033dda15c516ccbefed0a778f83301c55da2d538f45c9eb025b254d7b",
+    ("verify km-embedding --quiver a2 --w 2,2 --v 3,3 --vprime 2,2 --m 1,0", HEAD_TAIL):
+        "4aa936ad3b808eb577bb6410e5baed998e8e878485e73ea5ac5b410d34bed121",
+}
+
+
+@pytest.mark.parametrize("argv,dressing", sorted(HEAD_TAIL_RUNS))
+def test_head_tail_dressing_runs_print_the_recorded_bytes(capsys, argv, dressing):
+    code, out, err = run(capsys, *argv.split(), "--f", dressing, "--json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == HEAD_TAIL_RUNS[argv, dressing]
+
+
+def test_derived_dressings_pass_the_symmetry_checks(capsys, monkeypatch):
+    # the library builds the dressing basis, tilde(f), the f = 1 units and
+    # the km chain's sign-flipped dressing without the invariance scan; each
+    # one built on the cheap table ops passes every check of make
+    real = PartialSymPoly.symmetric
+    built = []
+
+    def recorded(value, m, v):
+        f = real(value, m, v)
+        built.append(f)
+        return f
+
+    monkeypatch.setattr(PartialSymPoly, "symmetric", staticmethod(recorded))
+    for argv in table_ops("verify", 0.1):
+        assert main(argv) in (0, 1), argv
+    for f in built:
+        assert PartialSymPoly.make(f.value, f.m, f.v) == f
+    assert sum(len(f.value.terms) > 1 for f in built) > 500, len(built)
 
 
 def test_sweedler_pieces_restrict_like_the_dressing():
