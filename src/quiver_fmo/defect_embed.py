@@ -158,7 +158,7 @@ def _defect_core(ctx: GKLOContext, split: DefectSplit, m) -> bool:
     terms are dressed by f itself (see _defect_rhs).  The subset keys are
     distinct and the ring is a domain, so for f != 0 the comparison holds
     exactly when it does at f = 1."""
-    unit = PartialSymPoly.symmetric(MPoly.one(), m, ctx.v)
+    unit = PartialSymPoly(MPoly.one(), m, ctx.v)
     return identity_holds(_defect_lhs(ctx, split, m, unit, False)
                           + _negated(_defect_rhs(ctx, split, m, unit)))
 
@@ -250,7 +250,7 @@ def _plus_restriction_route(ctx: GKLOContext, v_prime, m) -> bool:
     subset term is tilde(f)|_Gamma, a relabelling of tilde(f), so this
     verdict decides every f with tilde(f) != 0."""
     split = DefectSplit.make(ctx.v, v_prime)
-    unit = PartialSymPoly.symmetric(MPoly.one(), m, ctx.v)
+    unit = PartialSymPoly(MPoly.one(), m, ctx.v)
     return identity_holds(_defect_lhs(ctx, split, m, unit, True)
                           + _negated(_defect_rhs(ctx, split, m, unit)))
 

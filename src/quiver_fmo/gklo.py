@@ -17,6 +17,7 @@ from .multipoly import (
     RatFunc,
     ZVAR,
     core_sum,
+    expansion_bound,
     head_tail_divides,
     identity_holds,
     keyed_sum,
@@ -26,6 +27,7 @@ from .multipoly import (
     over_lcm,
     restrict_to_gamma,
     uv,
+    within_budget,
     wv,
 )
 from .quiver import DimData, EnumerationBudgetError, Quiver, cartan_matrix, compositions
@@ -240,11 +242,28 @@ def fmo_value(ctx: GKLOContext, m, f: PartialSymPoly, sign: str) -> RatFunc:
     when its relabelling, a form w_{i,a} - w_{i,b} with a <= m_i < b,
     divides f.  When none does, every subset term is reduced as it stands
     and M^sign_m(f) is sum f|_Gamma * N_Gamma / L over the f = 1 core of
-    _fmo_core; otherwise (and for f = 0) the subset terms are summed."""
-    if f.is_zero() or head_tail_divides(f, ctx.v):
-        return terms_value(_signed_terms(ctx, m, f, sign), 1 if sign == "+" else -1)
-    pairs, lcm = _fmo_core(ctx, m, sign)
-    return core_sum(((restrict_to_gamma(f, gamma), num) for gamma, num in pairs), lcm)
+    _fmo_core; otherwise (and for f = 0) the subset terms are summed.
+
+    The keyed sum of those terms expands at most len(f) times the f = 1
+    bound of _unit_terms, and so does the core's sum; above the budget the
+    subset terms are summed too, and keyed_sum checks its own bound."""
+    if not (f.is_zero() or head_tail_divides(f, ctx.v)):
+        _, bound = _unit_terms(ctx, m, sign)
+        if within_budget(len(f.value.terms) * bound):
+            pairs, lcm = _fmo_core(ctx, m, sign)
+            return core_sum(((restrict_to_gamma(f, gamma), num) for gamma, num in pairs),
+                            lcm)
+    return terms_value(_signed_terms(ctx, m, f, sign), 1 if sign == "+" else -1)
+
+
+@lru_cache(maxsize=1024)
+def _unit_terms(ctx: GKLOContext, m, sign: str):
+    """The subset terms of M^sign_m(1) over ctx, as a tuple of (Gamma,
+    numerator, factored-denominator) triples that callers must not mutate,
+    and over_lcm's bound on their expansion over the lcm of their
+    denominators, computed without expanding."""
+    terms = tuple(_signed_terms(ctx, m, PartialSymPoly(MPoly.one(), m, ctx.v), sign))
+    return terms, expansion_bound((num, dfac) for _, num, dfac in terms)
 
 
 @lru_cache(maxsize=1024)
@@ -252,9 +271,8 @@ def _fmo_core(ctx: GKLOContext, m, sign: str):
     """The f = 1 core of M^sign_m over ctx: the pairs (Gamma, N_Gamma), N_Gamma
     = A_Gamma u_Gamma^{+-1} L / D_Gamma expanded, and the lcm L of the D_Gamma.
     Refused by over_lcm's budget before anything is expanded."""
-    unit = PartialSymPoly.symmetric(MPoly.one(), m, ctx.v)
+    terms, _ = _unit_terms(ctx, m, sign)
     exp = 1 if sign == "+" else -1
-    terms = list(_signed_terms(ctx, m, unit, sign))
     nums, lcm = over_lcm((_u_gamma(gamma, exp) * num, dfac) for gamma, num, dfac in terms)
     # no numerator is zero at f = 1, so over_lcm keeps them all, in order
     return tuple(zip([gamma for gamma, _, _ in terms], nums)), lcm
@@ -383,16 +401,16 @@ def involution_fmo_report(ctx: GKLOContext, m, f: PartialSymPoly) -> InvolutionR
     for every nonzero f; f = 0 swaps trivially.  The reported image is the
     sum of the transformed terms, built only when the identity fails.
     Involutivity is checked on the ring generators.  The reported M^-_m(f)
-    comes from fmo_value; at f = 1 the swap identity builds the subset terms
-    of M^-_m once more."""
+    comes from fmo_value; at f = 1 the swap identity reads the subset terms
+    of M^-_m from _unit_terms, which that value's core is built from too."""
     m = _check_m(ctx, m)
     f = as_dressing(ctx, m, f)
     minus = localized(fmo_value(ctx, m, f, "-"), FMO_RING["-"])
-    unit = PartialSymPoly.symmetric(MPoly.one(), m, ctx.v)
+    unit = PartialSymPoly(MPoly.one(), m, ctx.v)
     if f == unit:
+        minus_terms, _ = _unit_terms(ctx, m, "-")
         swaps = identity_holds(list(_iota_plus_terms(ctx, m, f))
-                               + [(gamma, -num, dfac) for gamma, num, dfac
-                                  in fmo_minus_terms(ctx, m, f)])
+                               + [(gamma, -num, dfac) for gamma, num, dfac in minus_terms])
     else:
         swaps = f.is_zero() or involution_fmo_report(ctx, m, unit).swaps
     image = minus if swaps else terms_value(_iota_plus_terms(ctx, m, f), -1)
@@ -534,7 +552,7 @@ def dressing_basis(v, m, max_degree: int = 2):
                 poly = MPoly.one()
                 for (i, slots), pat in zip(blocks, choice):
                     poly = poly * _orbit_sum(i, slots, pat)
-                out.append(PartialSymPoly.symmetric(poly, m, v))
+                out.append(PartialSymPoly(poly, m, v))
     return tuple(out)
 
 

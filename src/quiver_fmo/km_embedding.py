@@ -236,8 +236,7 @@ def compose_embedding(ctx: GKLOContext, split: DefectSplit, m, f, sign: str) -> 
     m = tuple(m)
     f = as_dressing(ctx, m, f)
     if sign == "-":
-        f0 = PartialSymPoly.symmetric(
-            -f.value if fmo_sign(ctx, m) else f.value, m, ctx.v)
+        f0 = PartialSymPoly(-f.value if fmo_sign(ctx, m) else f.value, m, ctx.v)
     else:
         f0 = f
     states = [split_and_project(ctx, split, m, f0, sign)]

@@ -985,13 +985,11 @@ class RatFunc:
 EXPANSION_BUDGET = 10 ** 6  # terms of one expansion over an lcm; read at call time
 
 
-def over_lcm(terms):
-    """The nonzero numerators of (numerator, factored-denominator) pairs,
-    each brought over the lcm of their denominators: (an iterator of the
-    expanded numerators, in order, and the lcm).  Each missing form x_a - x_b
-    at most doubles a numerator's terms, so sum len(num) * 2^(missing x_a -
-    x_b) bounds the expansion; above EXPANSION_BUDGET it raises
-    EnumerationBudgetError before expanding."""
+def _lcm_plan(terms):
+    """The nonzero (numerator, factored-denominator) pairs, the forms each
+    denominator lacks against their lcm, the lcm, and the bound on the
+    expansion over the lcm: each missing form x_a - x_b at most doubles a
+    numerator's terms, so sum len(num) * 2^(missing x_a - x_b)."""
     items = [(num, dfac) for num, dfac in terms if not num.is_zero()]
     lcm = {}
     for _, dfac in items:
@@ -1001,7 +999,26 @@ def over_lcm(terms):
     missing = [_dfac_sub(lcm, dfac) for _, dfac in items]
     bound = sum(len(num.terms) << sum(e for k, e in miss.items() if k[0] != "var")
                 for (num, _), miss in zip(items, missing))
-    if bound > EXPANSION_BUDGET:
+    return items, missing, lcm, bound
+
+
+def expansion_bound(terms) -> int:
+    """over_lcm's bound for (numerator, factored-denominator) pairs, without
+    expanding them."""
+    return _lcm_plan(terms)[3]
+
+
+def within_budget(bound: int) -> bool:
+    return bound <= EXPANSION_BUDGET
+
+
+def over_lcm(terms):
+    """The nonzero numerators of (numerator, factored-denominator) pairs,
+    each brought over the lcm of their denominators: (an iterator of the
+    expanded numerators, in order, and the lcm).  Above EXPANSION_BUDGET the
+    bound of _lcm_plan raises EnumerationBudgetError before expanding."""
+    items, missing, lcm, bound = _lcm_plan(terms)
+    if not within_budget(bound):
         raise EnumerationBudgetError(
             "a sum over a common denominator could expand to %d terms, more than %d"
             % (bound, EXPANSION_BUDGET))
@@ -1064,18 +1081,10 @@ def core_sum(pairs, lcm: dict) -> RatFunc:
     keys brought over their lcm by over_lcm (the numerators) whose scales
     cancel no form of their own denominators, so no form of lcm divides the
     sum, which is therefore canonical; the caller guarantees this."""
-    out = {}
-    get = out.get
+    N = MPoly.zero()
     for scale, num in pairs:
-        for m2, c2 in scale.terms.items():
-            for m1, c1 in num.terms.items():
-                m = mon_mul(m1, m2)
-                n = get(m, 0) + c1 * c2
-                if n:
-                    out[m] = n
-                else:
-                    del out[m]
-    return RatFunc(MPoly({m: _coeff(c) for m, c in out.items()}), dict(lcm))
+        N = N + scale * num
+    return RatFunc(N, dict(lcm))
 
 
 # ---------------------------------------------------------------------------
@@ -1185,38 +1194,32 @@ class PartialSymPoly:
     m: tuple
     v: tuple
 
-    def __post_init__(self):
-        if len(self.m) != len(self.v):
+    @staticmethod
+    def make(value, m, v) -> "PartialSymPoly":
+        """The dressing, checked: m and v fit, no u-variable and no slot past
+        v occurs, and value is invariant under the block transpositions.
+        PartialSymPoly(value, m, v) builds one unchecked, for values that are
+        block-symmetric by construction (orbit sums, units, and dressings
+        derived from checked ones)."""
+        if isinstance(value, (int, Fraction)):
+            value = MPoly.const(value)
+        m, v = tuple(m), tuple(v)
+        if len(m) != len(v):
             raise ValueError("m and v must have the same length")
-        if any(mi < 0 or mi > vi for mi, vi in zip(self.m, self.v)):
+        if any(mi < 0 or mi > vi for mi, vi in zip(m, v)):
             raise ValueError("need 0 <= m <= v componentwise")
-        for var in self.value.variables():
+        for var in value.variables():
             kind, i, r = var
             if kind == U_KIND:
                 raise ValueError("dressings contain no u-variables")
-            if kind == W_KIND and not (0 <= i < len(self.v) and 1 <= r <= self.v[i]):
+            if kind == W_KIND and not (0 <= i < len(v) and 1 <= r <= v[i]):
                 raise ValueError("variable %s outside the (v) slot range" % (var,))
-        for i, r, s in _block_transpositions(self.m, self.v):
-            if self.value.permute_vars(_swap_map(i, r, s)) != self.value:
+        for i, r, s in _block_transpositions(m, v):
+            if value.permute_vars(_swap_map(i, r, s)) != value:
                 raise SymmetryError(
                     "not invariant under swapping slots %d,%d at vertex %d" % (r, s, i)
                 )
-
-    @staticmethod
-    def make(value, m, v) -> "PartialSymPoly":
-        if isinstance(value, (int, Fraction)):
-            value = MPoly.const(value)
-        return PartialSymPoly(value, tuple(m), tuple(v))
-
-    @staticmethod
-    def symmetric(value: MPoly, m, v) -> "PartialSymPoly":
-        """A dressing that is block-symmetric by construction (an orbit sum,
-        a unit, or derived from a checked dressing), built without the
-        checks of make."""
-        f = object.__new__(PartialSymPoly)
-        for name, val in (("value", value), ("m", tuple(m)), ("v", tuple(v))):
-            object.__setattr__(f, name, val)
-        return f
+        return PartialSymPoly(value, m, v)
 
     def is_zero(self) -> bool:
         return self.value.is_zero()
@@ -1254,7 +1257,7 @@ def tilde(f: PartialSymPoly, v_prime) -> PartialSymPoly:
     dead = [wv(i, r) for i, (vpi, vi) in enumerate(zip(v_prime, f.v))
             for r in range(vpi + 1, vi + 1)]
     # zeroing tail slots keeps both blocks of every vertex symmetric
-    return PartialSymPoly.symmetric(f.value.subs_zero(dead), f.m, v_prime)
+    return PartialSymPoly(f.value.subs_zero(dead), f.m, v_prime)
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,7 @@ def sweedler(f: PartialSymPoly, v_prime):
         groups.setdefault(tail, {})[head] = c
     out = []
     for tail in sorted(groups, key=_MON_KEY):
-        head_poly = PartialSymPoly(MPoly(groups[tail]), f.m, v_prime)
+        head_poly = PartialSymPoly.make(MPoly(groups[tail]), f.m, v_prime)
         out.append((head_poly, MPoly({tail: 1})))
     return out
 

@@ -16,7 +16,6 @@ from hypothesis import example, given, settings, strategies as st
 from quiver_fmo import cli, gklo, multipoly
 from quiver_fmo.cli import EXIT_CLOSED_STDOUT, main
 from quiver_fmo.multipoly import RatFunc
-from quiver_fmo.quiver import EnumerationBudgetError
 
 
 def run(capsys, *argv):
@@ -440,6 +439,9 @@ def test_flat_dressing_sum_is_parsed_without_recursion(capsys):
     "hilbert --quiver a1 --w 4 --v 0 --order 1000000",
     # 252 subsets, but each numerator would expand over all 45 forms x_a - x_b
     "fmo --quiver a1 --w 2 --v 10 --m 5 --json",
+    # the f = 1 core is within budget, but not 84 times over: 70 subsets of
+    # 84 terms, each over the 12 forms its denominator lacks
+    "fmo --quiver a1 --w 2 --v 8 --m 4 --f (w[1,1]+w[1,2]+w[1,3]+w[1,4])^6 --json",
 ])
 def test_enumeration_over_budget_is_refused(capsys, argv):
     t0 = time.perf_counter()
@@ -449,29 +451,25 @@ def test_enumeration_over_budget_is_refused(capsys, argv):
     assert err.startswith("refused: ") and err.count("\n") == 1
 
 
-def test_small_budget_refuses_a_sweep_on_the_core_route(capsys, monkeypatch):
+def test_small_budget_refuses_a_sweep_before_the_core_expands(capsys, monkeypatch):
     # a1 v=6 m=1: the f = 1 core of M^- would expand 6 subset numerators
-    # over the 10 forms each denominator lacks, 6 * 2^10 terms by the bound
-    refused = []
+    # over the 10 forms each denominator lacks, 6 * 2^10 terms by the bound;
+    # the pre-count sends the value to the keyed sum, which refuses it
+    expanded = []
     real = gklo._fmo_core
 
     def spied(*args):
-        try:
-            return real(*args)
-        except EnumerationBudgetError:
-            refused.append(args[1:])
-            raise
-
-    def per_dressing_sum(*args):
-        raise AssertionError("a value was summed from its own subset terms")
+        expanded.append(args[1:])
+        return real(*args)
 
     monkeypatch.setattr(gklo, "_fmo_core", spied)
-    monkeypatch.setattr(gklo, "terms_value", per_dressing_sum)
     monkeypatch.setattr(multipoly, "EXPANSION_BUDGET", 6 * 2 ** 10 - 1)
     code, out, err = run(capsys, "verify", "involution", "--quiver", "a1",
                          "--w", "2", "--v", "6", "--json")
-    assert (code, out) == (2, "") and err.startswith("refused: ")
-    assert refused == [((1,), "-")]
+    assert (code, out) == (2, "")
+    assert expanded and ((1,), "-") not in expanded
+    assert err == "refused: a sum over a common denominator could expand to 6144 terms, " \
+                  "more than 6143\n"
 
 
 CHEAP_VERIFY_SUBJECTS = ("restriction", "adding-defect", "km-embedding", "involution",
@@ -525,11 +523,11 @@ MINUS_TERM_RUNS = {
 
 @pytest.mark.parametrize("argv", list(MINUS_TERM_RUNS))
 def test_each_involution_report_builds_the_minus_terms_once(capsys, monkeypatch, argv):
-    """The subset terms of M^-_m are built once per charge for the f = 1
-    core that every reported M^-_m(f) is read from, once more per charge
-    for the swap identity at f = 1, and once per dressing that the core does
-    not cover (here f = 0); negative restriction reads M^- from the
-    involution report and builds no terms of its own."""
+    """The subset terms of M^-_m are built once per charge at f = 1, where
+    both the core that every reported M^-_m(f) is read from and the swap
+    identity read them, and once per dressing that the core does not cover
+    (here f = 0); negative restriction reads M^- from the involution report
+    and builds no terms of its own."""
     charges, fallbacks = MINUS_TERM_RUNS[argv]
     calls = []
     real = gklo.fmo_minus_terms
@@ -543,10 +541,10 @@ def test_each_involution_report_builds_the_minus_terms_once(capsys, monkeypatch,
     assert (code, err) == (0, "") and json.loads(out)["checked"] > 0
     assert gklo._fmo_core.cache_info().misses == charges
     per_unit_charge = Counter((ctx, m) for ctx, m, f in calls if f.value == 1)
-    assert len(per_unit_charge) == charges and set(per_unit_charge.values()) == {2}
+    assert len(per_unit_charge) == charges and set(per_unit_charge.values()) == {1}
     others = [f for _, _, f in calls if f.value != 1]
     assert len(others) == fallbacks and all(f.is_zero() for f in others)
-    assert len(calls) == 2 * charges + fallbacks
+    assert len(calls) == charges + fallbacks
 
 
 @pytest.mark.parametrize("argv,lines", [

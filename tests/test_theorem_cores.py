@@ -21,7 +21,7 @@ from identity_oracle import (
     restriction_report_per_f,
     sweedler,
 )
-from quiver_fmo import cli, defect_embed, gklo
+from quiver_fmo import cli, defect_embed, gklo, multipoly
 from quiver_fmo.cli import build_parser, main
 from quiver_fmo.defect_embed import (
     DefectSplit,
@@ -41,7 +41,13 @@ from quiver_fmo.multipoly import (
     tilde,
     wv,
 )
-from quiver_fmo.quiver import Quiver, a1_quiver, a2_quiver, affine_sl2_quiver
+from quiver_fmo.quiver import (
+    EnumerationBudgetError,
+    Quiver,
+    a1_quiver,
+    a2_quiver,
+    affine_sl2_quiver,
+)
 
 THREE_CYCLE = Quiver.from_json({
     "vertices": ["a", "b", "c"],
@@ -152,6 +158,29 @@ def test_zero_and_head_tail_dressings_sum_their_own_terms(monkeypatch, quiver, w
             assert fmo(ctx, m, f, sign) == fmo_value_per_f(ctx, m, f, sign), (text, sign)
 
 
+@pytest.mark.parametrize("sign", "+-")
+def test_dressing_over_the_core_budget_sums_its_own_terms(monkeypatch, sign):
+    # len(f) times the f = 1 bound is 4 * 12 = 48, but f's own keyed sum
+    # expands to at most 40 terms: under a budget between the two the value
+    # is summed from f's own subset terms, and under 40 that sum refuses it
+    ctx = make_context(affine_sl2_quiver(), (2, 2), (2, 2))
+    m = (1, 1)
+    f = PartialSymPoly.make(parse_poly("w[1,1]+w[1,2]+w[2,1]+w[2,2]"), m, ctx.v)
+    expected = fmo_value_per_f(ctx, m, f, sign)
+    assert len(f.value.terms) * gklo._unit_terms(ctx, m, sign)[1] == 48
+
+    def no_core(*args):
+        raise AssertionError("the f = 1 core was read")
+
+    monkeypatch.setattr(gklo, "_fmo_core", no_core)
+    monkeypatch.setattr(multipoly, "EXPANSION_BUDGET", 47)
+    assert fmo(ctx, m, f, sign) == expected
+    gklo._fmo_cached.cache_clear()
+    monkeypatch.setattr(multipoly, "EXPANSION_BUDGET", 39)
+    with pytest.raises(EnumerationBudgetError, match="expand to 40 terms"):
+        fmo(ctx, m, f, sign)
+
+
 # stdout sha256 of runs whose dressing has a head-tail factor, recorded
 # before M^sign_m(f) was read from the f = 1 cores
 HEAD_TAIL = "(w[1,1]-w[1,2])*(w[1,1]-w[1,3])"
@@ -182,19 +211,19 @@ def test_head_tail_dressing_runs_print_the_recorded_bytes(capsys, argv, dressing
 
 def test_derived_dressings_pass_the_symmetry_checks(capsys, monkeypatch):
     # the library builds the dressing basis, tilde(f), the f = 1 units and
-    # the km chain's sign-flipped dressing without the invariance scan; each
-    # one built on the cheap table ops passes every check of make
-    real = PartialSymPoly.symmetric
+    # the km chain's sign-flipped dressing unchecked; each dressing built on
+    # the cheap table ops passes every check of make
+    real = PartialSymPoly.__init__
     built = []
 
-    def recorded(value, m, v):
-        f = real(value, m, v)
-        built.append(f)
-        return f
+    def recorded(self, value, m, v):
+        real(self, value, m, v)
+        built.append(self)
 
-    monkeypatch.setattr(PartialSymPoly, "symmetric", staticmethod(recorded))
+    monkeypatch.setattr(PartialSymPoly, "__init__", recorded)
     for argv in table_ops("verify", 0.1):
         assert main(argv) in (0, 1), argv
+    monkeypatch.undo()
     for f in built:
         assert PartialSymPoly.make(f.value, f.m, f.v) == f
     assert sum(len(f.value.terms) > 1 for f in built) > 500, len(built)
