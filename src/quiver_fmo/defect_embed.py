@@ -26,6 +26,7 @@ from .quiver import DimData, mat_vec
 from .gklo import (
     FMO_RING,
     GKLOContext,
+    _unit_terms,
     as_dressing,
     fmo,
     fmo_plus_terms,
@@ -138,29 +139,28 @@ def _rhs_context(ctx: GKLOContext, split: DefectSplit, m):
     return GKLOContext(ctx.quiver, DimData.make(ctx.w, split.v_prime))
 
 
-def _defect_rhs(ctx: GKLOContext, split: DefectSplit, m, f: PartialSymPoly):
-    """The subset terms of the right-hand side (none when m > v')."""
+def _defect_comparison(ctx: GKLOContext, split: DefectSplit, m, at_zero: bool) -> bool:
+    """The adding-defect comparison at f = 1, at the tail-zero divisor when
+    at_zero: phi of the subset terms of M^+_m against those of M^+_m over v'
+    (none when m > v').
+
+    A dressing f enters the subset-Gamma term of either side only as the
+    factor f|_Gamma: phi rescales u's and fixes w's, the right-hand side is
+    dressed by f itself (see _rhs_context), and at the tail-zero divisor the
+    shared factor is tilde(f)|_Gamma, a relabelling of tilde(f).  The subset
+    keys are distinct and the ring is a domain, so for f != 0 (tilde(f) != 0
+    at zero) the comparison holds exactly when it does at f = 1."""
     sub_ctx = _rhs_context(ctx, split, m)
-    return [] if sub_ctx is None else list(fmo_plus_terms(sub_ctx, m, f))
-
-
-def _negated(terms):
-    return [(gamma, -num, dfac) for gamma, num, dfac in terms]
+    rhs = () if sub_ctx is None else _unit_terms(sub_ctx, m, "+")[0]
+    unit = PartialSymPoly(MPoly.one(), m, ctx.v)
+    return identity_holds(_defect_lhs(ctx, split, m, unit, at_zero)
+                          + [(gamma, -num, dfac) for gamma, num, dfac in rhs])
 
 
 @lru_cache(maxsize=65536)
 def _defect_core(ctx: GKLOContext, split: DefectSplit, m) -> bool:
-    """The adding-defect comparison at f = 1, which decides it for every
-    dressing.
-
-    A dressing f enters the subset-Gamma term of either side only as the
-    factor f|_Gamma: phi rescales u's and fixes w's, and on the right the
-    terms are dressed by f itself (see _defect_rhs).  The subset keys are
-    distinct and the ring is a domain, so for f != 0 the comparison holds
-    exactly when it does at f = 1."""
-    unit = PartialSymPoly(MPoly.one(), m, ctx.v)
-    return identity_holds(_defect_lhs(ctx, split, m, unit, False)
-                          + _negated(_defect_rhs(ctx, split, m, unit)))
+    """The adding-defect verdict of every dressing with charge m."""
+    return _defect_comparison(ctx, split, m, False)
 
 
 def verify_adding_defect_theorem(ctx: GKLOContext, split: DefectSplit, m, f) -> VerifyReport:
@@ -241,18 +241,12 @@ def _tail_zero_term(num: MPoly, dfac: dict, split: DefectSplit):
 
 
 # The tail-zero core keeps a cache of its own, under this name, because
-# bench/runner.py reads its statistics; it is the at_zero twin of _defect_core.
+# bench/runner.py reads its statistics.
 @lru_cache(maxsize=65536)
 def _plus_restriction_route(ctx: GKLOContext, v_prime, m) -> bool:
-    """The tail-zero defect route against the direct truncated operator at
-    f = 1, for m <= v': phi of M^+_m, specialized at the tail-zero divisor,
-    against M^+_m over v'.  For a dressing f the shared factor of each
-    subset term is tilde(f)|_Gamma, a relabelling of tilde(f), so this
-    verdict decides every f with tilde(f) != 0."""
-    split = DefectSplit.make(ctx.v, v_prime)
-    unit = PartialSymPoly(MPoly.one(), m, ctx.v)
-    return identity_holds(_defect_lhs(ctx, split, m, unit, True)
-                          + _negated(_defect_rhs(ctx, split, m, unit)))
+    """The tail-zero defect route's verdict, for m <= v', of every dressing
+    with tilde(f) != 0."""
+    return _defect_comparison(ctx, DefectSplit.make(ctx.v, v_prime), m, True)
 
 
 def verify_restriction(ctx: GKLOContext, v_prime, m, f, sign: str) -> VerifyReport:
@@ -262,8 +256,8 @@ def verify_restriction(ctx: GKLOContext, v_prime, m, f, sign: str) -> VerifyRepo
 
     The route holds when m > v' (both sides are zero), when tilde(f) = 0
     (both sides vanish) and otherwise exactly when its f = 1 core does.  The
-    positive side reports M^+_m(tilde f) of the target slice, the value of
-    restrict_fmo_slice; the negative side reads M^-_m(tilde f) from the
+    right-hand side is M^sign_m(tilde f) of the target slice, the value of
+    restrict_fmo_slice for either sign; the negative route also reads the
     target's involution report.  The route's own terms are built only when
     it fails."""
     m = tuple(m)
@@ -276,9 +270,8 @@ def verify_restriction(ctx: GKLOContext, v_prime, m, f, sign: str) -> VerifyRepo
     holds = f_tilde.is_zero() or _plus_restriction_route(ctx, v_prime, m)
     split = DefectSplit.make(ctx.v, v_prime)
     route_terms = () if holds else _defect_lhs(ctx, split, m, f, True)
-
+    rhs = restrict_fmo_slice(ctx, v_prime, m, f, sign)
     if sign == "+":
-        rhs = fmo(target, m, f_tilde, "+")
         return VerifyReport(holds, rhs if holds else terms_value(route_terms, 1), rhs)
 
     # negative side along the involution route
@@ -288,4 +281,4 @@ def verify_restriction(ctx: GKLOContext, v_prime, m, f, sign: str) -> VerifyRepo
     else:
         iota_terms = transport_terms(route_terms, partial(iota_image, target))
         lhs = localized(terms_value(iota_terms, -1), "slice_loc_loc")
-    return VerifyReport(holds and rep.swaps, lhs, rep.minus)
+    return VerifyReport(holds and rep.swaps, lhs, rhs)

@@ -242,12 +242,14 @@ def fmo_value(ctx: GKLOContext, m, f: PartialSymPoly, sign: str) -> RatFunc:
     when its relabelling, a form w_{i,a} - w_{i,b} with a <= m_i < b,
     divides f.  When none does, every subset term is reduced as it stands
     and M^sign_m(f) is sum f|_Gamma * N_Gamma / L over the f = 1 core of
-    _fmo_core; otherwise (and for f = 0) the subset terms are summed.
+    _fmo_core; otherwise the subset terms are summed.  M^sign_m(0) = 0.
 
     The keyed sum of those terms expands at most len(f) times the f = 1
     bound of _unit_terms, and so does the core's sum; above the budget the
     subset terms are summed too, and keyed_sum checks its own bound."""
-    if not (f.is_zero() or head_tail_divides(f, ctx.v)):
+    if f.is_zero():
+        return RatFunc.zero()
+    if not head_tail_divides(f, ctx.v):
         _, bound = _unit_terms(ctx, m, sign)
         if within_budget(len(f.value.terms) * bound):
             pairs, lcm = _fmo_core(ctx, m, sign)
@@ -390,36 +392,35 @@ def involution_on_generators(ctx: GKLOContext) -> bool:
 
 @lru_cache(maxsize=65536)
 def involution_fmo_report(ctx: GKLOContext, m, f: PartialSymPoly) -> InvolutionReport:
-    """The two involution properties on one dressed operator, cached.
-
-    The involution sends the subset-Gamma term of M^+_m(f) to a multiple of
-    u_Gamma^{-1}, the u-monomial of the subset-Gamma term of M^-_m(f), so the
-    swap identity splits into one exact polynomial identity per subset.  The
-    dressing enters both sides of each one only as the factor f|_Gamma (the
-    involution fixes the w's), and the ring is a domain, so the identity is
-    checked once per charge, by the report at f = 1, and that verdict holds
-    for every nonzero f; f = 0 swaps trivially.  The reported image is the
-    sum of the transformed terms, built only when the identity fails.
-    Involutivity is checked on the ring generators.  The reported M^-_m(f)
-    comes from fmo_value; at f = 1 the swap identity reads the subset terms
-    of M^-_m from _unit_terms, which that value's core is built from too."""
+    """The two involution properties on one dressed operator, cached.  The
+    reported M^-_m(f) is fmo's; the swap verdict is _swap_core's for every
+    nonzero f, and f = 0 swaps trivially.  The reported image is the sum of
+    the transformed terms, built only when the swap fails.  Involutivity is
+    checked on the ring generators."""
     m = _check_m(ctx, m)
     f = as_dressing(ctx, m, f)
-    minus = localized(fmo_value(ctx, m, f, "-"), FMO_RING["-"])
-    unit = PartialSymPoly(MPoly.one(), m, ctx.v)
-    if f == unit:
-        minus_terms, _ = _unit_terms(ctx, m, "-")
-        swaps = identity_holds(list(_iota_plus_terms(ctx, m, f))
-                               + [(gamma, -num, dfac) for gamma, num, dfac in minus_terms])
-    else:
-        swaps = f.is_zero() or involution_fmo_report(ctx, m, unit).swaps
-    image = minus if swaps else terms_value(_iota_plus_terms(ctx, m, f), -1)
+    minus = fmo(ctx, m, f, "-")
+    swaps = f.is_zero() or _swap_core(ctx, m)
+    image = minus if swaps else terms_value(
+        transport_terms(fmo_plus_terms(ctx, m, f), partial(iota_image, ctx)), -1)
     return InvolutionReport(image, minus, swaps, involution_on_generators(ctx))
 
 
-def _iota_plus_terms(ctx: GKLOContext, m, f: PartialSymPoly):
-    """The involution applied to the subset terms of M^+_m(f)."""
-    return transport_terms(fmo_plus_terms(ctx, m, f), partial(iota_image, ctx))
+@lru_cache(maxsize=1024)
+def _swap_core(ctx: GKLOContext, m) -> bool:
+    """The swap identity iota(M^+_m) = M^-_m at f = 1, which decides it for
+    every nonzero dressing.
+
+    The involution sends the subset-Gamma term of M^+_m(f) to a multiple of
+    u_Gamma^{-1}, the u-monomial of the subset-Gamma term of M^-_m(f), so the
+    identity splits into one exact polynomial identity per subset.  The
+    dressing enters both sides of each one only as the factor f|_Gamma (the
+    involution fixes the w's), and the ring is a domain, so for f != 0 it
+    holds exactly when it does at f = 1."""
+    iota_terms = transport_terms(_unit_terms(ctx, m, "+")[0], partial(iota_image, ctx))
+    minus_terms, _ = _unit_terms(ctx, m, "-")
+    return identity_holds(list(iota_terms)
+                          + [(gamma, -num, dfac) for gamma, num, dfac in minus_terms])
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@ dressing on its own, with no verdict shared between dressings.
 
 The library checks the involution swap, the adding-defect comparison and the
 tail-at-zero restriction route once per charge, at f = 1, and reuses that
-verdict for every dressing (``gklo.involution_fmo_report``,
-``defect_embed._defect_core``, ``defect_embed._plus_restriction_route``).
+verdict for every dressing (``gklo._swap_core``, ``defect_embed._defect_core``
+and ``defect_embed._plus_restriction_route``).
 These oracles run the subset-term comparison for the given f, and build the
 reports from that verdict, so the tests can compare every field of a library
 report with them.

@@ -500,24 +500,55 @@ def test_table_ops_byte_identical(capsys):
         assert (hashlib.sha256(out.encode()).hexdigest(), code, err) == (sha, exit_code, ""), argv
 
 
+# the whole-element field layer, the gcd kernel and the substitution oracles
+# (ROADMAP item 4's move list): no CLI route may reach them
+MOVED_METHODS = ("make", "subs_u", "permute_vars", "__add__", "__radd__", "__sub__",
+                 "__rsub__", "__truediv__", "__pow__")
+MOVED_FUNCTIONS = ("factor_denominator", "poly_gcd")
+
+
+def _refuse_moved_names(monkeypatch, methods=()):
+    """Make every moved name, and the given further RatFunc methods, raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a moved name was called")
+
+    for name in MOVED_METHODS + tuple(methods):
+        monkeypatch.setattr(RatFunc, name, refuse)
+    for name in MOVED_FUNCTIONS:
+        monkeypatch.setattr(multipoly, name, refuse)
+
+
 def test_d_identity_sums_keyed_terms_only(capsys, monkeypatch):
     """verify d-identity forms P^+_i P^-_i subset pair by subset pair and
     never adds or multiplies whole rational functions."""
-    def refuse(self, other):
-        raise AssertionError("whole-element RatFunc arithmetic")
-
-    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
-        monkeypatch.setattr(RatFunc, name, refuse)
+    _refuse_moved_names(monkeypatch, ("__mul__", "__rmul__"))
     code, out, _ = run(capsys, "verify", "d-identity", "--quiver", "a2",
                        "--w", "2,2", "--v", "3,3", "--json")
     assert code == 0 and json.loads(out)["all_hold"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    "verify restriction --quiver a2 --w 2,2 --v 3,3 --vprime 2,2",
+    "verify adding-defect --quiver a2 --w 2,2 --v 3,3 --vprime 2,2",
+    "verify km-embedding --quiver a2 --w 2,2 --v 3,3 --vprime 2,2",
+    "verify involution --quiver a2 --w 2,2 --v 2,2",
+    "verify orientation --quiver a2 --w 2,2 --v 2,2",
+    # a head-tail form divides --f, so the value is the keyed sum of its terms
+    "fmo --quiver a2 --w 2,2 --v 3,2 --m 1,1 --sign - --f (w[1,1]-w[1,2])*(w[1,1]-w[1,3])",
+])
+def test_cli_routes_call_no_moved_name(capsys, monkeypatch, argv):
+    _refuse_moved_names(monkeypatch)
+    code, out, err = run(capsys, *argv.split(), "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out).get("all_hold", True) is True
+
+
 # (charges, dressings outside the core) of each run; every charge of the
-# restriction target has a dressing with tilde(f) = 0
+# restriction target has a dressing with tilde(f) = 0, whose value is zero
+# without any subset term
 MINUS_TERM_RUNS = {
     "verify involution --quiver a2 --w 2,2 --v 2,2": (9, 0),
-    "verify restriction --quiver a2 --w 2,2 --v 2,2 --vprime 1,1 --sign -": (4, 4),
+    "verify restriction --quiver a2 --w 2,2 --v 2,2 --vprime 1,1 --sign -": (4, 0),
 }
 
 
@@ -526,8 +557,8 @@ def test_each_involution_report_builds_the_minus_terms_once(capsys, monkeypatch,
     """The subset terms of M^-_m are built once per charge at f = 1, where
     both the core that every reported M^-_m(f) is read from and the swap
     identity read them, and once per dressing that the core does not cover
-    (here f = 0); negative restriction reads M^- from the involution report
-    and builds no terms of its own."""
+    (a head-tail dressing; f = 0 builds none); negative restriction reads
+    M^- from restrict_fmo_slice and builds no terms of its own."""
     charges, fallbacks = MINUS_TERM_RUNS[argv]
     calls = []
     real = gklo.fmo_minus_terms

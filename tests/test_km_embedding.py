@@ -2,6 +2,7 @@
 operators, against the localization oracle and the direct slice
 restriction."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -12,7 +13,9 @@ from localization_oracle import (
     levi_restrict_mmo,
     localize_mmo,
 )
-from quiver_fmo.multipoly import MPoly, PartialSymPoly, RatFunc, ratfunc_sum, uv, wv
+from quiver_fmo import km_embedding
+from quiver_fmo.cli import main
+from quiver_fmo.multipoly import MPoly, PartialSymPoly, RatFunc, ratfunc_sum, tilde, uv, wv
 from quiver_fmo.quiver import (
     DimData,
     a1_quiver,
@@ -22,11 +25,12 @@ from quiver_fmo.quiver import (
     check_conicity,
     mat_vec,
 )
-from quiver_fmo.gklo import dressing_basis, make_context
+from quiver_fmo.gklo import dressing_basis, fmo, fmo_sign, make_context
 from quiver_fmo.defect_embed import (
     DefectSplit,
     _tail_zero_term,
     restrict_fmo_slice,
+    slice_target_context,
     verify_adding_defect_theorem,
     verify_restriction,
 )
@@ -280,7 +284,9 @@ def test_stage_signs_logged_match_closed_forms():
         assert st.mmo.dressing.is_poly()
 
 
-def test_chain_matches_restriction_sweep():
+def chain_sweep(max_degree=1):
+    """(ctx, split, m, f, sign) over conical splits of a1, a2 and affine_sl2,
+    every charge and the dressing basis up to max_degree."""
     cases = [(a1_quiver(), (3,), (2,)), (a2_quiver(), (2, 1), (1, 1)),
              (affine_sl2_quiver(), (2, 2), (1, 1))]
     for quiver, v, v_prime in cases:
@@ -293,10 +299,78 @@ def test_chain_matches_restriction_sweep():
             ctx = make_context(quiver, w, v)
             split = DefectSplit.make(v, v_prime)
             for m in itertools.product(*(range(vi + 1) for vi in v)):
-                for f in dressing_basis(v, m, 1):
+                for f in dressing_basis(v, m, max_degree):
                     for sign in "+-":
-                        rep = compose_embedding(ctx, split, m, f, sign)
-                        assert rep.matches_theorem, (v, v_prime, w, m, sign)
+                        yield ctx, split, m, f, sign
+
+
+def test_chain_matches_restriction_sweep():
+    for ctx, split, m, f, sign in chain_sweep():
+        rep = compose_embedding(ctx, split, m, f, sign)
+        assert rep.matches_theorem, (ctx.v, split.v_prime, ctx.w, m, sign)
+
+
+def chain_value(ctx, split, m, state, sign):
+    """Test oracle: the operator the chain ends in, M^sign_m of the final
+    dressing over the target slice (with the sign of fmo_sign for M^-),
+    built through fmo.  The library compares the dressing instead."""
+    target = slice_target_context(ctx, split.v_prime)
+    if state.mmo is None:
+        return RatFunc.zero()
+    g = state.mmo.dressing.as_poly()
+    if sign == "-" and fmo_sign(target, m):
+        g = -g
+    return fmo(target, m, PartialSymPoly.make(g, m, target.v), sign)
+
+
+def test_chain_result_is_the_operator_of_its_final_dressing():
+    checked = 0
+    for ctx, split, m, f, sign in chain_sweep():
+        rep = compose_embedding(ctx, split, m, f, sign)
+        value = chain_value(ctx, split, m, rep.states[-1], sign)
+        assert rep.result == value, (ctx.v, split.v_prime, m, f, sign)
+        assert (value == rep.expected) == rep.matches_theorem
+        checked += not value.is_zero()
+    assert checked > 90
+
+
+# stdout sha256 of the run below with forget_factor negated, recorded before
+# the chain compared dressings instead of operators
+FAILING_CHAIN_SHA256 = "86e4fed59d15d829a768d0d82507b896e8ac3b03c4336ea8a062e204cc4928ff"
+
+
+def test_failing_chain_reports_the_operator_of_its_dressing(capsys, monkeypatch):
+    real = km_embedding.forget_factor
+    monkeypatch.setattr(km_embedding, "forget_factor", lambda weights, gamma: -real(weights, gamma))
+    code = main("verify km-embedding --quiver a2 --w 2,2 --v 2,2 --vprime 1,1 --json".split())
+    out = capsys.readouterr()
+    assert (code, out.err) == (1, "")
+    assert hashlib.sha256(out.out.encode()).hexdigest() == FAILING_CHAIN_SHA256
+
+
+def chain_states(ctx, split, m, f0, sign):
+    """The chain's stages on the input dressing f0."""
+    states = [split_and_project(ctx, split, m, f0, sign)]
+    states.append(fourier_step(ctx, states[-1], 1))
+    states.append(fourier_step(ctx, states[-1], 2))
+    states.append(forget_matter_step(ctx, states[-1]))
+    return states
+
+
+def test_stage_dressings_scale_by_the_restricted_dressing():
+    # every stage factor reads only (split, m, sign), so each stage's
+    # dressing at f0 is its dressing at f0 = 1 times tilde(f0)
+    checked = 0
+    for ctx, split, m, f0, sign in chain_sweep(max_degree=2):
+        if any(mi > vp for mi, vp in zip(m, split.v_prime)):
+            continue
+        scale = RatFunc.from_poly(tilde(f0, split.v_prime).value)
+        unit = chain_states(ctx, split, m, PartialSymPoly.make(1, m, ctx.v), sign)
+        for st, st1 in zip(chain_states(ctx, split, m, f0, sign), unit):
+            assert st.mmo.gamma == st1.mmo.gamma and st.factor == st1.factor
+            assert st.mmo.dressing == st1.mmo.dressing * scale, (st.stage, m, f0, sign)
+            checked += not scale.is_zero()
+    assert checked > 400
 
 
 def test_degree_preserved_by_restriction():

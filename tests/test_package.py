@@ -118,3 +118,14 @@ def test_only_multipoly_calls_the_ratfunc_constructor():
             if name == "RatFunc":
                 found.append("%s:%d %s" % (path.name, line, function))
     assert not found, found
+
+
+def test_one_function_builds_each_fmo_value():
+    # every M^sign_m(f) is read through fmo's cache, except the adding-defect
+    # right-hand side, whose dressing lives over a larger v than its context
+    callers = set()
+    for path in sorted(PACKAGE_DIR.glob("**/*.py")):
+        for function, name, line in _calls(ast.parse(path.read_text(), filename=str(path))):
+            if name == "fmo_value":
+                callers.add(function)
+    assert callers == {"_fmo_cached", "verify_adding_defect_theorem"}, callers

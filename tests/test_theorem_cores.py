@@ -346,12 +346,11 @@ def test_failing_tail_zero_identity_matches_the_per_f_oracle(monkeypatch):
 
 @pytest.mark.parametrize("argv,routes", [
     ("verify adding-defect --quiver a2 --w 2,2 --v 3,3 --vprime 3,2",
-     {"_defect_core": 16}),
+     {"_defect_comparison": 16}),
     ("verify involution --quiver a2 --w 2,2 --v 2,2",
-     {"involution_fmo_report": 9, "involution_on_generators": 1}),
+     {"_swap_core": 9, "involution_on_generators": 1}),
     ("verify restriction --quiver a2 --w 2,2 --v 3,3 --vprime 2,2",
-     {"_plus_restriction_route": 9, "involution_fmo_report": 9,
-      "involution_on_generators": 1}),
+     {"_defect_comparison": 9, "_swap_core": 9, "involution_on_generators": 1}),
 ])
 def test_identities_run_once_per_charge_and_route(capsys, monkeypatch, argv, routes):
     calls = Counter()
