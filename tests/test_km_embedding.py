@@ -304,12 +304,6 @@ def chain_sweep(max_degree=1):
                         yield ctx, split, m, f, sign
 
 
-def test_chain_matches_restriction_sweep():
-    for ctx, split, m, f, sign in chain_sweep():
-        rep = compose_embedding(ctx, split, m, f, sign)
-        assert rep.matches_theorem, (ctx.v, split.v_prime, ctx.w, m, sign)
-
-
 def chain_value(ctx, split, m, state, sign):
     """Test oracle: the operator the chain ends in, M^sign_m of the final
     dressing over the target slice (with the sign of fmo_sign for M^-),
@@ -323,13 +317,13 @@ def chain_value(ctx, split, m, state, sign):
     return fmo(target, m, PartialSymPoly.make(g, m, target.v), sign)
 
 
-def test_chain_result_is_the_operator_of_its_final_dressing():
+def test_chain_matches_restriction_sweep():
     checked = 0
     for ctx, split, m, f, sign in chain_sweep():
         rep = compose_embedding(ctx, split, m, f, sign)
+        assert rep.matches_theorem, (ctx.v, split.v_prime, ctx.w, m, sign)
         value = chain_value(ctx, split, m, rep.states[-1], sign)
-        assert rep.result == value, (ctx.v, split.v_prime, m, f, sign)
-        assert (value == rep.expected) == rep.matches_theorem
+        assert rep.result == value == rep.expected, (ctx.v, split.v_prime, m, f, sign)
         checked += not value.is_zero()
     assert checked > 90
 
@@ -369,8 +363,8 @@ def test_stage_dressings_scale_by_the_restricted_dressing():
         for st, st1 in zip(chain_states(ctx, split, m, f0, sign), unit):
             assert st.mmo.gamma == st1.mmo.gamma and st.factor == st1.factor
             assert st.mmo.dressing == st1.mmo.dressing * scale, (st.stage, m, f0, sign)
-            checked += not scale.is_zero()
-    assert checked > 400
+        checked += not scale.is_zero()
+    assert checked > 100
 
 
 def test_degree_preserved_by_restriction():
