@@ -444,15 +444,32 @@ def orientation_flip_sign(ctx: GKLOContext, edge_index: int, m, f=None) -> Orien
     The flipped operator is transported back along the matter identification
     u_{s,p} |-> prod_q (w_{t,q} - w_{s,p}) u_{s,p},
     u_{t,q} |-> u_{t,q} / prod_p (w_{t,q} - w_{s,p});
-    the two then agree up to (-1)^{m_t (v_s - m_s)}, which is computed here
-    from the weights of the reversed summand.  The transport rescales each
-    u-monomial, so the comparison splits into one exact polynomial identity
-    per subset: the flipped subset-Gamma term picks up the factors
-    (w_{t,q} - w_{s,p}) with p in Gamma_s in its numerator and those with
-    q in Gamma_t in its denominator.
+    the two then agree up to (-1)^{m_t (v_s - m_s)}.  The sign and the
+    verdict for every nonzero f are _orientation_core's; f = 0 matches
+    trivially.
     """
     m = _check_m(ctx, m)
     f = as_dressing(ctx, m, MPoly.one() if f is None else f)
+    sign, holds = _orientation_core(ctx, edge_index, m)
+    return OrientationReport(sign, f.is_zero() or holds)
+
+
+@lru_cache(maxsize=1024)
+def _orientation_core(ctx: GKLOContext, edge_index: int, m):
+    """The sign (-1)^{m_t (v_s - m_s)}, computed from the weights of the
+    reversed summand, and the orientation identity at f = 1, which decides
+    it for every nonzero dressing.
+
+    The transport rescales each u-monomial and fixes every w, so the
+    comparison splits into one exact polynomial identity per subset: the
+    flipped subset-Gamma term picks up the factors (w_{t,q} - w_{s,p}) with
+    p in Gamma_s in its numerator and those with q in Gamma_t in its
+    denominator.  The dressing enters the flipped and the original subset-
+    Gamma terms only as the factor f|_Gamma, so the identity for Gamma at f
+    is f|_Gamma (X_Gamma - sign Y_Gamma) = 0.  f|_Gamma is a relabelling of
+    f, nonzero exactly when f is, and the ring is a domain, so for f != 0 it
+    holds exactly when it does at f = 1.  Nothing is divided, so unlike the
+    value cores no head-tail form of f needs its own check."""
     s, t = ctx.quiver.edges[edge_index]
     # Fourier sign from the weights x_{t,q} - x_{s,p} of the reversed summand
     exponent = 0
@@ -472,9 +489,10 @@ def orientation_flip_sign(ctx: GKLOContext, edge_index: int, m, f=None) -> Orien
         loss = [(wv(t, r), wv(s, p)) for p in range(1, ctx.v[s] + 1)] if i == t else ()
         return (linear_product(gain),) + linear_factors(loss)
 
-    keyed = list(transport_terms(fmo_plus_terms(flipped_ctx, m, f), transport))
-    keyed.extend((gamma, num * -sign, dfac) for gamma, num, dfac in fmo_plus_terms(ctx, m, f))
-    return OrientationReport(sign, identity_holds(keyed))
+    one = PartialSymPoly(MPoly.one(), m, ctx.v)
+    keyed = list(transport_terms(fmo_plus_terms(flipped_ctx, m, one), transport))
+    keyed.extend((gamma, num * -sign, dfac) for gamma, num, dfac in fmo_plus_terms(ctx, m, one))
+    return sign, identity_holds(keyed)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from .multipoly import (
     PartialSymPoly,
     RatFunc,
     W_KIND,
+    over_head_powers,
     poly_text,
-    ratfunc_sum,
     tilde,
     wv,
 )
@@ -165,10 +165,8 @@ def split_and_project(ctx: GKLOContext, split: DefectSplit, m, f, sign: str) -> 
     if any(mi > vp for mi, vp in zip(m, split.v_prime)):
         return ChainState("split", None, split.v_prime, vdp, "zero")
     ft = tilde(f, split.v_prime).value
-    head = {("var", wv(i, p)): vdp[i] for i, mi in enumerate(m) if vdp[i]
-            for p in range(1, mi + 1)}
-    sign = eps ** sum(head.values())
-    mmo = DressedMMO(omega(m, split.v_prime, eps), ratfunc_sum([(ft * sign, head)]))
+    sign = eps ** sum(e * mi for e, mi in zip(vdp, m))
+    mmo = DressedMMO(omega(m, split.v_prime, eps), over_head_powers(ft * sign, m, vdp))
     state = ChainState("split", mmo, split.v_prime, vdp, "1")
     _check_stage_denominator(state)
     return state

@@ -1249,6 +1249,29 @@ def head_tail_divides(f: PartialSymPoly, v) -> bool:
                for i, (mi, vi) in enumerate(zip(f.m, v)) if 0 < mi < vi)
 
 
+def over_head_powers(num: MPoly, m, powers) -> RatFunc:
+    """num / prod_{i, a <= m_i} w_{i,a}^{powers[i]} in canonical form, for num
+    symmetric in the head slots a <= m_i of each vertex.  By that symmetry
+    every head variable of vertex i has the least exponent of w_{i,1}, so one
+    test per vertex decides how much of each head power cancels."""
+    if num.is_zero():
+        return RatFunc.zero()
+    cancel, dfac = [], {}
+    for i, (mi, e) in enumerate(zip(m, powers)):
+        if not (mi and e):
+            continue
+        k = min(e, num.min_exponent(wv(i, 1)))
+        for a in range(1, mi + 1):
+            if k:
+                cancel.append((wv(i, a), -k))
+            if k < e:
+                dfac[("var", wv(i, a))] = e - k
+    if cancel:
+        inv = tuple(sorted(cancel))
+        num = MPoly({mon_mul(mon, inv): c for mon, c in num.terms.items()})
+    return RatFunc(num, dfac)
+
+
 def tilde(f: PartialSymPoly, v_prime) -> PartialSymPoly:
     """Set the variables w_{i,r} with r > v'_i to zero."""
     v_prime = tuple(v_prime)

@@ -2,9 +2,10 @@
 dressing on its own, with no verdict shared between dressings.
 
 The library checks the involution swap, the adding-defect comparison and the
-tail-at-zero restriction route once per charge, at f = 1, and reuses that
-verdict for every dressing (``gklo._swap_core``, ``defect_embed._defect_core``
-and ``defect_embed._plus_restriction_route``).
+tail-at-zero restriction route once per charge, and the orientation change
+once per (edge, charge), at f = 1, and reuses that verdict for every dressing
+(``gklo._swap_core``, ``defect_embed._defect_core``,
+``defect_embed._plus_restriction_route`` and ``gklo._orientation_core``).
 These oracles run the subset-term comparison for the given f, and build the
 reports from that verdict, so the tests can compare every field of a library
 report with them.
@@ -32,6 +33,7 @@ from quiver_fmo.defect_embed import (
 from quiver_fmo.gklo import (
     GKLOContext,
     InvolutionReport,
+    OrientationReport,
     as_dressing,
     fmo_minus_terms,
     fmo_plus_terms,
@@ -46,6 +48,8 @@ from quiver_fmo.multipoly import (
     RatFunc,
     _MON_KEY,
     identity_holds,
+    linear_factors,
+    linear_product,
     localized,
     tilde,
     wv,
@@ -97,6 +101,26 @@ def involution_report_per_f(ctx, m, f) -> InvolutionReport:
     minus = localized(terms_value(minus_terms, -1), "slice_loc")
     image = minus if swaps else terms_value(iota_terms, -1)
     return InvolutionReport(image, minus, swaps, involution_on_generators(ctx))
+
+
+def orientation_report_per_f(ctx, edge_index, m, f) -> OrientationReport:
+    """The orientation report with the transported flipped operator compared
+    with the signed original for f itself, one subset at a time; the sign is
+    the closed form (-1)^{m_t (v_s - m_s)}."""
+    m = tuple(m)
+    f = as_dressing(ctx, m, f)
+    s, t = ctx.quiver.edges[edge_index]
+    sign = (-1) ** (m[t] * (ctx.v[s] - m[s]))
+    flipped_ctx = GKLOContext(ctx.quiver.flip_edge(edge_index), ctx.dims)
+
+    def transport(i, r):
+        gain = [(wv(t, q), wv(s, r)) for q in range(1, ctx.v[t] + 1)] if i == s else ()
+        loss = [(wv(t, r), wv(s, p)) for p in range(1, ctx.v[s] + 1)] if i == t else ()
+        return (linear_product(gain),) + linear_factors(loss)
+
+    keyed = list(transport_terms(fmo_plus_terms(flipped_ctx, m, f), transport))
+    keyed.extend((gamma, num * -sign, dfac) for gamma, num, dfac in fmo_plus_terms(ctx, m, f))
+    return OrientationReport(sign, identity_holds(keyed))
 
 
 def defect_sides_per_f(ctx, split, m, f, at_zero: bool):

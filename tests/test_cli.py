@@ -342,6 +342,30 @@ def test_verify_orientation_takes_the_termwise_route(capsys, monkeypatch):
     assert json.loads(out)["checked"] > 0
 
 
+# 2 builds per (edge, charge): a2 has 1 edge and 9 charges, affine_sl2 2 and 6
+@pytest.mark.parametrize("quiver,w,v,builds", [("a2", "1,1", "2,2", 18),
+                                               ("affine_sl2", "2,2", "2,1", 24)])
+def test_verify_orientation_builds_subset_terms_twice_per_edge_and_charge(
+        capsys, monkeypatch, quiver, w, v, builds):
+    # the flipped and the original M^+_m(1), once per (edge, charge); every
+    # dressing reuses that verdict
+    from quiver_fmo import gklo
+
+    calls = []
+    real = gklo.fmo_plus_terms
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gklo, "fmo_plus_terms", counted)
+    code, out, err = run(capsys, "verify", "orientation", "--quiver", quiver,
+                         "--w", w, "--v", v, "--json")
+    assert (code, err) == (0, "")
+    assert len(calls) == builds
+    assert json.loads(out)["checked"] > builds
+
+
 def test_failing_negative_restriction_takes_the_termwise_route(capsys, monkeypatch):
     import sys
     from quiver_fmo import defect_embed, gklo

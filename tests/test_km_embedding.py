@@ -15,7 +15,16 @@ from localization_oracle import (
 )
 from quiver_fmo import km_embedding
 from quiver_fmo.cli import main
-from quiver_fmo.multipoly import MPoly, PartialSymPoly, RatFunc, ratfunc_sum, tilde, uv, wv
+from quiver_fmo.multipoly import (
+    MPoly,
+    PartialSymPoly,
+    RatFunc,
+    over_head_powers,
+    ratfunc_sum,
+    tilde,
+    uv,
+    wv,
+)
 from quiver_fmo.quiver import (
     DimData,
     a1_quiver,
@@ -217,6 +226,23 @@ def test_split_and_project_examples():
     stm = split_and_project(ctx, split, (1,), MPoly.one(), "-")
     assert stm.mmo.gamma == ((-1,),)
     assert stm.mmo.dressing == RatFunc.make(MPoly.one(), -W11)
+
+
+@pytest.mark.parametrize("v,m,vdp", [((3,), (2,), (2,)), ((2, 2), (1, 2), (1, 2)),
+                                      ((3, 2), (2, 1), (3, 0))])
+def test_head_division_matches_the_formwise_normalization(v, m, vdp):
+    # one exponent test per vertex cancels what dividing by each head form on
+    # its own cancels, to the same canonical (num, dfac) pair
+    head = {("var", wv(i, p)): vdp[i] for i, mi in enumerate(m) if vdp[i]
+            for p in range(1, mi + 1)}
+    basis = dressing_basis(v, m, 3)
+    nums = [MPoly.zero()] + [a.value * b.value for a, b in itertools.product(basis, basis[-8:])]
+    cancelled = 0
+    for num in nums:
+        got = over_head_powers(num, m, vdp)
+        assert got == ratfunc_sum([(num, head)]), num
+        cancelled += got.dfac != head
+    assert cancelled > 5
 
 
 def test_conicity_gate():

@@ -1,6 +1,7 @@
 """The f = 1 theorem cores: the involution swap, the adding-defect comparison
-and the tail-at-zero restriction route are checked once per charge and that
-verdict is used for every dressing.  Each report is compared with the
+and the tail-at-zero restriction route are checked once per charge, and the
+orientation change once per (edge, charge), and that verdict is used for every
+dressing.  Each report is compared with the
 per-dressing oracles of ``identity_oracle`` on random nonzero dressings."""
 
 import hashlib
@@ -18,6 +19,7 @@ from identity_oracle import (
     adding_defect_report_per_f,
     fmo_value_per_f,
     involution_report_per_f,
+    orientation_report_per_f,
     restriction_report_per_f,
     sweedler,
 )
@@ -29,7 +31,13 @@ from quiver_fmo.defect_embed import (
     verify_adding_defect_theorem,
     verify_restriction,
 )
-from quiver_fmo.gklo import dressing_basis, fmo, involution_fmo_report, make_context
+from quiver_fmo.gklo import (
+    dressing_basis,
+    fmo,
+    involution_fmo_report,
+    make_context,
+    orientation_flip_sign,
+)
 from quiver_fmo.multipoly import (
     MPoly,
     PartialSymPoly,
@@ -103,6 +111,14 @@ def dressed_charges(draw):
 def test_involution_core_matches_the_per_f_oracle(case):
     ctx, m, f = case
     assert involution_fmo_report(ctx, m, f) == involution_report_per_f(ctx, m, f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dressed_charges())
+def test_orientation_core_matches_the_per_f_oracle(case):
+    ctx, m, f = case
+    for k in range(len(ctx.quiver.edges)):
+        assert orientation_flip_sign(ctx, k, m, f) == orientation_report_per_f(ctx, k, m, f), k
 
 
 @settings(max_examples=40, deadline=None)
@@ -293,6 +309,8 @@ def test_zero_dressing_holds_when_every_core_fails(monkeypatch):
         ctx = make_context(quiver, w, v)
         for m in itertools.product(*(range(vi + 1) for vi in v)):
             assert involution_fmo_report(ctx, m, 0).swaps, (w, v, m)
+            for k in range(len(quiver.edges)):
+                assert orientation_flip_sign(ctx, k, m, 0).matches, (w, v, k, m)
             for v_prime in splits(v):
                 rep = verify_adding_defect_theorem(ctx, DefectSplit.make(v, v_prime), m, 0)
                 assert rep.holds and rep.lhs.is_zero(), (w, v, v_prime, m)
@@ -349,6 +367,8 @@ def test_failing_tail_zero_identity_matches_the_per_f_oracle(monkeypatch):
      {"_defect_comparison": 16}),
     ("verify involution --quiver a2 --w 2,2 --v 2,2",
      {"_swap_core": 9, "involution_on_generators": 1}),
+    ("verify orientation --quiver a2 --w 2,2 --v 2,2", {"_orientation_core": 9}),
+    ("verify orientation --quiver affine_sl2 --w 2,2 --v 2,2", {"_orientation_core": 18}),
     ("verify restriction --quiver a2 --w 2,2 --v 3,3 --vprime 2,2",
      {"_defect_comparison": 9, "_swap_core": 9, "involution_on_generators": 1}),
 ])
