@@ -12,8 +12,7 @@ from .multipoly import (
     MPoly,
     PartialSymPoly,
     RatFunc,
-    U_KIND,
-    W_KIND,
+    at_zero,
     identity_holds,
     linear_factors,
     linear_product,
@@ -81,10 +80,8 @@ def phi(ctx: GKLOContext, split: DefectSplit, value: RatFunc) -> RatFunc:
     containing a killed u is dropped wholesale before any normalization."""
     if split.v != ctx.v:
         raise ValueError("split does not match the context")
-    for mon in value.num.terms:
-        for var, exp in mon:
-            if var[0] == U_KIND and exp < 0:
-                raise ValueError("adding-defect map needs non-negative u-exponents")
+    if value.num.has_negative_u():
+        raise ValueError("adding-defect map needs non-negative u-exponents")
     mapping = {}
     for i, vi in enumerate(split.v):
         for r in range(1, vi + 1):
@@ -206,38 +203,8 @@ def restrict_fmo_slice(ctx: GKLOContext, v_prime, m, f, sign: str) -> RatFunc:
 
 
 def _tail_zero_term(num: MPoly, dfac: dict, split: DefectSplit):
-    """Specialize one (numerator, factored denominator) pair at the divisor
-    supported at zero: tail w-variables vanish, so factors x_a - x_b with a
-    tail slot collapse to single-variable factors (with a sign)."""
-    def is_tail(var):
-        kind, i, r = var
-        return kind == W_KIND and r > split.v_prime[i]
-
-    tail = [wv(i, r) for i in range(len(split.v)) for r in _tail(split, i)]
-    num = num.subs_zero(tail)
-    if num.is_zero():
-        return None
-    out = {}
-    for cand, mult in dfac.items():
-        if cand[0] == "var":
-            if is_tail(cand[1]):
-                raise ZeroDivisionError("denominator vanishes at the zero divisor")
-            out[cand] = out.get(cand, 0) + mult
-            continue
-        a, b = cand[1], cand[2]
-        ta, tb = is_tail(a), is_tail(b)
-        if ta and tb:
-            raise ZeroDivisionError("denominator vanishes at the zero divisor")
-        if tb:
-            key = ("var", a)
-        elif ta:
-            key = ("var", b)
-            if mult % 2:
-                num = -num
-        else:
-            key = cand
-        out[key] = out.get(key, 0) + mult
-    return num, out
+    """at_zero at the divisor supported at zero, where the tail slots vanish."""
+    return at_zero(num, dfac, [wv(i, r) for i in range(len(split.v)) for r in _tail(split, i)])
 
 
 # The tail-zero core keeps a cache of its own, under this name, because

@@ -24,7 +24,9 @@ from .multipoly import (
     linear_factors,
     linear_product,
     localized,
+    orbit_sum,
     over_lcm,
+    power_factors,
     restrict_to_gamma,
     uv,
     within_budget,
@@ -142,19 +144,18 @@ def _den_factor(ctx, gamma, reverse: bool):
 
 
 def _u_gamma(gamma, exp: int) -> MPoly:
-    mon = []
+    out = MPoly.one()
     for i, g in enumerate(gamma):
         for r in g:
-            mon.append((uv(i, r), exp))
-    return MPoly({tuple(sorted(mon)): 1})
+            out = out * MPoly.var(uv(i, r), exp)
+    return out
 
 
-@lru_cache(maxsize=4096)
 def _subset_factor(ctx: GKLOContext, gamma, sign: str):
     """The part of the subset-Gamma term of M^{sign}_m(f) that does not depend
     on the dressing: the edge factor (times the framing w^{w_j} over Gamma
-    for M^-) times the denominator sign, and the factored denominator.
-    Callers must not mutate the returned dict."""
+    for M^-) times the denominator sign, and the factored denominator, a
+    fresh dict."""
     if sign == "+":
         factor = _edge_factor_plus(ctx, gamma)
     else:
@@ -170,21 +171,21 @@ def fmo_plus_terms(ctx: GKLOContext, m, f: PartialSymPoly, head=None):
     """The defining sum of M^+_m(f) as u-free (subset, numerator,
     factored-denominator) triples, optionally restricted to subsets inside
     the given head bounds; subset Gamma stands for the term times u_Gamma.
-    Each denominator dict is a fresh copy."""
+    Each denominator dict is fresh."""
     for gamma in _gamma_tuples(ctx.v if head is None else head, m):
         factor, dfac = _subset_factor(ctx, gamma, "+")
-        yield gamma, restrict_to_gamma(f, gamma) * factor, dict(dfac)
+        yield gamma, restrict_to_gamma(f, gamma) * factor, dfac
 
 
 def fmo_minus_terms(ctx: GKLOContext, m, f: PartialSymPoly):
     """The defining sum of M^-_m(f), including the global sign, as u-free
     (subset, numerator, factored-denominator) triples; subset Gamma stands
-    for the term times u_Gamma^{-1}.  Each denominator dict is a fresh copy."""
+    for the term times u_Gamma^{-1}.  Each denominator dict is fresh."""
     negate = fmo_sign(ctx, m)
     for gamma in _gamma_tuples(ctx.v, m):
         factor, dfac = _subset_factor(ctx, gamma, "-")
         num = restrict_to_gamma(f, gamma) * factor
-        yield gamma, -num if negate else num, dict(dfac)
+        yield gamma, -num if negate else num, dfac
 
 
 def terms_value(terms, exp: int) -> RatFunc:
@@ -318,7 +319,7 @@ def d_identity_check(ctx: GKLOContext, i: int) -> DIdentityReport:
                 keyed.append((_u_gamma(gamma, 1) * _u_gamma(gamma2, -1),
                               num * num2 * qsign, fac))
     d = keyed_sum(keyed)
-    return DIdentityReport(all(ZVAR not in cand[1:] for cand in d.dfac), d)
+    return DIdentityReport(ZVAR not in d.den_variables(), d)
 
 
 def chevalley_u_image(ctx: GKLOContext, i: int, r: int) -> RatFunc:
@@ -364,8 +365,7 @@ def iota_inverse_image(ctx: GKLOContext, i: int, r: int):
     goes to sign * prod_out (w_{t,q} - w_{i,r}) / (w_{i,r}^{w_i} prod_in
     (w_{i,r} - w_{s,p})) * u_{i,r}; returns (numerator, factor dict, sign)."""
     fac, sign = linear_factors(_in_pairs(ctx, i, r))
-    if ctx.w[i]:
-        fac[("var", wv(i, r))] = ctx.w[i]
+    fac.update(power_factors(wv(i, r), ctx.w[i]))
     return linear_product(_out_pairs(ctx, i, r)), fac, -sign * _out_sign(ctx, i)
 
 
@@ -570,12 +570,6 @@ def dressing_basis(v, m, max_degree: int = 2):
             for choice in itertools.product(*pattern_choices):
                 poly = MPoly.one()
                 for (i, slots), pat in zip(blocks, choice):
-                    poly = poly * _orbit_sum(i, slots, pat)
+                    poly = poly * orbit_sum([wv(i, r) for r in slots], pat)
                 out.append(PartialSymPoly(poly, m, v))
     return tuple(out)
-
-
-def _orbit_sum(i, slots, pattern) -> MPoly:
-    """Sum of w_{i,slots}^sigma(pattern) over distinct permutations."""
-    return MPoly({tuple(sorted((wv(i, r), e) for r, e in zip(slots, perm) if e)): 1
-                  for perm in set(itertools.permutations(pattern))})

@@ -13,7 +13,6 @@ from .multipoly import (
     MPoly,
     PartialSymPoly,
     RatFunc,
-    W_KIND,
     over_head_powers,
     poly_text,
     tilde,
@@ -141,12 +140,12 @@ def _check_stage_denominator(state: ChainState):
     head variables w_{i,r}, r <= v'_i."""
     if state.mmo is None:
         return
-    for cand in state.mmo.dressing.dfac:
-        if cand[0] != "var":
-            raise ValueError("stage %s denominator has a non-variable factor" % state.stage)
-        kind, i, r = cand[1]
-        if kind != W_KIND or r > state.v_prime[i]:
-            raise ValueError("stage %s denominator outside the allowed set" % state.stage)
+    dressing = state.mmo.dressing
+    if not dressing.den_is_monomial():
+        raise ValueError("stage %s denominator has a non-variable factor" % state.stage)
+    head = {wv(i, r) for i, vp in enumerate(state.v_prime) for r in range(1, vp + 1)}
+    if not dressing.den_variables() <= head:
+        raise ValueError("stage %s denominator outside the allowed set" % state.stage)
 
 
 def split_and_project(ctx: GKLOContext, split: DefectSplit, m, f, sign: str) -> ChainState:

@@ -49,6 +49,7 @@ class TruncSeries:
 
     @staticmethod
     def zero(order) -> "TruncSeries":
+        """Test oracle, as are __add__ and shift."""
         return TruncSeries.make([], order)
 
     @staticmethod
@@ -56,6 +57,7 @@ class TruncSeries:
         return TruncSeries.make([1], order)
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
+        """Test oracle."""
         if self.order != other.order:
             raise ValueError("order mismatch")
         return TruncSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
@@ -75,7 +77,7 @@ class TruncSeries:
         return TruncSeries(tuple(out), self.order)
 
     def shift(self, k: int) -> "TruncSeries":
-        """Multiply by t^k, k >= 0."""
+        """Test oracle: multiply by t^k, k >= 0."""
         if k < 0:
             raise ValueError("shift exponent must be non-negative")
         out = [0] * (self.order + 1)
@@ -139,21 +141,6 @@ def classify_theory(ctx: GKLOContext) -> BoxScan:
     that is >= 2, ugly if exactly 1, bad if <= 0.  v = 0 counts as good (no
     generators besides the Casimirs)."""
     return box_scan(ctx.dims, ctx.cartan)
-
-
-def degree_lower_bound(ctx: GKLOContext) -> Fraction:
-    """Certified constant c with 2*Delta(gamma) >= c * sum|gamma| over the
-    dominant cone: box_scan's min_ratio, and 1 for v = 0.
-
-    The degree function is positively homogeneous and piecewise linear; on
-    the simplex section of the dominant cone its minimum sits at a vertex of
-    the linearity subdivision, and every such vertex is proportional to a
-    0/1 coweight, i.e. to some omega_m with 0 < m <= v.  The bound is
-    therefore the minimum of 2*Delta(omega_m)/|m| over the box, and it is
-    tight.
-    """
-    ratio = box_scan(ctx.dims, ctx.cartan).min_ratio
-    return Fraction(1) if ratio is None else ratio
 
 
 # ---------------------------------------------------------------------------

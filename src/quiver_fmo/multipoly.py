@@ -186,6 +186,10 @@ class MPoly:
                 out.add(v)
         return out
 
+    def has_negative_u(self) -> bool:
+        """Whether some term has a negative u-exponent."""
+        return any(v[0] == U_KIND and e < 0 for m in self.terms for v, e in m)
+
     def min_exponent(self, var) -> int:
         """Smallest exponent of ``var`` over all terms (0 if absent somewhere)."""
         lo = None
@@ -324,7 +328,7 @@ class MPoly:
         return MPoly(out)
 
     def split_u(self):
-        """Decompose as {u-monomial: coefficient polynomial in w,z}."""
+        """Test oracle: {u-monomial: coefficient polynomial in w,z}."""
         groups = {}
         for m, c in self.terms.items():
             um = tuple((v, e) for v, e in m if v[0] == U_KIND)
@@ -362,7 +366,7 @@ def as_univar(f: MPoly, x) -> dict:
 
 
 def _monomial_content(f: MPoly):
-    """Largest monomial dividing every term, as an exponent dict."""
+    """Test oracle: the largest monomial dividing every term, as a dict."""
     mins = None
     for m in f.terms:
         d = dict(m)
@@ -575,8 +579,8 @@ def poly_gcd(f: MPoly, g: MPoly) -> MPoly:
 
 
 def _linear_candidates(p: MPoly):
-    """Descriptors of linear forms that can divide library denominators:
-    ('diff', a, b) for x_a - x_b over non-u variables present, ('var', a)."""
+    """Test oracle: the descriptors ('diff', a, b) of x_a - x_b and ('var', a)
+    over the non-u variables present."""
     vs = sorted(v for v in p.variables() if v[0] != U_KIND)
     out = [("diff", a, b) for a, b in itertools.combinations(vs, 2)]
     out.extend(("var", a) for a in vs)
@@ -649,7 +653,7 @@ def fast_linear_div(f: MPoly, cand):
 
 
 def factor_denominator(p: MPoly):
-    """Factor into linear candidate factors; returns (factors, leftover).
+    """Test oracle: factor into linear candidates; (factors, leftover).
 
     ``factors`` is a list of (candidate descriptor, multiplicity); leftover
     carries whatever is not a product of candidates.  RatFunc.make, its only
@@ -703,6 +707,11 @@ def linear_factors(pairs):
     return dfac, sign
 
 
+def power_factors(var, exp: int) -> dict:
+    """The factor dict of x_var^exp, empty for exp = 0."""
+    return {("var", var): exp} if exp else {}
+
+
 def _dfac_mul_into(num: MPoly, dfac: dict) -> MPoly:
     for cand in sorted(dfac):
         p = candidate_poly(cand)
@@ -740,6 +749,7 @@ class RatFunc:
 
     @property
     def den(self) -> MPoly:
+        """Test oracle: the expanded denominator."""
         if self._den is None:
             self._den = _dfac_mul_into(MPoly.one(), self.dfac)
         return self._den
@@ -748,6 +758,7 @@ class RatFunc:
 
     @staticmethod
     def make(num, den=None) -> "RatFunc":
+        """Test oracle: num/den normalized by factoring den."""
         if isinstance(num, (int, Fraction)):
             num = MPoly.const(num)
         if den is None:
@@ -844,7 +855,17 @@ class RatFunc:
             raise ValueError("rational function is not a polynomial")
         return self.num
 
+    def den_variables(self) -> set:
+        """The variables that the forms of the denominator involve."""
+        return {v for cand in self.dfac for v in cand[1:]}
+
+    def den_is_monomial(self) -> bool:
+        """Whether the denominator is a product of single variables."""
+        return all(cand[0] == "var" for cand in self.dfac)
+
     # -- arithmetic -----------------------------------------------------
+    # Test oracles: binary +, -, / and **, and permute_vars.  The library
+    # only negates and multiplies (the km chain's dressings).
 
     @staticmethod
     def _lift(other):
@@ -1272,6 +1293,33 @@ def over_head_powers(num: MPoly, m, powers) -> RatFunc:
     return RatFunc(num, dfac)
 
 
+def orbit_sum(variables, pattern) -> MPoly:
+    """Sum of prod_k variables[k]^e_k over the distinct permutations e of
+    the exponent pattern."""
+    return MPoly({tuple(sorted((v, e) for v, e in zip(variables, perm) if e)): 1
+                  for perm in set(itertools.permutations(pattern))})
+
+
+def at_zero(num: MPoly, dfac: dict, variables):
+    """One (numerator, factored denominator) pair where the given w- or
+    z-variables vanish: x_a - x_b becomes x_a where x_b does, -x_b where x_a
+    does.  None when the numerator vanishes; ZeroDivisionError when a form does."""
+    dead = set(variables)
+    num = num.subs_zero(dead)
+    if num.is_zero():
+        return None
+    out = {}
+    for cand, mult in dfac.items():
+        live = [v for v in cand[1:] if v not in dead]
+        if not live:
+            raise ZeroDivisionError("denominator vanishes at the zero divisor")
+        if cand[1] in dead and mult % 2:
+            num = -num  # x_a - x_b is -x_b at x_a = 0
+        key = cand if len(live) == len(cand) - 1 else ("var", live[0])
+        out[key] = out.get(key, 0) + mult
+    return num, out
+
+
 def tilde(f: PartialSymPoly, v_prime) -> PartialSymPoly:
     """Set the variables w_{i,r} with r > v'_i to zero."""
     v_prime = tuple(v_prime)
@@ -1315,17 +1363,14 @@ def localized(value: RatFunc, ring_tag: str) -> RatFunc:
         if not _factor_admissible(cand, ring_tag):
             raise AdmissibilityError("factor %s not invertible in %s"
                                      % (poly_text(candidate_poly(cand)), ring_tag))
-    if ring_tag in ("zastava_loc", "defect_loc"):
-        for mon in value.num.terms:
-            for var, e in mon:
-                if var[0] == U_KIND and e < 0:
-                    raise AdmissibilityError("negative u-exponent in %s" % ring_tag)
+    if ring_tag in ("zastava_loc", "defect_loc") and value.num.has_negative_u():
+        raise AdmissibilityError("negative u-exponent in %s" % ring_tag)
     return value
 
 
 def check_symmetric(value: RatFunc, v) -> bool:
-    """True iff the element is fixed by the simultaneous action of S_v on the
-    (w_{i,r}, u_{i,r}) pairs, checked on adjacent transpositions."""
+    """Test oracle: whether S_v acting on the (w_{i,r}, u_{i,r}) pairs fixes
+    the element, checked on adjacent transpositions."""
     for i, vi in enumerate(v):
         for r in range(1, vi):
             if value.permute_vars(_swap_map(i, r, r + 1, include_u=True)) != value:

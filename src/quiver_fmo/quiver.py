@@ -80,13 +80,6 @@ class Quiver:
         with open(path) as fh:
             return Quiver.from_json(json.load(fh))
 
-    def to_json(self):
-        return {
-            "vertices": list(self.vertices),
-            "edges": [{"source": self.vertices[s], "target": self.vertices[t]}
-                      for s, t in self.edges],
-        }
-
 
 def a1_quiver() -> Quiver:
     return Quiver(("0",), ())
@@ -171,7 +164,12 @@ def two_delta_minuscule(d: DimData, C, m) -> int:
 class BoxScan(NamedTuple):
     """Minimum of u.(w - Cv) + u.(Cu) over nonzero 0 <= u <= v, the doubled
     monopole degree 2*Delta(omega_u): its lexicographically least minimizer,
-    and the minimum of the value divided by |u|.  All None for v = 0."""
+    and the minimum of the value divided by |u|.  All None for v = 0.
+
+    min_ratio is the tight constant c with 2*Delta(gamma) >= c * sum|gamma| on
+    the dominant cone: 2*Delta is homogeneous and piecewise linear, so its
+    minimum on a simplex section sits at a vertex of the linearity
+    subdivision, and each such vertex is a multiple of some omega_m."""
 
     min_value: int | None
     witness: tuple | None

@@ -64,7 +64,7 @@ def test_phi_on_u_variables():
 def test_phi_rejects_negative_u():
     ctx = make_context(a1_quiver(), (2,), (2,))
     split = DefectSplit.make((2,), (1,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^adding-defect map needs non-negative u-exponents$"):
         phi(ctx, split, RatFunc.from_poly(MPoly.var(uv(0, 2), -1)))
 
 

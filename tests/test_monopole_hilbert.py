@@ -29,7 +29,6 @@ from quiver_fmo.monopole_hilbert import (
     TruncSeries,
     block_type,
     classify_theory,
-    degree_lower_bound,
     dominant_shell,
     fmo_degree,
     geometric,
@@ -215,7 +214,7 @@ def test_classify_agrees_with_box_checks():
                                     else "ugly" if best == 1 else "bad")
                 assert check_good(d, C) == (cls.kind == "good", best, witness)
                 assert check_conicity(d, C) == (cls.conical, best, witness)
-                assert degree_lower_bound(ctx) == (1 if ratio is None else ratio)
+                assert box_scan(ctx.dims, ctx.cartan).min_ratio == ratio
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +223,7 @@ def test_classify_agrees_with_box_checks():
 
 def test_degree_lower_bound_tight():
     ctx = make_context(affine_sl2_quiver(), (1, 0), (2, 2))
-    c = degree_lower_bound(ctx)
+    c = box_scan(ctx.dims, ctx.cartan).min_ratio
     assert c == Fraction(1, 2)  # attained at m = (2,2): degree 2, norm 4
 
 
@@ -236,7 +235,7 @@ dominant_entries = st.integers(min_value=-5, max_value=5)
        st.lists(dominant_entries, min_size=2, max_size=2))
 def test_degree_bounded_below_by_certificate(t0, t1):
     ctx = make_context(affine_sl2_quiver(), (1, 0), (2, 2))
-    c = degree_lower_bound(ctx)
+    c = box_scan(ctx.dims, ctx.cartan).min_ratio
     gamma = (tuple(sorted(t0, reverse=True)), tuple(sorted(t1, reverse=True)))
     norm = sum(abs(x) for t in gamma for x in t)
     assert two_delta_general(ctx, gamma) >= c * norm
@@ -418,7 +417,7 @@ def test_one_stabilizer_factor_per_block_type(monkeypatch):
     order = 12
     expected = hilbert_series_by_points(ctx, order)
     kept_types = set()
-    max_norm = int(Fraction(order) / degree_lower_bound(ctx))
+    max_norm = int(Fraction(order) / box_scan(ctx.dims, ctx.cartan).min_ratio)
     for norm in range(max_norm + 1):
         for gamma in dominant_shell(ctx.v, norm):
             if two_delta_general(ctx, gamma) <= order:

@@ -2,6 +2,8 @@
 dressing ring operations, and the localized-ring element checks."""
 
 import itertools
+import math
+import random
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -20,6 +22,7 @@ from quiver_fmo.multipoly import (
     ZVAR,
     _MON_KEY,
     _poly_text,
+    at_zero,
     candidate_poly,
     check_symmetric,
     diff_key,
@@ -30,6 +33,7 @@ from quiver_fmo.multipoly import (
     linear_product,
     localized,
     mon_mul,
+    orbit_sum,
     parse_poly,
     poly_gcd,
     poly_text,
@@ -462,7 +466,7 @@ def test_ring_tag_validation():
         localized(bad_w, "slice_loc")
     localized(bad_w, "slice_loc_loc")
     neg_u = RatFunc.make(MPoly.var(uv(0, 1), -1))
-    with pytest.raises(AdmissibilityError):
+    with pytest.raises(AdmissibilityError, match="^negative u-exponent in zastava_loc$"):
         localized(neg_u, "zastava_loc")
     localized(neg_u, "slice_loc")
 
@@ -483,6 +487,106 @@ def test_equal_polynomials_render_alike_through_the_cache(int_poly, fraction_pol
         assert poly_text(first) == text
         assert poly_text(second) == text
         assert _poly_text.cache_info().hits == 1
+
+
+def test_denominator_queries():
+    mixed = RatFunc.make(U11, (W11 - W12) * MPoly.var(wv(1, 1)) ** 2)
+    assert mixed.den_variables() == {wv(0, 1), wv(0, 2), wv(1, 1)}
+    assert not mixed.den_is_monomial()
+    mono = RatFunc.make(U11, W11 * Z)
+    assert mono.den_variables() == {wv(0, 1), ZVAR}
+    assert mono.den_is_monomial()
+    poly = RatFunc.make(W11 - W12)
+    assert poly.den_variables() == set() and poly.den_is_monomial()
+
+
+def _value(p, point):
+    total = Fraction(0)
+    for mon, c in p.terms.items():
+        term = Fraction(c)
+        for var, e in mon:
+            term *= point[var] ** e
+        total += term
+    return total
+
+
+def _den(dfac):
+    den = MPoly.one()
+    for k, e in dfac.items():
+        den = den * candidate_poly(k) ** e
+    return den
+
+
+AT_ZERO_VARS = [wv(0, 1), wv(0, 2), wv(1, 1), ZVAR]
+AT_ZERO_FACTORS = ([diff_key(a, b)[0] for a, b in itertools.combinations(AT_ZERO_VARS, 2)]
+                   + [("var", v) for v in AT_ZERO_VARS])
+
+
+@settings(max_examples=120, deadline=None)
+@given(poly_strategy(AT_ZERO_VARS),
+       st.dictionaries(st.sampled_from(AT_ZERO_FACTORS), st.integers(1, 3), max_size=3),
+       st.sets(st.sampled_from(AT_ZERO_VARS), max_size=2),
+       st.randoms(use_true_random=False))
+@example(W12, {diff_key(wv(0, 1), wv(1, 1))[0]: 1}, {wv(0, 1)}, random.Random(0))
+@example(W12, {diff_key(wv(0, 1), wv(1, 1))[0]: 2}, {wv(0, 1)}, random.Random(0))
+def test_at_zero_against_point_evaluation(num, dfac, dead, rnd):
+    """at_zero(num, dfac, dead) equals num / den with the dead variables set
+    to zero, at random rational points of the others: None when the
+    numerator vanishes there, ZeroDivisionError when a form of the
+    denominator does, and no form of its result vanishes there."""
+    if num.subs_zero(dead).is_zero():
+        assert at_zero(num, dfac, dead) is None
+        return
+    if any(all(v in dead for v in k[1:]) for k in dfac):
+        with pytest.raises(ZeroDivisionError, match="denominator vanishes at the zero divisor"):
+            at_zero(num, dfac, dead)
+        return
+    got_num, got_dfac = at_zero(num, dfac, dead)
+    assert all(v not in dead for k in got_dfac for v in k[1:])
+    den, got_den = _den(dfac), _den(got_dfac)
+    checked = 0
+    for _ in range(20):
+        point = {v: Fraction(0) if v in dead else Fraction(rnd.randint(-9, 9), rnd.randint(1, 4))
+                 for v in AT_ZERO_VARS}
+        d = _value(den, point)
+        if d:
+            assert _value(num, point) / d == _value(got_num, point) / _value(got_den, point)
+            checked += 1
+    assert checked
+
+
+def test_at_zero_collapses_forms_onto_the_live_variable():
+    # the smaller variable of x_a - x_b vanishing leaves -x_b: an odd
+    # multiplicity flips the numerator's sign, an even one does not
+    key, _ = diff_key(wv(0, 1), wv(1, 1))
+    assert at_zero(W12, {key: 1}, [wv(0, 1)]) == (-W12, {("var", wv(1, 1)): 1})
+    assert at_zero(W12, {key: 2}, [wv(0, 1)]) == (W12, {("var", wv(1, 1)): 2})
+    assert at_zero(W12, {key: 3}, [wv(1, 1)]) == (W12, {("var", wv(0, 1)): 3})
+    # forms collapsing onto one variable add up with its own factor
+    other, _ = diff_key(wv(0, 1), ZVAR)
+    dfac = {key: 1, other: 2, ("var", wv(0, 1)): 1, diff_key(wv(0, 2), wv(1, 1))[0]: 1}
+    assert at_zero(W12, dfac, [wv(1, 1), ZVAR]) == (
+        W12, {("var", wv(0, 1)): 4, ("var", wv(0, 2)): 1})
+    assert at_zero(W12 * W11, dfac, [wv(0, 1)]) is None
+    with pytest.raises(ZeroDivisionError):
+        at_zero(W12, dfac, [wv(0, 1)])
+
+
+@pytest.mark.parametrize("pattern", [(), (0, 0), (2, 0), (1, 1, 0), (2, 1, 0), (3, 1, 1, 0)])
+def test_orbit_sum_against_all_permutations(pattern):
+    # the sum over all permutations counts each distinct one once per
+    # permutation of the equal entries
+    variables = [wv(1, r) for r in range(2, 2 + len(pattern))]
+    brute = MPoly.zero()
+    for perm in itertools.permutations(pattern):
+        term = MPoly.one()
+        for var, e in zip(variables, perm):
+            term = term * MPoly.var(var, e)
+        brute = brute + term
+    repeats = 1
+    for e in set(pattern):
+        repeats *= math.factorial(pattern.count(e))
+    assert orbit_sum(variables, pattern) * repeats == brute
 
 
 # ---------------------------------------------------------------------------

@@ -58,11 +58,17 @@ GCD_SECTION = "# test oracle: the polynomial gcd kernel"
 # whole-element substitution: only the substitution oracles may call it
 SUBSTITUTION = {"subs_u", "chevalley_u_image"}
 SUBSTITUTION_CALLERS = {"chevalley", "phi", "subs_u"}
+# the general normalization, a test oracle: the functions that may call it
+ORACLE_CALLERS = {
+    "RatFunc.make": {"chevalley_u_image", "phi_u_image", "__truediv__", "__pow__",
+                     "permute_vars"},
+    "factor_denominator": {"make"},
+}
 
 
 def _calls(tree):
-    """(enclosing function name or None, called name, line) for every call
-    of a plain or attribute name."""
+    """(enclosing function name or None, called name, line, callee text) for
+    every call of a plain or attribute name."""
     out = []
 
     def visit(node, function):
@@ -73,7 +79,7 @@ def _calls(tree):
             if isinstance(child, ast.Call):
                 func = child.func
                 name = getattr(func, "id", None) or getattr(func, "attr", None)
-                out.append((function, name, child.lineno))
+                out.append((function, name, child.lineno, ast.unparse(func)))
             visit(child, function)
 
     visit(tree, None)
@@ -97,11 +103,14 @@ def test_oracle_routes_stay_out_of_the_library():
     assert all(defined[name] in section for name in GCD_KERNEL), defined
     found = []
     for path in sorted(PACKAGE_DIR.glob("**/*.py")):
-        for function, name, line in _calls(ast.parse(path.read_text(), filename=str(path))):
+        for function, name, line, callee in _calls(ast.parse(path.read_text(),
+                                                             filename=str(path))):
             where = "%s:%d %s calls %s" % (path.name, line, function, name)
             if name in GCD_KERNEL and not (path.name == "multipoly.py" and line in section):
                 found.append(where)
             if name in SUBSTITUTION and function not in SUBSTITUTION_CALLERS:
+                found.append(where)
+            if callee in ORACLE_CALLERS and function not in ORACLE_CALLERS[callee]:
                 found.append(where)
     assert not found, found
 
@@ -114,7 +123,7 @@ def test_only_multipoly_calls_the_ratfunc_constructor():
     for path in sorted(PACKAGE_DIR.glob("**/*.py")):
         if path.name == "multipoly.py":
             continue
-        for function, name, line in _calls(ast.parse(path.read_text(), filename=str(path))):
+        for function, name, line, _ in _calls(ast.parse(path.read_text(), filename=str(path))):
             if name == "RatFunc":
                 found.append("%s:%d %s" % (path.name, line, function))
     assert not found, found
@@ -125,7 +134,60 @@ def test_one_function_builds_each_fmo_value():
     # right-hand side, whose dressing lives over a larger v than its context
     callers = set()
     for path in sorted(PACKAGE_DIR.glob("**/*.py")):
-        for function, name, line in _calls(ast.parse(path.read_text(), filename=str(path))):
+        for function, name, _, _ in _calls(ast.parse(path.read_text(), filename=str(path))):
             if name == "fmo_value":
                 callers.add(function)
     assert callers == {"_fmo_cached", "verify_adding_defect_theorem"}, callers
+
+
+# multipoly's internal formats: factor tags, variable kinds, the raw
+# constructor, and the term and factor dicts
+FORMAT_TAGS = {"var", "diff"}
+VARIABLE_KINDS = {"U_KIND", "W_KIND", "Z_KIND"}
+FORMAT_DICTS = {"terms", "dfac"}
+ITERATING_CALLS = {"all", "any", "dict", "enumerate", "frozenset", "iter", "list", "map",
+                   "max", "min", "next", "reversed", "set", "sorted", "sum", "tuple", "zip"}
+
+
+def _format_reads(tree):
+    """(line, what) for each place that builds or takes apart a monomial
+    tuple or a factor key: a tag or kind constant, a raw MPoly call, and an
+    iteration over, a membership test in or a subscript or method of a
+    .terms or .dfac dict (its len is allowed)."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and node.value in FORMAT_TAGS:
+            found.append((node.lineno, "tag %r" % node.value))
+        elif isinstance(node, ast.Name) and node.id in VARIABLE_KINDS:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name in VARIABLE_KINDS]
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "MPoly":
+            found.append((node.lineno, "MPoly(...)"))
+        elif isinstance(node, ast.Attribute) and node.attr in FORMAT_DICTS:
+            parent = parents[node]
+            iterated = (
+                isinstance(parent, (ast.For, ast.comprehension)) and parent.iter is node
+                or isinstance(parent, (ast.Subscript, ast.Attribute, ast.Starred))
+                or isinstance(parent, ast.Compare) and node in parent.comparators
+                and any(isinstance(op, (ast.In, ast.NotIn)) for op in parent.ops)
+                or isinstance(parent, ast.Call) and node in parent.args
+                and getattr(parent.func, "id", None) in ITERATING_CALLS)
+            if iterated:
+                found.append((node.lineno, "reads ." + node.attr))
+    return found
+
+
+def test_only_multipoly_reads_the_term_representation():
+    # no linter runs on the package, so this stands in for one: multipoly
+    # owns the monomial tuples and the factor keys, and every other module
+    # works with variables, MPoly and RatFunc values and multipoly calls
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("**/*.py")):
+        if path.name == "multipoly.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += ["%s:%d %s" % (path.name, line, what) for line, what in _format_reads(tree)]
+    assert not found, found
