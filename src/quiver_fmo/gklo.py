@@ -535,15 +535,15 @@ def dressing_basis(v, m, max_degree: int = 2):
     EnumerationBudgetError, before building any element, when the basis has
     more than DRESSING_BASIS_BUDGET elements."""
     v, m = tuple(v), tuple(m)
-    blocks = []  # (vertex, slots)
+    blocks = []  # the variables of each block
     for i, vi in enumerate(v):
-        head = tuple(range(1, m[i] + 1))
-        tail = tuple(range(m[i] + 1, vi + 1))
+        head = [wv(i, r) for r in range(1, m[i] + 1)]
+        tail = [wv(i, r) for r in range(m[i] + 1, vi + 1)]
         if head:
-            blocks.append((i, head))
+            blocks.append(head)
         if tail:
-            blocks.append((i, tail))
-    size = _basis_size([len(slots) for _, slots in blocks], max_degree,
+            blocks.append(tail)
+    size = _basis_size([len(block) for block in blocks], max_degree,
                        DRESSING_BASIS_BUDGET)
     if size > DRESSING_BASIS_BUDGET:
         raise EnumerationBudgetError(
@@ -565,11 +565,11 @@ def dressing_basis(v, m, max_degree: int = 2):
     out = []
     for total in range(max_degree + 1):
         for split in compositions(total, len(blocks)):
-            pattern_choices = [block_patterns(len(slots), d)
-                               for (_, slots), d in zip(blocks, split)]
+            pattern_choices = [block_patterns(len(block), d)
+                               for block, d in zip(blocks, split)]
             for choice in itertools.product(*pattern_choices):
                 poly = MPoly.one()
-                for (i, slots), pat in zip(blocks, choice):
-                    poly = poly * orbit_sum([wv(i, r) for r in slots], pat)
+                for block, pat in zip(blocks, choice):
+                    poly = poly * orbit_sum(block, pat)
                 out.append(PartialSymPoly(poly, m, v))
     return tuple(out)

@@ -138,7 +138,7 @@ class ChainState:
 def _check_stage_denominator(state: ChainState):
     """Dressing denominators after the cone-point map may only involve the
     head variables w_{i,r}, r <= v'_i."""
-    if state.mmo is None:
+    if state.mmo is None or state.mmo.dressing.is_poly():
         return
     dressing = state.mmo.dressing
     if not dressing.den_is_monomial():
