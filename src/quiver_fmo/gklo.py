@@ -531,45 +531,51 @@ def _basis_size(sizes, max_degree, cap) -> int:
 @lru_cache(maxsize=None)
 def dressing_basis(v, m, max_degree: int = 2):
     """Symmetrized-monomial basis of the dressing ring in total degree
-    <= max_degree: one orbit sum per block-sorted exponent pattern.  Raises
+    <= max_degree: one orbit sum per block-sorted exponent pattern, the
+    patterns ordered by total degree, then by the degree of each block
+    (lexicographically), then by block pattern.  Raises
     EnumerationBudgetError, before building any element, when the basis has
     more than DRESSING_BASIS_BUDGET elements."""
     v, m = tuple(v), tuple(m)
-    blocks = []  # the variables of each block
+    blocks = []  # (vertex, first slot, last slot) of each nonempty block
     for i, vi in enumerate(v):
-        head = [wv(i, r) for r in range(1, m[i] + 1)]
-        tail = [wv(i, r) for r in range(m[i] + 1, vi + 1)]
-        if head:
-            blocks.append(head)
-        if tail:
-            blocks.append(tail)
-    size = _basis_size([len(block) for block in blocks], max_degree,
+        if m[i]:
+            blocks.append((i, 1, m[i]))
+        if vi > m[i]:
+            blocks.append((i, m[i] + 1, vi))
+    size = _basis_size([last - first + 1 for _, first, last in blocks], max_degree,
                        DRESSING_BASIS_BUDGET)
     if size > DRESSING_BASIS_BUDGET:
         raise EnumerationBudgetError(
             "the dressing basis up to degree %d has more than %d elements"
             % (max_degree, DRESSING_BASIS_BUDGET))
-
-    def block_patterns(size, deg):
-        # weakly decreasing exponent tuples of the given total degree
-        def rec(remaining, slots, cap):
-            if slots == 0:
-                if remaining == 0:
-                    yield ()
-                return
-            for e in range(min(remaining, cap), -1, -1):
-                for rest in rec(remaining - e, slots - 1, e):
-                    yield (e,) + rest
-        return list(rec(deg, size, deg))
-
     out = []
     for total in range(max_degree + 1):
         for split in compositions(total, len(blocks)):
-            pattern_choices = [block_patterns(len(block), d)
-                               for block, d in zip(blocks, split)]
-            for choice in itertools.product(*pattern_choices):
-                poly = MPoly.one()
-                for block, pat in zip(blocks, choice):
-                    poly = poly * orbit_sum(block, pat)
-                out.append(PartialSymPoly(poly, m, v))
+            # the products over the blocks in itertools.product order, each
+            # prefix product built once
+            polys = [MPoly.one()]
+            for block, degree in zip(blocks, split):
+                polys = [p * q for p in polys for q in _block_sums(*block, degree)]
+            out.extend(PartialSymPoly(p, m, v) for p in polys)
     return tuple(out)
+
+
+@lru_cache(maxsize=1024)
+def _block_sums(i: int, first: int, last: int, degree: int) -> tuple:
+    """The orbit sums over the slots first..last of vertex i of the weakly
+    decreasing exponent patterns of the given total degree, in descending
+    lexicographic order.  Every charge with that block shares them."""
+    variables = [wv(i, r) for r in range(first, last + 1)]
+
+    def patterns(remaining, slots, cap):
+        if slots == 0:
+            if remaining == 0:
+                yield ()
+            return
+        for e in range(min(remaining, cap), -1, -1):
+            for rest in patterns(remaining - e, slots - 1, e):
+                yield (e,) + rest
+
+    return tuple(orbit_sum(variables, pattern)
+                 for pattern in patterns(degree, len(variables), degree))

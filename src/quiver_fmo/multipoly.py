@@ -7,6 +7,28 @@ freely; dimension data only *validates* which variables are legal.  The
 ``u`` variables are Laurent (any integer exponent), ``w`` and ``z`` are
 ordinary polynomial variables.
 
+Monomials are packed integers (after Monagan and Pearce).  Each variable
+gets a field position the first time it is seen, in a process-wide index
+that only ever grows, and a monomial is the int sum of e << (16 * position)
+over its exponents e: balanced signed digits of base 2^16, so the empty
+monomial is 0, a product of monomials is one integer addition, and a newly
+registered variable is a zero field in every older monomial.  A biased digit
+would make the same variable set spell differently before and after a
+registration.  Adding the bias 2^15 to every field makes each field its
+exponent plus 2^15 with no borrow, which is how fields are read.
+
+Every stored exponent lies in [EXPONENT_MIN, EXPONENT_MAX] = [-2^14, 2^14):
+the sum of two of them still fits a field, so a product never carries into a
+neighbouring field and its range is checked after the fact.  Each MPoly
+keeps a bound on its largest |exponent|; a product checks its terms only
+when the operands' bounds add past the range, and raises ExponentRangeError
+(an EnumerationBudgetError) rather than store a field that left it.
+
+Term order and printing never see positions: poly_text and leading decode
+each monomial into its exponents over the variables sorted by (kind,
+vertex, slot), and compare (total degree, that exponent vector), so the
+output does not depend on the order in which variables were registered.
+
 Rational functions are kept fully reduced in a canonical form, a numerator
 over a factored product of linear forms, so structural equality decides ring
 equality; that property is what every downstream theorem check relies on.
@@ -25,7 +47,8 @@ from __future__ import annotations
 
 import ast
 import itertools
-from bisect import bisect_left
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -71,92 +94,212 @@ def _coeff(c):
     return c
 
 
-# A monomial is a sorted tuple of (var, exponent) with nonzero exponents.
+# ---------------------------------------------------------------------------
+# packed monomials (see the module docstring)
 
-_var_of = itemgetter(0)
+_FIELD_BITS = 16
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+_HALF = 1 << (_FIELD_BITS - 1)
+EXPONENT_MIN, EXPONENT_MAX = -(1 << (_FIELD_BITS - 2)), (1 << (_FIELD_BITS - 2)) - 1
+_FIELD_CODE = "h"  # the array type code of a signed 16-bit field
+_BYTEORDER = sys.byteorder
+
+# The variable index: position -> variable and text, variable -> position.
+_VARS = []
+_NAMES = []
+_POSITION = {}
+# Per-field constants over every registered position: _BIAS has _HALF in
+# each field, _RANGE_BIAS has -EXPONENT_MIN, _U_SIGNS has _HALF in the u
+# fields only.  _SORTED caches the (variable, position) pairs in variable
+# order; None after a registration.
+_BIAS = _RANGE_BIAS = _U_SIGNS = 0
+_NBYTES = 0
+_SORTED = None
 
 
-def mon_mul(m1, m2):
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    # variable ranges that do not overlap: concatenate
-    if m1[-1][0] < m2[0][0]:
-        return m1 + m2
-    if m2[-1][0] < m1[0][0]:
-        return m2 + m1
-    # a one-variable operand inside the other's range: insert it
-    if len(m1) == 1:
-        m1, m2 = m2, m1
-    if len(m2) == 1:
-        v, e = m2[0]
-        k = bisect_left(m1, v, key=_var_of)
-        if m1[k][0] != v:
-            return m1[:k] + m2 + m1[k:]
-        e += m1[k][1]
-        if e:
-            return m1[:k] + ((v, e),) + m1[k + 1:]
-        return m1[:k] + m1[k + 1:]
-    # merge of two sorted tuples
-    out = []
-    i = j = 0
-    n1, n2 = len(m1), len(m2)
-    while i < n1 and j < n2:
-        v1, e1 = m1[i]
-        v2, e2 = m2[j]
-        if v1 == v2:
-            e = e1 + e2
-            if e:
-                out.append((v1, e))
-            i += 1
-            j += 1
-        elif v1 < v2:
-            out.append(m1[i])
-            i += 1
+class ExponentRangeError(EnumerationBudgetError):
+    """An exponent would leave [EXPONENT_MIN, EXPONENT_MAX], the range of a
+    packed monomial field."""
+
+
+def _range_error():
+    return ExponentRangeError("an exponent leaves the range %d..%d of a monomial field"
+                              % (EXPONENT_MIN, EXPONENT_MAX))
+
+
+def _position(var) -> int:
+    """The field position of var, registering it on first sight."""
+    global _BIAS, _RANGE_BIAS, _U_SIGNS, _NBYTES, _SORTED
+    k = _POSITION.get(var)
+    if k is None:
+        name = var_text(var)
+        k = len(_VARS)
+        shift = k * _FIELD_BITS
+        _VARS.append(var)
+        _NAMES.append(name)
+        _POSITION[var] = k
+        _BIAS |= _HALF << shift
+        _RANGE_BIAS |= -EXPONENT_MIN << shift
+        if var[0] == U_KIND:
+            _U_SIGNS |= _HALF << shift
+        _NBYTES = (k + 1) * (_FIELD_BITS // 8)
+        _SORTED = None
+    return k
+
+
+def _unit(var) -> int:
+    """The packed monomial of var^1."""
+    return 1 << (_position(var) * _FIELD_BITS)
+
+
+def _exponent(m: int, k: int) -> int:
+    """The exponent in field position k of the monomial m."""
+    return (((m + _BIAS) >> (k * _FIELD_BITS)) & _FIELD_MASK) - _HALF
+
+
+def _fields(m: int):
+    """Every registered field of m, as a signed array indexed by position."""
+    return array(_FIELD_CODE, ((m + _BIAS) ^ _BIAS).to_bytes(_NBYTES, _BYTEORDER))
+
+
+def _sorted_positions():
+    """(variable, position) for every registered variable, in variable order."""
+    global _SORTED
+    if _SORTED is None:
+        _SORTED = sorted(_POSITION.items())
+    return _SORTED
+
+
+def _pairs(m: int) -> tuple:
+    """The monomial m decoded: a tuple of (variable, exponent) pairs with
+    nonzero exponents, sorted by variable."""
+    if not m:
+        return ()
+    f = _fields(m)
+    return tuple((var, f[k]) for var, k in _sorted_positions() if f[k])
+
+
+def _encode(pairs) -> int:
+    """The packed monomial of (variable, exponent) pairs."""
+    m = 0
+    for var, e in pairs:
+        if not EXPONENT_MIN <= e <= EXPONENT_MAX:
+            raise _range_error()
+        m += e << (_position(var) * _FIELD_BITS)
+    return m
+
+
+def _check_range(terms):
+    """Raise ExponentRangeError when a monomial of terms has a field outside
+    the range; each field may hold the sum of two exponents in range."""
+    bias, signs = _RANGE_BIAS, _BIAS
+    for m in terms:
+        if (m + bias) & signs:
+            raise _range_error()
+
+
+def _order_key():
+    """Sort key of the graded lexicographic order on packed monomials over
+    the variables sorted by (kind, vertex, slot): total degree first, then
+    the exponent vectors compared at the first variable where they differ."""
+    positions = [k for _, k in _sorted_positions()]
+
+    def key(m):
+        f = _fields(m)
+        return sum(f), [f[k] for k in positions]
+
+    return key
+
+
+def mon_mul(m1: int, m2: int) -> int:
+    """The product of two packed monomials."""
+    return m1 + m2
+
+
+def _moves(varmap: dict) -> tuple:
+    """A relabelling of variables as packed shifts: (field shift of the old
+    variable, new unit minus old unit) for each variable that moves."""
+    moves = []
+    for old, new in varmap.items():
+        if old != new:
+            src = _position(old) * _FIELD_BITS
+            moves.append((src, _unit(new) - (1 << src)))
+    return tuple(moves)
+
+
+def _normalize(terms: dict):
+    """Turn Fraction coefficients with denominator 1 into ints, in place."""
+    for m in [m for m, c in terms.items() if type(c) is not int]:
+        c = terms[m]
+        if c.denominator == 1:
+            terms[m] = c.numerator
+
+
+def _add_into(acc: dict, terms: dict):
+    """acc += terms, in place; no zero coefficient is kept."""
+    get = acc.get
+    for m, c in terms.items():
+        n = get(m, 0) + c
+        if n:
+            acc[m] = n if type(n) is int else _coeff(n)
         else:
-            out.append(m2[j])
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return tuple(out)
+            del acc[m]
 
 
-def _MON_KEY(m):
-    """Sort key of the graded lexicographic order over the fixed variable
-    order: total degree first, then the exponent vectors compared at the
-    first variable where they differ, an absent variable counting as
-    exponent 0.  A positive exponent on a variable ranks it above every later
-    variable (hence the negated variable), a negative one below; the closing
-    (0,) stands for the exponent 0 of every variable past the end."""
-    return (sum(e for _, e in m),
-            tuple((1, -k, -i, -r, e) if e > 0 else (-1, k, i, r, e)
-                  for (k, i, r), e in m) + ((0,),))
+def _mul_into(acc: dict, a: dict, b: dict):
+    """acc += a * b, in place, looping over b outside; coefficients are left
+    for _normalize."""
+    get = acc.get
+    for m2, c2 in b.items():
+        for m1, c1 in a.items():
+            m = m1 + m2
+            n = get(m, 0) + c1 * c2
+            if n:
+                acc[m] = n
+            else:
+                del acc[m]
+
+
+def _product(terms: dict, top: int) -> "MPoly":
+    """MPoly of product terms whose exponents are bounded by top, checked
+    against the range when top leaves it."""
+    if top > EXPONENT_MAX:
+        _check_range(terms)
+        top = None
+    return MPoly(terms, top)
+
+
+def _monomial(exps: dict) -> "MPoly":
+    """The monomial with coefficient 1 and the given {variable: exponent}."""
+    return MPoly({_encode(exps.items()): 1}, max(map(abs, exps.values()), default=0))
 
 
 class MPoly:
-    """Sparse multivariate (Laurent in u) polynomial with exact coefficients."""
+    """Sparse multivariate (Laurent in u) polynomial with exact coefficients:
+    terms maps each packed monomial to its nonzero coefficient."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "_hash", "_top")
 
-    def __init__(self, terms=None):
+    def __init__(self, terms=None, top=None):
+        # internal: top bounds every |exponent|, None when not yet known
         self.terms = terms if terms is not None else {}
         self._hash = None
+        self._top = top
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero() -> "MPoly":
-        return MPoly({})
+        return MPoly({}, 0)
 
     @staticmethod
     def const(c) -> "MPoly":
         c = _coeff(Fraction(c) if not isinstance(c, (int, Fraction)) else c)
-        return MPoly({(): c} if c else {})
+        return MPoly({0: c} if c else {}, 0)
 
     @staticmethod
     def one() -> "MPoly":
-        return MPoly({(): 1})
+        return MPoly({0: 1}, 0)
 
     @staticmethod
     def var(v, exp: int = 1) -> "MPoly":
@@ -164,7 +307,38 @@ class MPoly:
             return MPoly.one()
         if exp < 0 and v[0] != U_KIND:
             raise ValueError("negative exponent on non-Laurent variable %s" % (v,))
-        return MPoly({((v, exp),): 1})
+        return MPoly({_encode(((v, exp),)): 1}, abs(exp))
+
+    @staticmethod
+    def from_items(items) -> "MPoly":
+        """The polynomial of (monomial, coefficient) pairs, each monomial a
+        tuple of (variable, exponent) pairs as items() yields them."""
+        terms = {}
+        for mon, c in items:
+            m = _encode(mon)
+            n = terms.get(m, 0) + c
+            if n:
+                terms[m] = n
+            else:
+                del terms[m]
+        return MPoly(terms)
+
+    def items(self) -> list:
+        """(monomial, coefficient) pairs, each monomial decoded into a tuple
+        of (variable, exponent) pairs sorted by variable."""
+        return [(_pairs(m), c) for m, c in self.terms.items()]
+
+    def _exponent_bound(self) -> int:
+        """A bound on every |exponent|, decoded from the terms when unknown."""
+        top = self._top
+        if top is None:
+            top = 0
+            for m in self.terms:
+                if m:
+                    f = _fields(m)
+                    top = max(top, max(f), -min(f))
+            self._top = top
+        return top
 
     # -- predicates ----------------------------------------------------
 
@@ -172,35 +346,38 @@ class MPoly:
         return not self.terms
 
     def is_const(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and () in self.terms)
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
     def const_value(self):
         if not self.terms:
             return 0
-        return self.terms[()]
+        return self.terms[0]
 
     def variables(self):
-        out = set()
+        bias = _BIAS
+        used = 0
         for m in self.terms:
-            for v, _ in m:
-                out.add(v)
+            used |= (m + bias) ^ bias
+        out = set()
+        k = 0
+        while used:
+            if used & _FIELD_MASK:
+                out.add(_VARS[k])
+            used >>= _FIELD_BITS
+            k += 1
         return out
 
     def has_negative_u(self) -> bool:
         """Whether some term has a negative u-exponent."""
-        return any(v[0] == U_KIND and e < 0 for m in self.terms for v, e in m)
+        bias, signs = _BIAS, _U_SIGNS
+        return any(((m + bias) & signs) != signs for m in self.terms)
 
     def min_exponent(self, var) -> int:
         """Smallest exponent of ``var`` over all terms (0 if absent somewhere)."""
-        lo = None
-        for m in self.terms:
-            e = 0
-            for v, ee in m:
-                if v == var:
-                    e = ee
-                    break
-            lo = e if lo is None else min(lo, e)
-        return 0 if lo is None else lo
+        k = _POSITION.get(var)
+        if k is None or not self.terms:
+            return 0
+        return min(_exponent(m, k) for m in self.terms)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -213,19 +390,16 @@ class MPoly:
             return other
         if not other.terms:
             return self
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            n = out.get(m, 0) + c
-            if n:
-                out[m] = _coeff(n)
-            else:
-                del out[m]
-        return MPoly(out)
+        a, b = (self, other) if len(self.terms) >= len(other.terms) else (other, self)
+        out = dict(a.terms)
+        _add_into(out, b.terms)
+        top = None if a._top is None or b._top is None else max(a._top, b._top)
+        return MPoly(out, top)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly({m: -c for m, c in self.terms.items()})
+        return MPoly({m: -c for m, c in self.terms.items()}, self._top)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -242,31 +416,26 @@ class MPoly:
                     return MPoly.zero()
                 if other == 1:
                     return self
-                return MPoly({m: _coeff(c * other) for m, c in self.terms.items()})
+                return MPoly({m: _coeff(c * other) for m, c in self.terms.items()},
+                             self._top)
             return NotImplemented
         if not self.terms or not other.terms:
             return MPoly.zero()
-        a, b = self.terms, other.terms
-        if len(a) < len(b):
-            a, b = b, a
+        top = self._exponent_bound() + other._exponent_bound()
+        big, small = (self, other) if len(self.terms) >= len(other.terms) else (other, self)
+        a, b = big.terms, small.terms
         if len(b) == 1:
             ((m2, c2),) = b.items()
             if c2 == 1:
                 if not m2:  # the constant one
-                    return self if a is self.terms else other
-                return MPoly({mon_mul(m1, m2): c1 for m1, c1 in a.items()})
-            return MPoly({mon_mul(m1, m2): _coeff(c1 * c2) for m1, c1 in a.items()})
-        out = {}
-        get = out.get
-        for m2, c2 in b.items():
-            for m1, c1 in a.items():
-                m = mon_mul(m1, m2)
-                n = get(m, 0) + c1 * c2
-                if n:
-                    out[m] = n
-                else:
-                    del out[m]
-        return MPoly({m: _coeff(c) for m, c in out.items()})
+                    return big
+                return _product({m1 + m2: c1 for m1, c1 in a.items()}, top)
+            out = {m1 + m2: c1 * c2 for m1, c1 in a.items()}
+        else:
+            out = {}
+            _mul_into(out, a, b)
+        _normalize(out)
+        return _product(out, top)
 
     __rmul__ = __mul__
 
@@ -296,44 +465,64 @@ class MPoly:
             self._hash = hash(frozenset(self.terms.items()))
         return self._hash
 
-    def leading(self):
-        """(monomial, coeff) maximal in graded lex order."""
-        best = max(self.terms, key=_MON_KEY)
+    def _leading(self):
+        """(packed monomial, coeff) maximal in graded lex order."""
+        best = max(self.terms, key=_order_key())
         return best, self.terms[best]
+
+    def leading(self):
+        """(monomial, coeff) maximal in graded lex order, the monomial decoded
+        as items() decodes it."""
+        best, c = self._leading()
+        return _pairs(best), c
 
     # -- substitution -------------------------------------------------------
 
     def permute_vars(self, varmap: dict) -> "MPoly":
         """Relabel variables; varmap maps old var -> new var."""
+        return self._relabel(_moves(varmap))
+
+    def _relabel(self, moves) -> "MPoly":
+        """permute_vars with the relabelling given as _moves returns it."""
+        if not moves:
+            return self
+        bias = _BIAS
         out = {}
         for m, c in self.terms.items():
-            nm = tuple(sorted((varmap.get(v, v), e) for v, e in m))
-            out[nm] = _coeff(out.get(nm, 0) + c)
-            if not out[nm]:
-                del out[nm]
-        return MPoly(out)
+            if m:
+                d = m + bias
+                for src, delta in moves:
+                    e = ((d >> src) & _FIELD_MASK) - _HALF
+                    if e:
+                        m += e * delta
+            if m in out:  # only a map that merges variables merges terms
+                n = _coeff(out[m] + c)
+                if n:
+                    out[m] = n
+                else:
+                    del out[m]
+            else:
+                out[m] = c
+        return MPoly(out, self._top)
 
     def subs_zero(self, vars_to_zero) -> "MPoly":
         """Set the given (non-Laurent) variables to zero."""
-        vs = set(vars_to_zero)
-        out = {}
-        for m, c in self.terms.items():
-            if any(v in vs for v, _ in m):
-                continue
-            n = out.get(m, 0) + c
-            if n:
-                out[m] = _coeff(n)
-            else:
-                del out[m]
-        return MPoly(out)
+        mask = 0
+        for v in vars_to_zero:
+            k = _POSITION.get(v)
+            if k is not None:
+                mask |= _FIELD_MASK << (k * _FIELD_BITS)
+        bias = _BIAS
+        return MPoly({m: c for m, c in self.terms.items() if not (((m + bias) ^ bias) & mask)},
+                     self._top)
 
     def split_u(self):
-        """Test oracle: {u-monomial: coefficient polynomial in w,z}."""
+        """Test oracle: {u-monomial: coefficient polynomial in w,z}, each
+        u-monomial decoded as items() decodes monomials."""
         groups = {}
         for m, c in self.terms.items():
-            um = tuple((v, e) for v, e in m if v[0] == U_KIND)
-            rest = tuple((v, e) for v, e in m if v[0] != U_KIND)
-            groups.setdefault(um, {})[rest] = c
+            um = tuple((v, e) for v, e in _pairs(m) if v[0] == U_KIND)
+            groups.setdefault(um, {})[m - _encode(um)] = c
         return {um: MPoly(t) for um, t in groups.items()}
 
     def __repr__(self):
@@ -346,30 +535,22 @@ class MPoly:
 
 def as_univar(f: MPoly, x) -> dict:
     """View f as a univariate polynomial in x with MPoly coefficients."""
+    k = _POSITION.get(x)
+    if k is None:
+        return {0: f} if f.terms else {}
+    shift = k * _FIELD_BITS
     out = {}
     for m, c in f.terms.items():
-        e = 0
-        rest = []
-        for v, ee in m:
-            if v == x:
-                e = ee
-            else:
-                rest.append((v, ee))
-        rest = tuple(rest)
-        out.setdefault(e, {})
-        n = out[e].get(rest, 0) + c
-        if n:
-            out[e][rest] = n
-        else:
-            del out[e][rest]
-    return {e: MPoly(t) for e, t in out.items() if t}
+        e = _exponent(m, k)
+        out.setdefault(e, {})[m - (e << shift)] = c
+    return {e: MPoly(t, f._top) for e, t in out.items()}
 
 
 def _monomial_content(f: MPoly):
     """Test oracle: the largest monomial dividing every term, as a dict."""
     mins = None
     for m in f.terms:
-        d = dict(m)
+        d = dict(_pairs(m))
         if mins is None:
             mins = {v: e for v, e in d.items() if e > 0}
         else:
@@ -387,25 +568,20 @@ def _monomial_content(f: MPoly):
 # fractions with it, and the bench tracer binds poly_gcd by name.
 
 
-def mon_div(m1, m2):
+def mon_div(m1: int, m2: int):
     """m1 / m2 if the quotient has no negative w/z exponents, else None."""
-    out = dict(m1)
-    for v, e in m2:
-        n = out.get(v, 0) - e
-        if n == 0:
-            out.pop(v, None)
-            continue
-        if n < 0 and v[0] != U_KIND:
-            return None
-        out[v] = n
-    return tuple(sorted(out.items()))
+    q = m1 - m2
+    if any(e < 0 and v[0] != U_KIND for v, e in _pairs(q)):
+        return None
+    _check_range((q,))
+    return q
 
 
 def _require_plain(f: MPoly):
+    bias = _BIAS
     for m in f.terms:
-        for _, e in m:
-            if e < 0:
-                raise ValueError("Laurent exponent reached the gcd kernel")
+        if ((m + bias) & bias) != bias:
+            raise ValueError("Laurent exponent reached the gcd kernel")
 
 
 def try_div(f: MPoly, g: MPoly):
@@ -417,11 +593,12 @@ def try_div(f: MPoly, g: MPoly):
     if g.is_const():
         inv = Fraction(1, 1) / Fraction(g.const_value())
         return f * inv
-    gm, gc = g.leading()
+    gm, gc = g._leading()
+    key = _order_key()
     quot = {}
     rem = dict(f.terms)
     while rem:
-        best = max(rem, key=_MON_KEY)  # leading term of the remainder
+        best = max(rem, key=key)  # leading term of the remainder
         qm = mon_div(best, gm)
         if qm is None:
             return None
@@ -429,6 +606,7 @@ def try_div(f: MPoly, g: MPoly):
         quot[qm] = qc
         for m2, c2 in g.terms.items():
             m = mon_mul(qm, m2)
+            _check_range((m,))
             n = rem.get(m, 0) - qc * c2
             if n:
                 rem[m] = _coeff(n)
@@ -456,7 +634,7 @@ def rational_content(f: MPoly) -> Fraction:
         num_gcd = int_gcd(num_gcd, fr.numerator)
         den_lcm = den_lcm * fr.denominator // int_gcd(den_lcm, fr.denominator)
     content = Fraction(num_gcd, den_lcm)
-    _, lc = f.leading()
+    _, lc = f._leading()
     if lc < 0:
         content = -content
     return content
@@ -518,8 +696,7 @@ def _strip_monomial(f: MPoly):
     mc = _monomial_content(f)
     if not mc:
         return {}, f
-    inv = tuple(sorted((v, -e) for v, e in mc.items()))
-    return mc, MPoly({mon_mul(m, inv): c for m, c in f.terms.items()})
+    return mc, f * _monomial({v: -e for v, e in mc.items()})
 
 
 def poly_gcd(f: MPoly, g: MPoly) -> MPoly:
@@ -538,7 +715,7 @@ def poly_gcd(f: MPoly, g: MPoly) -> MPoly:
     mf, f = _strip_monomial(f)
     mg, g = _strip_monomial(g)
     common = {v: min(e, mg.get(v, 0)) for v, e in mf.items() if mg.get(v, 0) > 0}
-    mon = MPoly({tuple(sorted(common.items())): 1}) if common else MPoly.one()
+    mon = _monomial(common)
     if f.is_const() or g.is_const():
         return mon
     x = max(f.variables() | g.variables())
@@ -595,32 +772,32 @@ def candidate_poly(cand) -> MPoly:
 
 def _div_by_var(f: MPoly, v):
     """Exact quotient f / x_v, or None."""
-    inv = ((v, -1),)
-    out = {}
-    for m, c in f.terms.items():
-        e = 0
-        for var, ee in m:
-            if var == v:
-                e = ee
-                break
-        if e < 1:
-            return None
-        out[mon_mul(m, inv)] = c
-    return MPoly(out)
+    k = _POSITION.get(v)
+    if k is None:
+        return None if f.terms else f
+    if any(_exponent(m, k) < 1 for m in f.terms):
+        return None
+    unit = 1 << (k * _FIELD_BITS)
+    return MPoly({m - unit: c for m, c in f.terms.items()}, f._top)
 
 
 def _difference_divides(f: MPoly, a, b) -> bool:
-    """(x_a - x_b) | f, tested by substituting x_a -> x_b in one pass."""
+    """(x_a - x_b) | f, tested by substituting x_a -> x_b in one pass.  A
+    field of the substituted monomials may leave the exponent range, but
+    never its field, and no such monomial is stored."""
+    k = _POSITION.get(a)
+    if k is None:
+        return not f.terms
+    shift = k * _FIELD_BITS
+    delta = _unit(b) - (1 << shift)
+    bias = _BIAS
     acc = {}
+    get = acc.get
     for m, c in f.terms.items():
-        ea = 0
-        for v, e in m:
-            if v == a:
-                ea = e
-                break
+        ea = (((m + bias) >> shift) & _FIELD_MASK) - _HALF
         if ea:
-            m = mon_mul(tuple(t for t in m if t[0] != a), ((b, ea),))
-        n = acc.get(m, 0) + c
+            m += ea * delta
+        n = get(m, 0) + c
         if n:
             acc[m] = n
         else:
@@ -713,11 +890,31 @@ def power_factors(var, exp: int) -> dict:
 
 
 def _dfac_mul_into(num: MPoly, dfac: dict) -> MPoly:
+    """num times the product of the forms of dfac, one form at a time: x_a
+    shifts every monomial, and x_a - x_b is the shift by x_a minus the shift
+    by x_b."""
+    terms = num.terms
+    top = num._exponent_bound()
     for cand in sorted(dfac):
-        p = candidate_poly(cand)
-        for _ in range(dfac[cand]):
-            num = num * p
-    return num
+        mult = dfac[cand]
+        top += mult
+        if cand[0] == "var":
+            shift = mult * _unit(cand[1])
+            terms = {m + shift: c for m, c in terms.items()}
+            continue
+        ua, ub = _unit(cand[1]), _unit(cand[2])
+        for _ in range(mult):
+            out = {m + ua: c for m, c in terms.items()}
+            get = out.get
+            for m, c in terms.items():
+                m += ub
+                n = get(m, 0) - c
+                if n:
+                    out[m] = n if type(n) is int else _coeff(n)
+                else:
+                    del out[m]
+            terms = out
+    return _product(terms, top)
 
 
 class DenominatorError(ValueError):
@@ -778,7 +975,7 @@ class RatFunc:
                     if lo < 0:
                         shift[v] = lo
         if shift:
-            mono = MPoly({tuple(sorted((v, -e) for v, e in shift.items())): 1})
+            mono = _monomial({v: -e for v, e in shift.items()})
             num = num * mono
             den = den * mono
         # strip the common monomial factor, then push the denominator's own
@@ -793,13 +990,11 @@ class RatFunc:
         for v, e in u_extra.items():
             kill[v] = kill.get(v, 0) + e
         if kill:
-            inv_den = tuple(sorted((v, -e) for v, e in kill.items()))
-            den = MPoly({mon_mul(m, inv_den): c for m, c in den.terms.items()})
+            den = den * _monomial({v: -e for v, e in kill.items()})
             if common:
-                inv_num = tuple(sorted((v, -e) for v, e in common.items()))
-                num = MPoly({mon_mul(m, inv_num): c for m, c in num.terms.items()})
+                num = num * _monomial({v: -e for v, e in common.items()})
             if u_extra:
-                num = num * MPoly({tuple(sorted((v, -e) for v, e in u_extra.items())): 1})
+                num = num * _monomial({v: -e for v, e in u_extra.items()})
         factors, leftover = factor_denominator(den)
         if not leftover.is_const():
             raise DenominatorError("denominator factor %s is not a product of linear forms"
@@ -1050,10 +1245,11 @@ def _terms_over_lcm(terms):
     """The numerators brought over the lcm of their factored denominators,
     summed; see over_lcm."""
     nums, lcm = over_lcm(terms)
-    N = MPoly.zero()
+    acc, top = {}, 0
     for num in nums:
-        N = N + num
-    return N, lcm
+        _add_into(acc, num.terms)
+        top = max(top, num._exponent_bound())
+    return MPoly(acc, top), lcm
 
 
 def ratfunc_sum(terms) -> RatFunc:
@@ -1101,11 +1297,14 @@ def core_sum(pairs, lcm: dict) -> RatFunc:
     factored denominator lcm.  This is the keyed_sum of terms with distinct
     keys brought over their lcm by over_lcm (the numerators) whose scales
     cancel no form of their own denominators, so no form of lcm divides the
-    sum, which is therefore canonical; the caller guarantees this."""
-    N = MPoly.zero()
+    sum, which is therefore canonical; the caller guarantees this.  The
+    products accumulate in one dict."""
+    acc, top = {}, 0
     for scale, num in pairs:
-        N = N + scale * num
-    return RatFunc(N, dict(lcm))
+        top = max(top, scale._exponent_bound() + num._exponent_bound())
+        _mul_into(acc, num.terms, scale.terms)
+    _normalize(acc)
+    return RatFunc(_product(acc, top), dict(lcm))
 
 
 # ---------------------------------------------------------------------------
@@ -1127,33 +1326,44 @@ def poly_text(p: MPoly) -> str:
 def _poly_text(p: MPoly) -> str:
     """poly_text, once per polynomial: equal polynomials (1 and Fraction(1)
     coefficients included) render to the same text.  Terms come in the
-    descending _MON_KEY order, here as (degree, the exponent vector over the
-    polynomial's own sorted variables): the first variable where two
-    monomials differ decides, as in _MON_KEY."""
+    descending order of _order_key, here as (degree, the exponent vector over
+    the polynomial's own variables in sorted order): the first variable
+    where two monomials differ decides.  Distinct monomials have distinct
+    vectors, so the coefficients are never compared."""
     if p.is_zero():
         return "0"
-    variables = sorted(p.variables())
-    index = {v: k for k, v in enumerate(variables)}
-    names = {v: var_text(v) for v in variables}
-    zero = [0] * len(variables)
-
-    def key(term):
-        vec = zero.copy()
-        deg = 0
-        for v, e in term[0]:
-            vec[index[v]] = e
-            deg += e
-        return deg, vec
-
+    bias, nbytes = _BIAS, _NBYTES
+    rows, used = [], 0
+    for m, c in p.terms.items():
+        x = (m + bias) ^ bias
+        used |= x
+        rows.append((x, c))
+    positions = [k for _, k in _sorted_positions()
+                 if (used >> (k * _FIELD_BITS)) & _FIELD_MASK]
+    if len(positions) > 1:
+        pick = itemgetter(*positions)
+    else:
+        def pick(f):
+            return tuple(f[k] for k in positions)
+    keyed = []
+    for x, c in rows:
+        vec = pick(array(_FIELD_CODE, x.to_bytes(nbytes, _BYTEORDER)))
+        keyed.append((sum(vec), vec, c))
+    keyed.sort(reverse=True)
+    names = [_NAMES[k] for k in positions]
+    powers = [{1: name} for name in names]  # the text of each variable power
     parts = []
-    for m, c in sorted(p.terms.items(), key=key, reverse=True):
+    for _, vec, c in keyed:
         factors = []
+        for j, e in itertools.compress(enumerate(vec), vec):
+            text = powers[j].get(e)
+            if text is None:
+                text = powers[j][e] = "%s^%d" % (names[j], e)
+            factors.append(text)
         neg = c < 0
         ac = -c if neg else c
-        if ac != 1 or not m:
-            factors.append(_coeff_text(ac))
-        for v, e in m:
-            factors.append(names[v] if e == 1 else "%s^%d" % (names[v], e))
+        if ac != 1 or not factors:
+            factors.insert(0, _coeff_text(ac))
         text = "*".join(factors)
         if not parts:
             parts.append("-" + text if neg else text)
@@ -1249,17 +1459,23 @@ class PartialSymPoly:
 def restrict_to_gamma(f: PartialSymPoly, gamma) -> MPoly:
     """Apply any permutation sending [m_i] onto Gamma_i (slotwise ascending);
     by partial symmetry the result is independent of the choice."""
+    return f.value._relabel(_gamma_moves(f.v, f.m, gamma))
+
+
+@lru_cache(maxsize=4096)
+def _gamma_moves(v, m, gamma) -> tuple:
+    """The relabelling of restrict_to_gamma, as _moves returns it."""
     varmap = {}
-    for i, vi in enumerate(f.v):
+    for i, vi in enumerate(v):
         g = sorted(gamma[i])
-        if len(g) != f.m[i] or any(not 1 <= r <= vi for r in g):
+        if len(g) != m[i] or any(not 1 <= r <= vi for r in g):
             raise ValueError("Gamma_%d must be an m_%d-subset of [v_%d]" % (i, i, i))
         comp = [r for r in range(1, vi + 1) if r not in set(g)]
         for pos, r in enumerate(g, start=1):
             varmap[wv(i, pos)] = wv(i, r)
-        for pos, r in enumerate(comp, start=f.m[i] + 1):
+        for pos, r in enumerate(comp, start=m[i] + 1):
             varmap[wv(i, pos)] = wv(i, r)
-    return f.value.permute_vars(varmap)
+    return _moves(varmap)
 
 
 def head_tail_divides(f: PartialSymPoly, v) -> bool:
@@ -1288,16 +1504,22 @@ def over_head_powers(num: MPoly, m, powers) -> RatFunc:
             if k < e:
                 dfac[("var", wv(i, a))] = e - k
     if cancel:
-        inv = tuple(sorted(cancel))
-        num = MPoly({mon_mul(mon, inv): c for mon, c in num.terms.items()})
+        inv = _encode(cancel)
+        num = MPoly({mon + inv: c for mon, c in num.terms.items()}, num._top)
     return RatFunc(num, dfac)
 
 
 def orbit_sum(variables, pattern) -> MPoly:
     """Sum of prod_k variables[k]^e_k over the distinct permutations e of
     the exponent pattern."""
-    return MPoly({tuple(sorted((v, e) for v, e in zip(variables, perm) if e)): 1
-                  for perm in set(itertools.permutations(pattern))})
+    if not pattern:
+        return MPoly.one()
+    units = [_unit(v) for v in variables]
+    top = max(map(abs, pattern))
+    if top > EXPONENT_MAX:
+        raise _range_error()
+    return MPoly({sum(e * u for e, u in zip(perm, units)): 1
+                  for perm in set(itertools.permutations(pattern))}, top)
 
 
 def at_zero(num: MPoly, dfac: dict, variables):
@@ -1466,7 +1688,7 @@ def parse_poly(text: str, n_vertices: int | None = None) -> MPoly:
                                   e * _norm_bits(base))
                     return base ** e
                 if len(base.terms) == 1:
-                    (m, c), = base.terms.items()
+                    (m, c), = base.items()
                     if c == 1 and len(m) == 1 and m[0][0][0] == U_KIND:
                         return MPoly.var(m[0][0], m[0][1] * e)
                 raise ParseError("negative exponent only allowed on a u-variable")
@@ -1506,6 +1728,8 @@ def parse_poly(text: str, n_vertices: int | None = None) -> MPoly:
     try:
         # the printed grammar uses ^ for powers; Python's ^ binds too loosely
         return ev(ast.parse(text.strip().replace("^", "**"), mode="eval"))
+    except ExponentRangeError as exc:
+        raise ParseError("cannot parse %r: %s" % (text, exc)) from None
     except (SyntaxError, RecursionError, MemoryError) as exc:
         # the parser reports a stack overflow as a MemoryError with no message
         raise ParseError("cannot parse %r: %s" % (text, str(exc) or "nested too deeply")) from None

@@ -46,7 +46,6 @@ from quiver_fmo.multipoly import (
     MPoly,
     PartialSymPoly,
     RatFunc,
-    _MON_KEY,
     identity_holds,
     linear_factors,
     linear_product,
@@ -55,6 +54,7 @@ from quiver_fmo.multipoly import (
     wv,
 )
 from quiver_fmo.quiver import DimData
+from monomial_oracle import MON_KEY
 
 
 def sweedler(f: PartialSymPoly, v_prime):
@@ -67,14 +67,14 @@ def sweedler(f: PartialSymPoly, v_prime):
     tail_vars = {wv(i, r) for i, (vpi, vi) in enumerate(zip(v_prime, f.v))
                  for r in range(vpi + 1, vi + 1)}
     groups = {}
-    for mon, c in f.value.terms.items():
+    for mon, c in f.value.items():
         tail = tuple((var, e) for var, e in mon if var in tail_vars)
         head = tuple((var, e) for var, e in mon if var not in tail_vars)
         groups.setdefault(tail, {})[head] = c
     out = []
-    for tail in sorted(groups, key=_MON_KEY):
-        head_poly = PartialSymPoly.make(MPoly(groups[tail]), f.m, v_prime)
-        out.append((head_poly, MPoly({tail: 1})))
+    for tail in sorted(groups, key=MON_KEY):
+        head_poly = PartialSymPoly.make(MPoly.from_items(groups[tail].items()), f.m, v_prime)
+        out.append((head_poly, MPoly.from_items([(tail, 1)])))
     return out
 
 

@@ -17,11 +17,20 @@ from quiver_fmo.multipoly import (
     exact_div,
     factor_denominator,
     fast_linear_div,
-    mon_div,
-    mon_mul,
     poly_gcd,
     rational_content,
 )
+from monomial_oracle import mon_div, mon_mul
+
+
+def _monomial(exps: dict) -> MPoly:
+    """The monomial with coefficient 1 and the given {variable: exponent}."""
+    return MPoly.from_items([(tuple(sorted(exps.items())), 1)])
+
+
+def _map_monomials(p: MPoly, op) -> MPoly:
+    """p with op applied to each of its tuple monomials."""
+    return MPoly.from_items((op(m), c) for m, c in p.items())
 
 
 def normal_form(num: MPoly, den: MPoly):
@@ -41,7 +50,7 @@ def normal_form(num: MPoly, den: MPoly):
                 if lo < 0:
                     shift[v] = lo
     if shift:
-        mono = MPoly({tuple(sorted((v, -e) for v, e in shift.items())): 1})
+        mono = _monomial({v: -e for v, e in shift.items()})
         num = num * mono
         den = den * mono
     # strip the common monomial factor, then push the denominator's own
@@ -57,12 +66,12 @@ def normal_form(num: MPoly, den: MPoly):
         kill[v] = kill.get(v, 0) + e
     if kill:
         inv_den = tuple(sorted((v, -e) for v, e in kill.items()))
-        den = MPoly({mon_mul(m, inv_den): c for m, c in den.terms.items()})
+        den = _map_monomials(den, lambda m: mon_mul(m, inv_den))
         if common:
             inv_num = tuple(sorted((v, -e) for v, e in common.items()))
-            num = MPoly({mon_mul(m, inv_num): c for m, c in num.terms.items()})
+            num = _map_monomials(num, lambda m: mon_mul(m, inv_num))
         if u_extra:
-            num = num * MPoly({tuple(sorted((v, -e) for v, e in u_extra.items())): 1})
+            num = num * _monomial({v: -e for v, e in u_extra.items()})
     factors, leftover = factor_denominator(den)
     # cancel candidates, then a real gcd on the leftover
     kept = {}
@@ -91,9 +100,8 @@ def normal_form(num: MPoly, den: MPoly):
                 u_shift[v] = lo
     if u_shift:
         mono = tuple(sorted(u_shift.items()))
-        den = MPoly({mon_div(m, mono): c for m, c in den.terms.items()})
-        inv = MPoly({tuple(sorted((v, -e) for v, e in u_shift.items())): 1})
-        num = num * inv
+        den = _map_monomials(den, lambda m: mon_div(m, mono))
+        num = num * _monomial({v: -e for v, e in u_shift.items()})
     # scale: denominator primitive with positive leading coefficient
     content = rational_content(den)
     if content != 1:

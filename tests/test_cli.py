@@ -432,6 +432,8 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     "hilbert --quiver a1 --w 2 --v 1 --order -1",
     "verify involution --quiver a1 --w 2 --v 1 --max-degree -1",
     "verify orientation --quiver a1 --w 2 --v 2 --m 5",
+    # an exponent past the range of a packed monomial field
+    "fmo --quiver a1 --w 2 --v 2 --m 1 --f w[1,1]^100000000000000000000000 --json",
     # dressings nested past the limit of the parser's AST construction and
     # of the parser's own stack
     pytest.param("fmo --quiver a1 --w 2 --v 2 --m 0 --f " + "+".join(["w[1,1]"] * 5000),
@@ -522,6 +524,70 @@ def test_table_ops_byte_identical(capsys):
     for argv, sha, exit_code in ops:
         code, out, err = run(capsys, *argv)
         assert (hashlib.sha256(out.encode()).hexdigest(), code, err) == (sha, exit_code, ""), argv
+
+
+def _costliest_ops(workload, count):
+    """The count table ops of a benchmark workload with the largest recorded
+    cost, with their stdout sha256 and exit code."""
+    table = json.loads((Path(__file__).resolve().parent.parent / "bench"
+                        / "table.json").read_text())
+    ops = {op for cell in table["workloads"][workload]["cells"] for op in cell}
+    for op in sorted(ops, key=lambda op: (-table["ops"][op]["cost_s"], op))[:count]:
+        yield op.split(), table["ops"][op]["sha256"], table["ops"][op]["exit"]
+
+
+def test_costliest_table_ops_byte_identical(capsys):
+    # the a2 (3,3) ops that _table_ops leaves out: their large u-Laurent
+    # values exercise the print order most
+    ops = list(_costliest_ops("termwise", 10)) + list(_costliest_ops("substitution", 5))
+    assert len(ops) == 15
+    for argv, sha, exit_code in ops:
+        code, out, err = run(capsys, *argv)
+        assert (hashlib.sha256(out.encode()).hexdigest(), code, err) == (sha, exit_code, ""), argv
+
+
+REGISTRATION_SCRIPT = """
+import hashlib, io, json, sys
+from contextlib import redirect_stdout
+from quiver_fmo import cli, multipoly
+if sys.argv[1] == "reversed":
+    names = [make(i, r) for make in (multipoly.wv, multipoly.uv) for i in range(2)
+             for r in range(1, 5)]
+    for var in reversed(names + [multipoly.ZVAR]):
+        multipoly._position(var)
+out = {"texts": [multipoly.poly_text(multipoly.parse_poly(text)) for text in sys.argv[2:]]}
+for argv in json.loads(sys.stdin.read()):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = cli.main(argv)
+    out[" ".join(argv)] = [hashlib.sha256(buf.getvalue().encode()).hexdigest(), code]
+print(json.dumps(out))
+"""
+
+
+def test_variable_registration_order_changes_no_output():
+    # the packed field of a variable is its registration position; the text
+    # and the CLI bytes sort by (kind, vertex, slot) and must not see it
+    texts = ["u[2,1]^-2*w[1,3] + z*w[2,2]^3 - 3*u[1,4]*u[1,1]^-1 + 1/2",
+             "(w[1,1] - w[2,1])^3*u[1,2] + z^2*u[2,1]^-1"]
+    ops = [*_costliest_ops("termwise", 2), *_costliest_ops("substitution", 1)]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    runs = {}
+    for order in ("registered", "reversed"):
+        proc = subprocess.run([sys.executable, "-c", REGISTRATION_SCRIPT, order, *texts],
+                              input=json.dumps([argv for argv, _, _ in ops]),
+                              capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        runs[order] = json.loads(proc.stdout)
+    assert runs["registered"] == runs["reversed"]
+    assert runs["reversed"]["texts"] == [
+        "w[2,2]^3*z + 1/2 - 3*u[1,1]^-1*u[1,4] + w[1,3]*u[2,1]^-2",
+        "w[1,1]^3*u[1,2] - 3*w[1,1]^2*w[2,1]*u[1,2] + 3*w[1,1]*w[2,1]^2*u[1,2]"
+        " - w[2,1]^3*u[1,2] + u[2,1]^-1*z^2"]
+    for argv, sha, exit_code in ops:
+        assert runs["reversed"][" ".join(argv)] == [sha, exit_code]
 
 
 # the whole-element field layer, the gcd kernel and the substitution oracles

@@ -51,7 +51,7 @@ Z = MPoly.var(ZVAR)
 
 def eval_mpoly(p, point):
     total = Fraction(0)
-    for mon, c in p.terms.items():
+    for mon, c in p.items():
         term = Fraction(c)
         for var, e in mon:
             term *= Fraction(point[var]) ** e
@@ -562,3 +562,43 @@ def test_dressing_basis_budget_is_its_exact_size(monkeypatch, v, m):
         with pytest.raises(EnumerationBudgetError, match="more than %d" % (size - 1)):
             dressing_basis(v, m, degree)
         monkeypatch.undo()
+
+
+def dressing_basis_per_charge(v, m, max_degree):
+    """Test oracle for dressing_basis: every element built on its own, one
+    orbit sum per block pattern multiplied in block order, with nothing
+    shared between charges or elements."""
+    blocks = []
+    for i, vi in enumerate(v):
+        for slots in (range(1, m[i] + 1), range(m[i] + 1, vi + 1)):
+            if slots:
+                blocks.append([wv(i, r) for r in slots])
+
+    def block_patterns(size, deg):
+        # weakly decreasing exponent tuples of the given total degree, first
+        # entry descending
+        return sorted((p for p in itertools.product(range(deg + 1), repeat=size)
+                       if sum(p) == deg and list(p) == sorted(p, reverse=True)),
+                      reverse=True)
+
+    out = []
+    for total in range(max_degree + 1):
+        for split in gklo.compositions(total, len(blocks)):
+            for choice in itertools.product(*(block_patterns(len(b), d)
+                                              for b, d in zip(blocks, split))):
+                poly = MPoly.one()
+                for block, pat in zip(blocks, choice):
+                    poly = poly * gklo.orbit_sum(block, pat)
+                out.append(PartialSymPoly(poly, tuple(m), tuple(v)))
+    return out
+
+
+def test_dressing_basis_equals_the_per_charge_construction():
+    # the block orbit sums are built once and shared by every charge; the
+    # basis, and its order, is what each charge builds on its own
+    for v in [(), (1,), (3,), (2, 2), (3, 1), (1, 2, 1)]:
+        for m in itertools.product(*(range(vi + 1) for vi in v)):
+            for degree in range(4):
+                want = dressing_basis_per_charge(v, m, degree)
+                assert list(dressing_basis(v, m, degree)) == want, (v, m, degree)
+    assert gklo._block_sums.cache_info().hits > 0

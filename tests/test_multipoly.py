@@ -11,8 +11,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quiver_fmo.multipoly import (
+    EXPONENT_MAX,
+    EXPONENT_MIN,
     AdmissibilityError,
     DenominatorError,
+    ExponentRangeError,
     MPoly,
     ParseError,
     PartialSymPoly,
@@ -20,7 +23,9 @@ from quiver_fmo.multipoly import (
     SymmetryError,
     U_KIND,
     ZVAR,
-    _MON_KEY,
+    _encode,
+    _order_key,
+    _pairs,
     _poly_text,
     at_zero,
     candidate_poly,
@@ -46,6 +51,7 @@ from quiver_fmo.multipoly import (
     var_text,
     wv,
 )
+import monomial_oracle as oracle
 from identity_oracle import sweedler
 from ratfunc_oracle import factored_form_violations, normal_form
 
@@ -166,7 +172,7 @@ def test_gcd_large_common_factor():
 
 def to_sympy(sympy, p):
     total = sympy.Integer(0)
-    for mono, c in p.terms.items():
+    for mono, c in p.items():
         c = Fraction(c)
         term = sympy.Rational(c.numerator, c.denominator)
         for var, e in mono:
@@ -210,7 +216,8 @@ linear_forms = st.one_of(
     st.permutations(LINEAR_VARS).map(lambda vs: MPoly.var(vs[0]) - MPoly.var(vs[1])))
 u_monomials = st.dictionaries(st.sampled_from([uv(0, 1), uv(0, 2)]),
                               st.integers(min_value=-2, max_value=2).filter(bool),
-                              max_size=2).map(lambda d: MPoly({tuple(sorted(d.items())): 1}))
+                              max_size=2).map(
+    lambda d: MPoly.from_items([(tuple(sorted(d.items())), 1)]))
 nonzero = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
 
 
@@ -477,8 +484,8 @@ def test_ratfunc_text_shapes():
 
 
 @pytest.mark.parametrize("int_poly,fraction_poly,text", [
-    (MPoly({(): 2}), MPoly({(): Fraction(2)}), "2"),
-    (W11, MPoly({((wv(0, 1), 1),): Fraction(1)}), "w[1,1]"),
+    (MPoly.from_items([((), 2)]), MPoly.from_items([((), Fraction(2))]), "2"),
+    (W11, MPoly.from_items([(((wv(0, 1), 1),), Fraction(1))]), "w[1,1]"),
 ])
 def test_equal_polynomials_render_alike_through_the_cache(int_poly, fraction_poly, text):
     # equal polynomials share one cache entry, whichever spelling fills it
@@ -502,7 +509,7 @@ def test_denominator_queries():
 
 def _value(p, point):
     total = Fraction(0)
-    for mon, c in p.terms.items():
+    for mon, c in p.items():
         term = Fraction(c)
         for var, e in mon:
             term *= point[var] ** e
@@ -643,10 +650,18 @@ monomials = st.lists(st.sampled_from(MON_VARS), unique=True, max_size=5).flatmap
 @settings(max_examples=200, deadline=None)
 @given(st.lists(monomials, unique=True, max_size=12))
 def test_mon_key_matches_the_comparison_oracle(ms):
-    assert sorted(ms, key=_MON_KEY) == sorted(ms, key=cmp_to_key(mon_cmp_oracle))
+    # the tuple oracle's key against a two-pointer comparison, and the order
+    # of the packed monomials against both
+    assert sorted(ms, key=oracle.MON_KEY) == sorted(ms, key=cmp_to_key(mon_cmp_oracle))
+    packed = [_encode(m) for m in ms]
+    key = _order_key()
+    assert [_pairs(m) for m in sorted(packed, key=key)] == sorted(ms, key=oracle.MON_KEY)
     for m1, m2 in itertools.product(ms[:4], repeat=2):
-        k1, k2 = _MON_KEY(m1), _MON_KEY(m2)
-        assert (k1 > k2) - (k1 < k2) == mon_cmp_oracle(m1, m2), (m1, m2)
+        want = mon_cmp_oracle(m1, m2)
+        k1, k2 = oracle.MON_KEY(m1), oracle.MON_KEY(m2)
+        assert (k1 > k2) - (k1 < k2) == want, (m1, m2)
+        k1, k2 = key(_encode(m1)), key(_encode(m2))
+        assert (k1 > k2) - (k1 < k2) == want, (m1, m2)
 
 
 @settings(max_examples=300, deadline=None)
@@ -658,17 +673,25 @@ def test_mon_mul_matches_a_plain_merge(m1, m2, cancel):
         exps.update((v, -e) for v, e in m1 if v[0] == U_KIND)
         m2 = tuple(sorted(exps.items()))
     want = merge_mul_oracle(m1, m2)
-    assert mon_mul(m1, m2) == want
-    assert mon_mul(m2, m1) == want
+    assert oracle.mon_mul(m1, m2) == want
+    assert oracle.mon_mul(m2, m1) == want
+    assert _pairs(mon_mul(_encode(m1), _encode(m2))) == want
+    assert _pairs(mon_mul(_encode(m2), _encode(m1))) == want
 
 
 def test_mon_mul_fast_paths():
+    # the fast paths of the tuple oracle, and the same products packed
     w11, w12, u11 = (wv(0, 1), 1), (wv(0, 2), 2), (uv(0, 1), -1)
-    assert mon_mul((w11,), (u11,)) == (w11, u11)           # disjoint ranges
-    assert mon_mul((u11,), (w11, w12)) == (w11, w12, u11)
-    assert mon_mul((w11, u11), (w12,)) == (w11, w12, u11)  # one variable inserted
-    assert mon_mul((w11, u11), ((uv(0, 1), 1),)) == (w11,)  # inserted and cancelled
-    assert mon_mul((w11, u11), ((uv(0, 1), 3),)) == (w11, (uv(0, 1), 2))
+    cases = [
+        ((w11,), (u11,), (w11, u11)),                      # disjoint ranges
+        ((u11,), (w11, w12), (w11, w12, u11)),
+        ((w11, u11), (w12,), (w11, w12, u11)),             # one variable inserted
+        ((w11, u11), ((uv(0, 1), 1),), (w11,)),            # inserted and cancelled
+        ((w11, u11), ((uv(0, 1), 3),), (w11, (uv(0, 1), 2))),
+    ]
+    for m1, m2, want in cases:
+        assert oracle.mon_mul(m1, m2) == want
+        assert _pairs(mon_mul(_encode(m1), _encode(m2))) == want
 
 
 def test_leading_and_division_follow_the_key():
@@ -789,10 +812,10 @@ def test_expansion_bound_is_checked_before_expanding(monkeypatch):
 
 def poly_text_oracle(p: MPoly) -> str:
     """Test oracle for the term order of poly_text: the terms sorted by
-    descending _MON_KEY, each rendered on its own."""
+    descending MON_KEY, each rendered on its own."""
     parts = []
-    for m, c in sorted(p.terms.items(), key=lambda t: _MON_KEY(t[0]), reverse=True):
-        text = poly_text(MPoly({m: -c if c < 0 else c}))
+    for m, c in sorted(p.items(), key=lambda t: oracle.MON_KEY(t[0]), reverse=True):
+        text = poly_text(MPoly.from_items([(m, -c if c < 0 else c)]))
         if parts:
             parts.append((" - " if c < 0 else " + ") + text)
         else:
@@ -804,5 +827,80 @@ def poly_text_oracle(p: MPoly) -> str:
 @given(st.lists(monomials, unique=True, max_size=12),
        st.lists(st.one_of(st.integers(-5, 5).filter(bool), nonzero), min_size=12, max_size=12))
 def test_poly_text_orders_terms_by_mon_key(ms, coeffs):
-    p = MPoly(dict(zip(ms, coeffs)))
+    p = MPoly.from_items(zip(ms, coeffs))
     assert poly_text(p) == poly_text_oracle(p)
+    assert poly_text(p) == oracle.poly_text(dict(zip(ms, coeffs)))
+
+
+# ---------------------------------------------------------------------------
+# the packed kernel against the tuple oracle
+
+tuple_polys = st.dictionaries(monomials, st.one_of(st.integers(-5, 5).filter(bool), nonzero),
+                              max_size=6)
+DEAD_VARS = [wv(0, 1), wv(0, 2), wv(1, 1), ZVAR]
+DEAD_FACTORS = ([diff_key(a, b)[0] for a, b in itertools.combinations(DEAD_VARS, 2)]
+                + [("var", v) for v in DEAD_VARS])
+
+
+@settings(max_examples=150, deadline=None)
+@given(tuple_polys, tuple_polys, st.integers(0, 3), st.permutations(MON_VARS),
+       st.sets(st.sampled_from(DEAD_VARS), max_size=2), st.sampled_from(MON_VARS),
+       st.dictionaries(st.sampled_from(DEAD_FACTORS), st.integers(1, 3), max_size=3))
+def test_packed_kernel_against_the_tuple_oracle(a, b, n, perm, dead, var, dfac):
+    """Laurent polynomials with negative u-exponents and Fraction
+    coefficients: each packed operation, decoded, equals the same operation
+    on tuple monomials."""
+    pa, pb = MPoly.from_items(a.items()), MPoly.from_items(b.items())
+    assert oracle.poly(pa) == a
+    assert oracle.poly(pa * pb) == oracle.mul(a, b)
+    assert oracle.poly(pa + pb) == oracle.add(a, b)
+    assert oracle.poly(pa ** n) == oracle.power(a, n)
+    varmap = dict(zip(MON_VARS, perm))
+    assert oracle.poly(pa.permute_vars(varmap)) == oracle.permute_vars(a, varmap)
+    assert oracle.poly(pa.subs_zero(dead)) == oracle.subs_zero(a, dead)
+    assert pa.min_exponent(var) == oracle.min_exponent(a, var)
+    assert pa.variables() == oracle.variables(a)
+    assert poly_text(pa) == oracle.poly_text(a)
+    if a:
+        assert pa.leading() == oracle.leading(a)
+    try:
+        want = oracle.at_zero(a, dfac, dead)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            at_zero(pa, dfac, dead)
+        return
+    got = at_zero(pa, dfac, dead)
+    assert (got if want is None else (oracle.poly(got[0]), got[1])) == want
+
+
+def test_a_product_past_the_exponent_range_raises_and_spares_the_next_field():
+    # two variables seen here first sit in neighbouring fields
+    a, b = wv(40, 1), wv(40, 2)
+    x, y = MPoly.var(a), MPoly.var(b)
+    top = MPoly.var(a, EXPONENT_MAX)
+    for product in (lambda: top * x, lambda: top * (x + y), lambda: top ** 2,
+                    lambda: (top + 1) * (x * y + 1)):
+        with pytest.raises(ExponentRangeError):
+            product()
+    low = MPoly.var(uv(40, 1), EXPONENT_MIN)
+    with pytest.raises(ExponentRangeError):
+        low * MPoly.var(uv(40, 1), -1)
+    for exp in (EXPONENT_MAX + 1, 10 ** 23):
+        with pytest.raises(ExponentRangeError):
+            MPoly.var(a, exp)
+    with pytest.raises(ExponentRangeError):
+        MPoly.var(uv(40, 1), EXPONENT_MIN - 1)
+    # up to the edge of the range, each field keeps its own exponent
+    edge = MPoly.var(a, EXPONENT_MAX - 1) * x * y ** 3
+    assert edge.items() == [(((a, EXPONENT_MAX), (b, 3)), 1)]
+    assert (edge * MPoly.var(b, EXPONENT_MAX - 3)).items() == [
+        (((a, EXPONENT_MAX), (b, EXPONENT_MAX)), 1)]
+    assert (low * MPoly.var(uv(40, 2), -5) * MPoly.var(uv(40, 1), 7)).items() == [
+        (((uv(40, 1), EXPONENT_MIN + 7), (uv(40, 2), -5)), 1)]
+    assert top.items() == [(((a, EXPONENT_MAX),), 1)]
+    # the parser refuses what the field cannot hold
+    for text in ("w[1,1]^100000000000000000000000", "u[1,1]^-%d" % (1 - EXPONENT_MIN),
+                 "w[1,1]^%d*w[1,1]" % EXPONENT_MAX):
+        with pytest.raises(ParseError, match="range"):
+            parse_poly(text)
+    assert parse_poly("u[1,1]^%d" % EXPONENT_MIN) == MPoly.var(uv(0, 1), EXPONENT_MIN)

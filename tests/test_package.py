@@ -141,8 +141,13 @@ def test_one_function_builds_each_fmo_value():
 
 
 # multipoly's internal formats: factor tags, variable kinds, the raw
-# constructor, and the term and factor dicts
+# constructor, the term and factor dicts, and the packed-monomial helpers
+# (the variable index, the field width and masks, encode and decode)
 FORMAT_TAGS = {"var", "diff"}
+PACKING_HELPERS = {"_VARS", "_NAMES", "_POSITION", "_position", "_unit", "_sorted_positions",
+                   "_FIELD_BITS", "_FIELD_MASK", "_FIELD_CODE", "_HALF", "_BIAS",
+                   "_RANGE_BIAS", "_U_SIGNS", "_NBYTES", "_encode", "_pairs", "_fields",
+                   "_exponent", "_order_key", "_moves"}
 VARIABLE_KINDS = {"U_KIND", "W_KIND", "Z_KIND"}
 FORMAT_DICTS = {"terms", "dfac"}
 ITERATING_CALLS = {"all", "any", "dict", "enumerate", "frozenset", "iter", "list", "map",
@@ -151,19 +156,22 @@ ITERATING_CALLS = {"all", "any", "dict", "enumerate", "frozenset", "iter", "list
 
 def _format_reads(tree):
     """(line, what) for each place that builds or takes apart a monomial
-    tuple or a factor key: a tag or kind constant, a raw MPoly call, and an
+    tuple or a factor key: a tag or kind constant, a raw MPoly call, an
     iteration over, a membership test in or a subscript or method of a
-    .terms or .dfac dict (its len is allowed)."""
+    .terms or .dfac dict (its len is allowed), and any use of a packing
+    helper."""
     parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and node.value in FORMAT_TAGS:
             found.append((node.lineno, "tag %r" % node.value))
-        elif isinstance(node, ast.Name) and node.id in VARIABLE_KINDS:
+        elif isinstance(node, ast.Name) and node.id in VARIABLE_KINDS | PACKING_HELPERS:
             found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in PACKING_HELPERS:
+            found.append((node.lineno, "." + node.attr))
         elif isinstance(node, ast.ImportFrom):
             found += [(node.lineno, alias.name) for alias in node.names
-                      if alias.name in VARIABLE_KINDS]
+                      if alias.name in VARIABLE_KINDS | PACKING_HELPERS]
         elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "MPoly":
             found.append((node.lineno, "MPoly(...)"))
         elif isinstance(node, ast.Attribute) and node.attr in FORMAT_DICTS:
@@ -182,8 +190,13 @@ def _format_reads(tree):
 
 def test_only_multipoly_reads_the_term_representation():
     # no linter runs on the package, so this stands in for one: multipoly
-    # owns the monomial tuples and the factor keys, and every other module
+    # owns the packed monomials and the factor keys, and every other module
     # works with variables, MPoly and RatFunc values and multipoly calls
+    tree = ast.parse((PACKAGE_DIR / "multipoly.py").read_text())
+    defined = {target.id for node in tree.body if isinstance(node, ast.Assign)
+               for target in ast.walk(node) if isinstance(target, ast.Name)}
+    defined |= {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert PACKING_HELPERS <= defined, PACKING_HELPERS - defined
     found = []
     for path in sorted(PACKAGE_DIR.glob("**/*.py")):
         if path.name == "multipoly.py":
