@@ -538,12 +538,31 @@ def _costliest_ops(workload, count):
 
 def test_costliest_table_ops_byte_identical(capsys):
     # the a2 (3,3) ops that _table_ops leaves out: their large u-Laurent
-    # values exercise the print order most
-    ops = list(_costliest_ops("termwise", 10)) + list(_costliest_ops("substitution", 5))
-    assert len(ops) == 15
+    # values exercise the print order most; the hilbert ops of orders 14-44,
+    # where the vertex pruning cuts the most
+    ops = [*_costliest_ops("termwise", 10), *_costliest_ops("substitution", 5),
+           *_costliest_ops("hilbert", 15)]
+    assert len(ops) == 30
     for argv, sha, exit_code in ops:
         code, out, err = run(capsys, *argv)
         assert (hashlib.sha256(out.encode()).hexdigest(), code, err) == (sha, exit_code, ""), argv
+
+
+# stdout sha256 of the affine D4 run below, recorded when the Hilbert series
+# still evaluated every shell point up to the norm bound
+AFFINE_D4_ORDER_10_SHA256 = "feb77b235713f872cb6e92a5dfc8f02e206ccfa74ce875113249c35083c2753d"
+
+
+def test_affine_d4_hilbert_golden(capsys, tmp_path):
+    path = tmp_path / "affine_d4.json"
+    path.write_text(json.dumps({
+        "vertices": ["0", "1", "2", "3", "4"],
+        "edges": [{"source": "0", "target": str(k)} for k in range(1, 5)],
+    }))
+    code, out, err = run(capsys, "hilbert", "--quiver", str(path), "--w", "2,0,0,0,0",
+                         "--v", "2,1,1,1,1", "--order", "10", "--json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == AFFINE_D4_ORDER_10_SHA256
 
 
 REGISTRATION_SCRIPT = """

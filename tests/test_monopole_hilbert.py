@@ -1,6 +1,6 @@
 """Monopole degrees, stabilizer factors, truncated Hilbert series with the
-certified enumerator against a naive brute-force oracle and against the
-per-point sum, closed forms, and classification."""
+vertex-pruned enumerator against a naive brute-force oracle and against the
+per-point sum over the certified shells, closed forms, and classification."""
 
 import itertools
 import json
@@ -30,11 +30,13 @@ from quiver_fmo.monopole_hilbert import (
     block_type,
     classify_theory,
     dominant_shell,
+    edge_term,
     fmo_degree,
     geometric,
     hilbert_series,
     stabilizer_poincare,
     two_delta_general,
+    vertex_term,
 )
 
 
@@ -73,7 +75,7 @@ def brute_force_series(quiver, w, v, order, box):
 
 def hilbert_series_by_points(ctx, order):
     """Oracle: the per-point sum, one stabilizer factor per kept coweight,
-    over the same certified shells as hilbert_series."""
+    over every shell up to the certified norm bound of hilbert_series."""
     scan = box_scan(ctx.dims, ctx.cartan)
     if not scan.conical:
         raise BadTheoryError("not conical")
@@ -293,7 +295,8 @@ def test_hilbert_budget_checked_before_any_point(monkeypatch):
     def evaluated(*args):
         raise AssertionError("a shell point was evaluated")
 
-    monkeypatch.setattr(mh, "two_delta_general", evaluated)
+    for name in ("two_delta_general", "vertex_term", "edge_term"):
+        monkeypatch.setattr(mh, name, evaluated)
     monkeypatch.setattr(mh, "POINT_BUDGET", 3)
     ctx = make_context(affine_sl2_quiver(), (1, 0), (2, 2))
     with pytest.raises(EnumerationBudgetError, match="more than 3 shell points"):
@@ -378,6 +381,7 @@ GROUPED_CASES = [
     ("a2", (1, 1), (1, 1)),
     ("a2", (2, 2), (2, 2)),
     ("a2", (2, 1), (2, 1)),
+    ("a2", (4, 1), (2, 0)),
     ("affine_sl2", (2, 0), (1, 1)),
     ("affine_sl2", (1, 0), (1, 1)),
     ("affine_sl2", (1, 1), (2, 2)),
@@ -394,6 +398,10 @@ def _grouped_case_quiver(name, tmp_path):
         # oriented 3-cycle: affine A2
         return _file_quiver(tmp_path, name, ["0", "1", "2"],
                             [("0", "1"), ("1", "2"), ("2", "0")])
+    if name == "affine_d4":
+        # the star with central vertex 0: affine D4, marks (2, 1, 1, 1, 1)
+        return _file_quiver(tmp_path, name, ["0", "1", "2", "3", "4"],
+                            [("0", "1"), ("0", "2"), ("0", "3"), ("0", "4")])
     return {"a1": a1_quiver, "a2": a2_quiver, "affine_sl2": affine_sl2_quiver}[name]()
 
 
@@ -434,3 +442,22 @@ def test_one_stabilizer_factor_per_block_type(monkeypatch):
     monkeypatch.setattr(mh, "stabilizer_poincare", counting)
     assert hilbert_series(ctx, order) == expected
     assert len(seen) == len(set(seen)) and set(seen) == kept_types
+
+
+@pytest.mark.parametrize("name,w,v", GROUPED_CASES)
+def test_vertex_and_edge_terms_sum_to_two_delta(tmp_path, name, w, v):
+    ctx = make_context(_grouped_case_quiver(name, tmp_path), w, v)
+    for norm in range(7):
+        for gamma in dominant_shell(ctx.v, norm):
+            split = sum(vertex_term(wi, tup) for wi, tup in zip(ctx.w, gamma)) + sum(
+                edge_term(gamma[s], gamma[t]) for s, t in ctx.quiver.edges)
+            assert split == two_delta_general(ctx, gamma), gamma
+
+
+@pytest.mark.parametrize("name,w,v,order", [
+    ("a2", (3, 3), (3, 3), 16),
+    ("affine_d4", (2, 0, 0, 0, 0), (2, 1, 1, 1, 1), 10),
+])
+def test_pruned_enumeration_matches_per_point_sum_at_high_order(tmp_path, name, w, v, order):
+    ctx = make_context(_grouped_case_quiver(name, tmp_path), w, v)
+    assert hilbert_series(ctx, order) == hilbert_series_by_points(ctx, order)
