@@ -381,12 +381,12 @@ GROUPED_CASES = [
     ("a2", (1, 1), (1, 1)),
     ("a2", (2, 2), (2, 2)),
     ("a2", (2, 1), (2, 1)),
-    ("a2", (4, 1), (2, 0)),
     ("affine_sl2", (2, 0), (1, 1)),
     ("affine_sl2", (1, 0), (1, 1)),
     ("affine_sl2", (1, 1), (2, 2)),
     ("hyperbolic3", (3, 3), (2, 1)),
     ("cycle3", (1, 1, 1), (1, 1, 1)),
+    ("a2", (4, 1), (2, 0)),
 ]
 
 
