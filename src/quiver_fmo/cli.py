@@ -81,7 +81,7 @@ def _load_quiver(spec: str) -> Quiver:
         return BUILTIN_QUIVERS[spec]()
     try:
         return Quiver.load(spec)
-    except (OSError, KeyError, ValueError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError("cannot load quiver from %r: %s" % (spec, exc)) from None
 
 

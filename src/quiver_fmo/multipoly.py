@@ -19,15 +19,15 @@ exponent plus 2^15 with no borrow, which is how fields are read.
 
 Every stored exponent lies in [EXPONENT_MIN, EXPONENT_MAX] = [-2^14, 2^14):
 the sum of two of them still fits a field, so a product never carries into a
-neighbouring field and its range is checked after the fact.  Each MPoly
-keeps a bound on its largest |exponent|; a product checks its terms only
-when the operands' bounds add past the range, and raises ExponentRangeError
-(an EnumerationBudgetError) rather than store a field that left it.
+neighbouring field and its range is checked after the fact.  Exponents enter
+through _encode and orbit_sum, which check their input, and grow only in
+products, which _product checks term by term; a field that left the range
+raises ExponentRangeError (an EnumerationBudgetError) and is never stored.
 
-Term order and printing never see positions: poly_text and leading decode
-each monomial into its exponents over the variables sorted by (kind,
-vertex, slot), and compare (total degree, that exponent vector), so the
-output does not depend on the order in which variables were registered.
+Term order and printing never see positions: _order_key decodes each
+monomial into its exponents over the variables sorted by (kind, vertex,
+slot), and compares (total degree, that exponent vector), so the output
+does not depend on the order in which variables were registered.
 
 Rational functions are kept fully reduced in a canonical form, a numerator
 over a factored product of linear forms, so structural equality decides ring
@@ -198,15 +198,24 @@ def _check_range(terms):
             raise _range_error()
 
 
-def _order_key():
+def _order_key(positions=None):
     """Sort key of the graded lexicographic order on packed monomials over
-    the variables sorted by (kind, vertex, slot): total degree first, then
-    the exponent vectors compared at the first variable where they differ."""
-    positions = [k for _, k in _sorted_positions()]
+    the variables sorted by (kind, vertex, slot): (total degree, exponent
+    vector), so the vectors are compared at the first variable where they
+    differ.  The vector runs over the given positions, in variable order,
+    or over every registered one; positions that hold every variable of
+    the monomials keyed give the same order."""
+    if positions is None:
+        positions = [k for _, k in _sorted_positions()]
+    if len(positions) > 1:
+        pick = itemgetter(*positions)
+    else:
+        def pick(f):
+            return tuple(f[k] for k in positions)
 
     def key(m):
-        f = _fields(m)
-        return sum(f), [f[k] for k in positions]
+        vec = pick(_fields(m))
+        return sum(vec), vec
 
     return key
 
@@ -260,46 +269,43 @@ def _mul_into(acc: dict, a: dict, b: dict):
                 del acc[m]
 
 
-def _product(terms: dict, top: int) -> "MPoly":
-    """MPoly of product terms whose exponents are bounded by top, checked
-    against the range when top leaves it."""
-    if top > EXPONENT_MAX:
-        _check_range(terms)
-        top = None
-    return MPoly(terms, top)
+def _product(terms: dict) -> "MPoly":
+    """MPoly of the terms of a product of operands whose exponents lie in the
+    range, checked against it: products are the only place where stored
+    exponents grow, so this is the one range check after _encode's."""
+    _check_range(terms)
+    return MPoly(terms)
 
 
 def _monomial(exps: dict) -> "MPoly":
     """The monomial with coefficient 1 and the given {variable: exponent}."""
-    return MPoly({_encode(exps.items()): 1}, max(map(abs, exps.values()), default=0))
+    return MPoly({_encode(exps.items()): 1})
 
 
 class MPoly:
     """Sparse multivariate (Laurent in u) polynomial with exact coefficients:
     terms maps each packed monomial to its nonzero coefficient."""
 
-    __slots__ = ("terms", "_hash", "_top")
+    __slots__ = ("terms", "_hash")
 
-    def __init__(self, terms=None, top=None):
-        # internal: top bounds every |exponent|, None when not yet known
+    def __init__(self, terms=None):
         self.terms = terms if terms is not None else {}
         self._hash = None
-        self._top = top
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero() -> "MPoly":
-        return MPoly({}, 0)
+        return MPoly({})
 
     @staticmethod
     def const(c) -> "MPoly":
         c = _coeff(Fraction(c) if not isinstance(c, (int, Fraction)) else c)
-        return MPoly({0: c} if c else {}, 0)
+        return MPoly({0: c} if c else {})
 
     @staticmethod
     def one() -> "MPoly":
-        return MPoly({0: 1}, 0)
+        return MPoly({0: 1})
 
     @staticmethod
     def var(v, exp: int = 1) -> "MPoly":
@@ -307,7 +313,7 @@ class MPoly:
             return MPoly.one()
         if exp < 0 and v[0] != U_KIND:
             raise ValueError("negative exponent on non-Laurent variable %s" % (v,))
-        return MPoly({_encode(((v, exp),)): 1}, abs(exp))
+        return MPoly({_encode(((v, exp),)): 1})
 
     @staticmethod
     def from_items(items) -> "MPoly":
@@ -327,18 +333,6 @@ class MPoly:
         """(monomial, coefficient) pairs, each monomial decoded into a tuple
         of (variable, exponent) pairs sorted by variable."""
         return [(_pairs(m), c) for m, c in self.terms.items()]
-
-    def _exponent_bound(self) -> int:
-        """A bound on every |exponent|, decoded from the terms when unknown."""
-        top = self._top
-        if top is None:
-            top = 0
-            for m in self.terms:
-                if m:
-                    f = _fields(m)
-                    top = max(top, max(f), -min(f))
-            self._top = top
-        return top
 
     # -- predicates ----------------------------------------------------
 
@@ -393,13 +387,12 @@ class MPoly:
         a, b = (self, other) if len(self.terms) >= len(other.terms) else (other, self)
         out = dict(a.terms)
         _add_into(out, b.terms)
-        top = None if a._top is None or b._top is None else max(a._top, b._top)
-        return MPoly(out, top)
+        return MPoly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly({m: -c for m, c in self.terms.items()}, self._top)
+        return MPoly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -416,12 +409,10 @@ class MPoly:
                     return MPoly.zero()
                 if other == 1:
                     return self
-                return MPoly({m: _coeff(c * other) for m, c in self.terms.items()},
-                             self._top)
+                return MPoly({m: _coeff(c * other) for m, c in self.terms.items()})
             return NotImplemented
         if not self.terms or not other.terms:
             return MPoly.zero()
-        top = self._exponent_bound() + other._exponent_bound()
         big, small = (self, other) if len(self.terms) >= len(other.terms) else (other, self)
         a, b = big.terms, small.terms
         if len(b) == 1:
@@ -429,13 +420,13 @@ class MPoly:
             if c2 == 1:
                 if not m2:  # the constant one
                     return big
-                return _product({m1 + m2: c1 for m1, c1 in a.items()}, top)
+                return _product({m1 + m2: c1 for m1, c1 in a.items()})
             out = {m1 + m2: c1 * c2 for m1, c1 in a.items()}
         else:
             out = {}
             _mul_into(out, a, b)
         _normalize(out)
-        return _product(out, top)
+        return _product(out)
 
     __rmul__ = __mul__
 
@@ -503,7 +494,7 @@ class MPoly:
                     del out[m]
             else:
                 out[m] = c
-        return MPoly(out, self._top)
+        return MPoly(out)
 
     def subs_zero(self, vars_to_zero) -> "MPoly":
         """Set the given (non-Laurent) variables to zero."""
@@ -513,8 +504,7 @@ class MPoly:
             if k is not None:
                 mask |= _FIELD_MASK << (k * _FIELD_BITS)
         bias = _BIAS
-        return MPoly({m: c for m, c in self.terms.items() if not (((m + bias) ^ bias) & mask)},
-                     self._top)
+        return MPoly({m: c for m, c in self.terms.items() if not (((m + bias) ^ bias) & mask)})
 
     def split_u(self):
         """Test oracle: {u-monomial: coefficient polynomial in w,z}, each
@@ -543,7 +533,7 @@ def as_univar(f: MPoly, x) -> dict:
     for m, c in f.terms.items():
         e = _exponent(m, k)
         out.setdefault(e, {})[m - (e << shift)] = c
-    return {e: MPoly(t, f._top) for e, t in out.items()}
+    return {e: MPoly(t) for e, t in out.items()}
 
 
 def _monomial_content(f: MPoly):
@@ -778,31 +768,15 @@ def _div_by_var(f: MPoly, v):
     if any(_exponent(m, k) < 1 for m in f.terms):
         return None
     unit = 1 << (k * _FIELD_BITS)
-    return MPoly({m - unit: c for m, c in f.terms.items()}, f._top)
+    return MPoly({m - unit: c for m, c in f.terms.items()})
 
 
 def _difference_divides(f: MPoly, a, b) -> bool:
-    """(x_a - x_b) | f, tested by substituting x_a -> x_b in one pass.  A
-    field of the substituted monomials may leave the exponent range, but
-    never its field, and no such monomial is stored."""
-    k = _POSITION.get(a)
-    if k is None:
-        return not f.terms
-    shift = k * _FIELD_BITS
-    delta = _unit(b) - (1 << shift)
-    bias = _BIAS
-    acc = {}
-    get = acc.get
-    for m, c in f.terms.items():
-        ea = (((m + bias) >> shift) & _FIELD_MASK) - _HALF
-        if ea:
-            m += ea * delta
-        n = get(m, 0) + c
-        if n:
-            acc[m] = n
-        else:
-            del acc[m]
-    return not acc
+    """(x_a - x_b) | f: f vanishes at x_a = x_b, tested by the relabelling
+    x_a -> x_b.  Its temporary may hold a merged field x_b^(e_a + e_b) past
+    the exponent range, unchecked: the sum of two exponents in range still
+    fits its field, and the temporary is discarded."""
+    return not f.permute_vars({a: b}).terms
 
 
 def _div_by_difference(f: MPoly, a, b):
@@ -866,10 +840,8 @@ def diff_key(a, b):
 
 def linear_product(pairs) -> MPoly:
     """The product of the linear forms x_a - x_b over the (a, b) pairs."""
-    out = MPoly.one()
-    for a, b in pairs:
-        out = out * (MPoly.var(a) - MPoly.var(b))
-    return out
+    dfac, sign = linear_factors(pairs)
+    return _dfac_mul_into(MPoly.one(), dfac) * sign
 
 
 def linear_factors(pairs):
@@ -894,10 +866,8 @@ def _dfac_mul_into(num: MPoly, dfac: dict) -> MPoly:
     shifts every monomial, and x_a - x_b is the shift by x_a minus the shift
     by x_b."""
     terms = num.terms
-    top = num._exponent_bound()
     for cand in sorted(dfac):
         mult = dfac[cand]
-        top += mult
         if cand[0] == "var":
             shift = mult * _unit(cand[1])
             terms = {m + shift: c for m, c in terms.items()}
@@ -914,7 +884,7 @@ def _dfac_mul_into(num: MPoly, dfac: dict) -> MPoly:
                 else:
                     del out[m]
             terms = out
-    return _product(terms, top)
+    return _product(terms)
 
 
 class DenominatorError(ValueError):
@@ -1245,11 +1215,10 @@ def _terms_over_lcm(terms):
     """The numerators brought over the lcm of their factored denominators,
     summed; see over_lcm."""
     nums, lcm = over_lcm(terms)
-    acc, top = {}, 0
+    acc = {}
     for num in nums:
         _add_into(acc, num.terms)
-        top = max(top, num._exponent_bound())
-    return MPoly(acc, top), lcm
+    return MPoly(acc), lcm
 
 
 def ratfunc_sum(terms) -> RatFunc:
@@ -1299,12 +1268,11 @@ def core_sum(pairs, lcm: dict) -> RatFunc:
     cancel no form of their own denominators, so no form of lcm divides the
     sum, which is therefore canonical; the caller guarantees this.  The
     products accumulate in one dict."""
-    acc, top = {}, 0
+    acc = {}
     for scale, num in pairs:
-        top = max(top, scale._exponent_bound() + num._exponent_bound())
         _mul_into(acc, num.terms, scale.terms)
     _normalize(acc)
-    return RatFunc(_product(acc, top), dict(lcm))
+    return RatFunc(_product(acc), dict(lcm))
 
 
 # ---------------------------------------------------------------------------
@@ -1326,34 +1294,18 @@ def poly_text(p: MPoly) -> str:
 def _poly_text(p: MPoly) -> str:
     """poly_text, once per polynomial: equal polynomials (1 and Fraction(1)
     coefficients included) render to the same text.  Terms come in the
-    descending order of _order_key, here as (degree, the exponent vector over
-    the polynomial's own variables in sorted order): the first variable
-    where two monomials differ decides.  Distinct monomials have distinct
-    vectors, so the coefficients are never compared."""
+    descending order of _order_key over the polynomial's own variables,
+    whose exponent vectors the text then spells.  Distinct monomials have
+    distinct vectors, so the coefficients are never compared."""
     if p.is_zero():
         return "0"
-    bias, nbytes = _BIAS, _NBYTES
-    rows, used = [], 0
-    for m, c in p.terms.items():
-        x = (m + bias) ^ bias
-        used |= x
-        rows.append((x, c))
-    positions = [k for _, k in _sorted_positions()
-                 if (used >> (k * _FIELD_BITS)) & _FIELD_MASK]
-    if len(positions) > 1:
-        pick = itemgetter(*positions)
-    else:
-        def pick(f):
-            return tuple(f[k] for k in positions)
-    keyed = []
-    for x, c in rows:
-        vec = pick(array(_FIELD_CODE, x.to_bytes(nbytes, _BYTEORDER)))
-        keyed.append((sum(vec), vec, c))
-    keyed.sort(reverse=True)
+    positions = [_POSITION[var] for var in sorted(p.variables())]
+    key = _order_key(positions)
+    keyed = sorted(((key(m), c) for m, c in p.terms.items()), reverse=True)
     names = [_NAMES[k] for k in positions]
     powers = [{1: name} for name in names]  # the text of each variable power
     parts = []
-    for _, vec, c in keyed:
+    for (_, vec), c in keyed:
         factors = []
         for j, e in itertools.compress(enumerate(vec), vec):
             text = powers[j].get(e)
@@ -1444,12 +1396,11 @@ class PartialSymPoly:
             if kind == U_KIND:
                 raise ValueError("dressings contain no u-variables")
             if kind == W_KIND and not (0 <= i < len(v) and 1 <= r <= v[i]):
-                raise ValueError("variable %s outside the (v) slot range" % (var,))
+                raise ValueError("variable %s outside the (v) slot range" % var_text(var))
         for i, r, s in _block_transpositions(m, v):
             if value.permute_vars(_swap_map(i, r, s)) != value:
-                raise SymmetryError(
-                    "not invariant under swapping slots %d,%d at vertex %d" % (r, s, i)
-                )
+                raise SymmetryError("not invariant under swapping slots %s and %s"
+                                    % (var_text(wv(i, r)), var_text(wv(i, s))))
         return PartialSymPoly(value, m, v)
 
     def is_zero(self) -> bool:
@@ -1505,7 +1456,7 @@ def over_head_powers(num: MPoly, m, powers) -> RatFunc:
                 dfac[("var", wv(i, a))] = e - k
     if cancel:
         inv = _encode(cancel)
-        num = MPoly({mon + inv: c for mon, c in num.terms.items()}, num._top)
+        num = MPoly({mon + inv: c for mon, c in num.terms.items()})
     return RatFunc(num, dfac)
 
 
@@ -1515,11 +1466,10 @@ def orbit_sum(variables, pattern) -> MPoly:
     if not pattern:
         return MPoly.one()
     units = [_unit(v) for v in variables]
-    top = max(map(abs, pattern))
-    if top > EXPONENT_MAX:
+    if max(map(abs, pattern)) > EXPONENT_MAX:
         raise _range_error()
     return MPoly({sum(e * u for e, u in zip(perm, units)): 1
-                  for perm in set(itertools.permutations(pattern))}, top)
+                  for perm in set(itertools.permutations(pattern))})
 
 
 def at_zero(num: MPoly, dfac: dict, variables):

@@ -67,7 +67,7 @@ class Quiver:
         index = {v: i for i, v in enumerate(verts)}
         edges = []
         for e in data["edges"]:
-            if not isinstance(e, dict):
+            if not (isinstance(e, dict) and "source" in e and "target" in e):
                 raise ValueError("edge %r is not an object with source and target" % (e,))
             s, t = str(e["source"]), str(e["target"])
             if s not in index or t not in index:

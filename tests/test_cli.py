@@ -72,6 +72,19 @@ def test_fmo_rejects_asymmetric_dressing(capsys):
     assert "swapping slots" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--quiver", "a2", "--w", "2,2", "--v", "1,2", "--m", "0,0", "--f", "w[2,1]"),
+     "input error: dressing is not partially symmetric: "
+     "not invariant under swapping slots w[2,1] and w[2,2]\n"),
+    (("--quiver", "a1", "--w", "2", "--v", "2", "--m", "1", "--f", "w[1,3]"),
+     "input error: variable w[1,3] outside the (v) slot range\n"),
+])
+def test_dressing_errors_name_variables_as_printed(capsys, argv, message):
+    # the vertex is 1-based, as the input spells it
+    code, out, err = run(capsys, "fmo", *argv)
+    assert (code, out, err) == (2, "", message)
+
+
 def test_hilbert_closed_form(capsys):
     code, out, _ = run(capsys, "hilbert", "--quiver", "a1", "--w", "2", "--v", "1",
                        "--order", "8", "--json")
@@ -178,6 +191,7 @@ def test_quiver_file_input(capsys, tmp_path):
     {"vertices": ["a", "b"], "edges": [["a", "b"]]},
     {"vertices": 5, "edges": []},
     [1, 2],
+    {"vertices": ["a", "b"], "edges": [{"source": "a"}]},
     pytest.param("[" * 100000 + "]" * 100000, id="nested past the decoder limit"),
 ])
 def test_malformed_quiver_file_exits_2(capsys, tmp_path, data):

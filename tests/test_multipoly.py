@@ -8,7 +8,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from quiver_fmo.multipoly import (
     EXPONENT_MAX,
@@ -23,15 +23,20 @@ from quiver_fmo.multipoly import (
     SymmetryError,
     U_KIND,
     ZVAR,
+    _POSITION,
+    _difference_divides,
     _encode,
     _order_key,
     _pairs,
     _poly_text,
+    as_univar,
     at_zero,
     candidate_poly,
     check_symmetric,
+    core_sum,
     diff_key,
     exact_div,
+    head_tail_divides,
     identity_holds,
     keyed_sum,
     linear_factors,
@@ -39,6 +44,7 @@ from quiver_fmo.multipoly import (
     localized,
     mon_mul,
     orbit_sum,
+    over_head_powers,
     parse_poly,
     poly_gcd,
     poly_text,
@@ -723,6 +729,68 @@ def test_linear_forms_against_a_direct_expansion(pairs):
     assert back == direct
 
 
+DIVISION_VARS = [wv(0, 1), wv(0, 2), wv(1, 1), ZVAR]
+FRESH_VERTICES = itertools.count(1000)
+laurent_u_terms = st.lists(st.tuples(
+    st.dictionaries(st.sampled_from(DIVISION_VARS), st.integers(0, 2), max_size=2),
+    st.dictionaries(st.sampled_from([uv(0, 1), uv(1, 1)]), st.integers(-2, 2), max_size=2),
+    nonzero), max_size=4).map(
+        lambda terms: MPoly.from_items((tuple(w.items()) + tuple(u.items()), c)
+                                       for w, u, c in terms))
+
+
+def divides_by_division(f, a, b):
+    return try_div(f, MPoly.var(a) - MPoly.var(b)) is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurent_u_terms, laurent_u_terms, st.sampled_from(DIVISION_VARS),
+       st.sampled_from(DIVISION_VARS), st.sampled_from(["plain", "multiple", "fresh"]))
+def test_difference_divides_against_division(g, h, a, b, shape):
+    assume(a != b)
+    if shape == "fresh":
+        # a variable no polynomial has used: only zero vanishes at x_a = x_b
+        a = wv(next(FRESH_VERTICES), 1)
+        assert a not in _POSITION
+        f = g
+    else:
+        f = g * (MPoly.var(a) - MPoly.var(b)) + (h if shape == "plain" else 0)
+    assert _difference_divides(f, a, b) == divides_by_division(f, a, b)
+
+
+def test_difference_divides_at_the_edge_of_the_exponent_range():
+    # x_a -> x_b merges a^(MAX - 1) * b^MAX into a field past the range,
+    # which the discarded relabelling may hold
+    a, b = wv(0, 1), wv(0, 2)
+    edge = MPoly.var(a, EXPONENT_MAX - 1) * MPoly.var(b, EXPONENT_MAX - 1)
+    form = MPoly.var(a) - MPoly.var(b)
+    for f in (edge * form, edge * form + 1):
+        assert _difference_divides(f, a, b) == divides_by_division(f, a, b)
+
+
+def head_tail_product(i, m, vi):
+    """prod over a <= m < b <= vi of w_{i,a} - w_{i,b}: block symmetric."""
+    return linear_product((wv(i, a), wv(i, b))
+                          for a in range(1, m + 1) for b in range(m + 1, vi + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([((2,), (1,)), ((3,), (1,)), ((3,), (2,)), ((2, 2), (1, 1)),
+                        ((3, 2), (2, 1)), ((3, 1), (1, 0))]),
+       st.integers(0, 10 ** 6), st.lists(st.booleans(), min_size=2, max_size=2))
+def test_head_tail_divides_against_division(vm, seed, times_forms):
+    v, m = vm
+    value = _random_partial_sym(v, m, seed).value
+    for i, flag in enumerate(times_forms[:len(v)]):
+        if flag:
+            value = value * head_tail_product(i, m[i], v[i])
+    f = PartialSymPoly.make(value, m, v)
+    want = any(divides_by_division(value, wv(i, a), wv(i, b))
+               for i, (mi, vi) in enumerate(zip(m, v))
+               for a in range(1, mi + 1) for b in range(mi + 1, vi + 1))
+    assert head_tail_divides(f, v) == want
+
+
 # ---------------------------------------------------------------------------
 # keyed identities
 
@@ -890,3 +958,31 @@ def test_a_product_past_the_exponent_range_raises_and_spares_the_next_field():
         with pytest.raises(ParseError, match="range"):
             parse_poly(text)
     assert parse_poly("u[1,1]^%d" % EXPONENT_MIN) == MPoly.var(uv(0, 1), EXPONENT_MIN)
+
+
+def test_the_range_check_does_not_depend_on_how_an_operand_was_built():
+    # every product checks its own terms, whatever built its operands
+    h, a, b, d = wv(41, 1), wv(41, 2), wv(41, 3), wv(41, 4)
+    x, y = MPoly.var(a), MPoly.var(b)  # seen here first: neighbouring fields
+    top = MPoly.var(a, EXPONENT_MAX)
+    heads = (0,) * 41 + (1,)
+    built = {
+        "from_items": MPoly.from_items([(((a, EXPONENT_MAX),), 1)]),
+        "permute_vars": MPoly.var(d, EXPONENT_MAX).permute_vars({d: a, a: d}),
+        "subs_zero": (top + MPoly.var(d)).subs_zero([d]),
+        "as_univar": as_univar(top * MPoly.var(d) + 1, d)[1],
+        "+": (top + 1) + (-1),
+        "negation": -(-top),
+        "over_head_powers": over_head_powers(MPoly.var(h) * top, heads, heads).num,
+        "core_sum": core_sum([(MPoly.one(), top)], {}).num,
+        "RatFunc.den": (RatFunc.make(1, x) ** EXPONENT_MAX).den,
+    }
+    for name, op in built.items():
+        assert op == top, name
+        for other in [x, x + y, top, *built.values()]:
+            for product in (lambda: op * other, lambda: other * op):
+                with pytest.raises(ExponentRangeError):
+                    product()
+        # at the edge of the range each field keeps its own exponent
+        assert (op * MPoly.var(b, EXPONENT_MAX)).items() == [
+            (((a, EXPONENT_MAX), (b, EXPONENT_MAX)), 1)], name
