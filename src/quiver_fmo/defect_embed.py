@@ -150,8 +150,7 @@ def _defect_comparison(ctx: GKLOContext, split: DefectSplit, m, at_zero: bool) -
     sub_ctx = _rhs_context(ctx, split, m)
     rhs = () if sub_ctx is None else _unit_terms(sub_ctx, m, "+")[0]
     unit = PartialSymPoly(MPoly.one(), m, ctx.v)
-    return identity_holds(_defect_lhs(ctx, split, m, unit, at_zero)
-                          + [(gamma, -num, dfac) for gamma, num, dfac in rhs])
+    return identity_holds(_defect_lhs(ctx, split, m, unit, at_zero), rhs)
 
 
 @lru_cache(maxsize=65536)

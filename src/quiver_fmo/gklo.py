@@ -17,10 +17,10 @@ from .multipoly import (
     RatFunc,
     ZVAR,
     core_sum,
-    expansion_bound,
     head_tail_divides,
     identity_holds,
     keyed_sum,
+    lcm_plan,
     linear_factors,
     linear_product,
     localized,
@@ -251,7 +251,7 @@ def fmo_value(ctx: GKLOContext, m, f: PartialSymPoly, sign: str) -> RatFunc:
     if f.is_zero():
         return RatFunc.zero()
     if not head_tail_divides(f, ctx.v):
-        _, bound = _unit_terms(ctx, m, sign)
+        _, bound, _ = _unit_terms(ctx, m, sign)
         if within_budget(len(f.value.terms) * bound):
             pairs, lcm = _fmo_core(ctx, m, sign)
             return core_sum(((restrict_to_gamma(f, gamma), num) for gamma, num in pairs),
@@ -263,22 +263,23 @@ def fmo_value(ctx: GKLOContext, m, f: PartialSymPoly, sign: str) -> RatFunc:
 def _unit_terms(ctx: GKLOContext, m, sign: str):
     """The subset terms of M^sign_m(1) over ctx, as a tuple of (Gamma,
     numerator, factored-denominator) triples that callers must not mutate,
-    and over_lcm's bound on their expansion over the lcm of their
-    denominators, computed without expanding."""
+    the bound on their expansion over the lcm of their denominators, and the
+    lcm_plan behind it, which _fmo_core expands; nothing is expanded here."""
     terms = tuple(_signed_terms(ctx, m, PartialSymPoly(MPoly.one(), m, ctx.v), sign))
-    return terms, expansion_bound((num, dfac) for _, num, dfac in terms)
+    plan = lcm_plan((num, dfac) for _, num, dfac in terms)
+    return terms, plan.bound, plan
 
 
 @lru_cache(maxsize=1024)
 def _fmo_core(ctx: GKLOContext, m, sign: str):
     """The f = 1 core of M^sign_m over ctx: the pairs (Gamma, N_Gamma), N_Gamma
     = A_Gamma u_Gamma^{+-1} L / D_Gamma expanded, and the lcm L of the D_Gamma.
-    Refused by over_lcm's budget before anything is expanded."""
-    terms, _ = _unit_terms(ctx, m, sign)
-    exp = 1 if sign == "+" else -1
-    nums, lcm = over_lcm((_u_gamma(gamma, exp) * num, dfac) for gamma, num, dfac in terms)
-    # no numerator is zero at f = 1, so over_lcm keeps them all, in order
-    return tuple(zip([gamma for gamma, _, _ in terms], nums)), lcm
+    Expanded by the plan of _unit_terms, whose budget refuses it first."""
+    terms, _, plan = _unit_terms(ctx, m, sign)
+    nums, lcm = over_lcm(plan)
+    # no numerator is zero at f = 1, so the plan keeps them all, in order
+    return tuple((gamma, _u_gamma(gamma, 1 if sign == "+" else -1) * num)
+                 for (gamma, _, _), num in zip(terms, nums)), lcm
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +387,7 @@ def involution_on_generators(ctx: GKLOContext) -> bool:
     generators = [(tuple((r,) if j == i else () for j in range(len(ctx.v))), MPoly.one(), {})
                   for i, vi in enumerate(ctx.v) for r in range(1, vi + 1)]
     once = transport_terms(generators, partial(iota_image, ctx))
-    twice = list(transport_terms(once, partial(iota_inverse_image, ctx)))
-    return identity_holds(twice + [(gamma, -num, dfac) for gamma, num, dfac in generators])
+    return identity_holds(transport_terms(once, partial(iota_inverse_image, ctx)), generators)
 
 
 @lru_cache(maxsize=65536)
@@ -418,9 +418,7 @@ def _swap_core(ctx: GKLOContext, m) -> bool:
     involution fixes the w's), and the ring is a domain, so for f != 0 it
     holds exactly when it does at f = 1."""
     iota_terms = transport_terms(_unit_terms(ctx, m, "+")[0], partial(iota_image, ctx))
-    minus_terms, _ = _unit_terms(ctx, m, "-")
-    return identity_holds(list(iota_terms)
-                          + [(gamma, -num, dfac) for gamma, num, dfac in minus_terms])
+    return identity_holds(iota_terms, _unit_terms(ctx, m, "-")[0])
 
 
 # ---------------------------------------------------------------------------
@@ -489,10 +487,11 @@ def _orientation_core(ctx: GKLOContext, edge_index: int, m):
         loss = [(wv(t, r), wv(s, p)) for p in range(1, ctx.v[s] + 1)] if i == t else ()
         return (linear_product(gain),) + linear_factors(loss)
 
-    one = PartialSymPoly(MPoly.one(), m, ctx.v)
-    keyed = list(transport_terms(fmo_plus_terms(flipped_ctx, m, one), transport))
-    keyed.extend((gamma, num * -sign, dfac) for gamma, num, dfac in fmo_plus_terms(ctx, m, one))
-    return sign, identity_holds(keyed)
+    flipped = transport_terms(_unit_terms(flipped_ctx, m, "+")[0], transport)
+    original = _unit_terms(ctx, m, "+")[0]
+    if sign < 0:  # flipped = -original: the two sum to zero
+        return sign, identity_holds(itertools.chain(flipped, original))
+    return sign, identity_holds(flipped, original)
 
 
 # ---------------------------------------------------------------------------

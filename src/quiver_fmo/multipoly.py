@@ -49,6 +49,7 @@ import ast
 import itertools
 import sys
 from array import array
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -236,28 +237,19 @@ def _moves(varmap: dict) -> tuple:
     return tuple(moves)
 
 
-def _normalize(terms: dict):
-    """Turn Fraction coefficients with denominator 1 into ints, in place."""
-    for m in [m for m, c in terms.items() if type(c) is not int]:
-        c = terms[m]
-        if c.denominator == 1:
-            terms[m] = c.numerator
-
-
 def _add_into(acc: dict, terms: dict):
     """acc += terms, in place; no zero coefficient is kept."""
     get = acc.get
     for m, c in terms.items():
         n = get(m, 0) + c
         if n:
-            acc[m] = n if type(n) is int else _coeff(n)
+            acc[m] = n
         else:
             del acc[m]
 
 
 def _mul_into(acc: dict, a: dict, b: dict):
-    """acc += a * b, in place, looping over b outside; coefficients are left
-    for _normalize."""
+    """acc += a * b, in place, looping over b outside."""
     get = acc.get
     for m2, c2 in b.items():
         for m1, c1 in a.items():
@@ -425,7 +417,6 @@ class MPoly:
         else:
             out = {}
             _mul_into(out, a, b)
-        _normalize(out)
         return _product(out)
 
     __rmul__ = __mul__
@@ -486,14 +477,11 @@ class MPoly:
                     e = ((d >> src) & _FIELD_MASK) - _HALF
                     if e:
                         m += e * delta
-            if m in out:  # only a map that merges variables merges terms
-                n = _coeff(out[m] + c)
-                if n:
-                    out[m] = n
-                else:
-                    del out[m]
+            n = out.get(m, 0) + c  # only a map that merges variables merges terms
+            if n:
+                out[m] = n
             else:
-                out[m] = c
+                del out[m]
         return MPoly(out)
 
     def subs_zero(self, vars_to_zero) -> "MPoly":
@@ -880,7 +868,7 @@ def _dfac_mul_into(num: MPoly, dfac: dict) -> MPoly:
                 m += ub
                 n = get(m, 0) - c
                 if n:
-                    out[m] = n if type(n) is int else _coeff(n)
+                    out[m] = n
                 else:
                     del out[m]
             terms = out
@@ -1169,13 +1157,15 @@ class RatFunc:
 
 
 EXPANSION_BUDGET = 10 ** 6  # terms of one expansion over an lcm; read at call time
+LcmPlan = namedtuple("LcmPlan", "items missing lcm bound")  # see lcm_plan
 
 
-def _lcm_plan(terms):
-    """The nonzero (numerator, factored-denominator) pairs, the forms each
-    denominator lacks against their lcm, the lcm, and the bound on the
-    expansion over the lcm: each missing form x_a - x_b at most doubles a
-    numerator's terms, so sum len(num) * 2^(missing x_a - x_b)."""
+def lcm_plan(terms) -> LcmPlan:
+    """How (numerator, factored-denominator) pairs come over the lcm of their
+    denominators, without expanding them: the nonzero pairs, the forms each
+    denominator lacks against the lcm, the lcm, and the bound on the
+    expansion: each missing form x_a - x_b at most doubles a numerator's
+    terms, so sum len(num) * 2^(missing x_a - x_b)."""
     items = [(num, dfac) for num, dfac in terms if not num.is_zero()]
     lcm = {}
     for _, dfac in items:
@@ -1185,25 +1175,19 @@ def _lcm_plan(terms):
     missing = [_dfac_sub(lcm, dfac) for _, dfac in items]
     bound = sum(len(num.terms) << sum(e for k, e in miss.items() if k[0] != "var")
                 for (num, _), miss in zip(items, missing))
-    return items, missing, lcm, bound
-
-
-def expansion_bound(terms) -> int:
-    """over_lcm's bound for (numerator, factored-denominator) pairs, without
-    expanding them."""
-    return _lcm_plan(terms)[3]
+    return LcmPlan(items, missing, lcm, bound)
 
 
 def within_budget(bound: int) -> bool:
     return bound <= EXPANSION_BUDGET
 
 
-def over_lcm(terms):
-    """The nonzero numerators of (numerator, factored-denominator) pairs,
-    each brought over the lcm of their denominators: (an iterator of the
-    expanded numerators, in order, and the lcm).  Above EXPANSION_BUDGET the
-    bound of _lcm_plan raises EnumerationBudgetError before expanding."""
-    items, missing, lcm, bound = _lcm_plan(terms)
+def over_lcm(plan: LcmPlan):
+    """The nonzero numerators of an lcm_plan, each brought over its lcm: (an
+    iterator of the expanded numerators, in order, and the lcm).  Above
+    EXPANSION_BUDGET the plan's bound raises EnumerationBudgetError before
+    anything is expanded."""
+    items, missing, lcm, bound = plan
     if not within_budget(bound):
         raise EnumerationBudgetError(
             "a sum over a common denominator could expand to %d terms, more than %d"
@@ -1214,7 +1198,7 @@ def over_lcm(terms):
 def _terms_over_lcm(terms):
     """The numerators brought over the lcm of their factored denominators,
     summed; see over_lcm."""
-    nums, lcm = over_lcm(terms)
+    nums, lcm = over_lcm(lcm_plan(terms))
     acc = {}
     for num in nums:
         _add_into(acc, num.terms)
@@ -1244,10 +1228,12 @@ def _by_key(keyed_terms) -> dict:
     return groups
 
 
-def identity_holds(keyed_terms) -> bool:
-    """Exact test of an identity keyed by distinct u-monomials: the whole sum
-    vanishes exactly when every key group sums to zero."""
-    return all(terms_sum_to_zero(items) for items in _by_key(keyed_terms).values())
+def identity_holds(lhs, rhs=()) -> bool:
+    """Exact test of lhs = rhs, two sides of triples keyed by distinct
+    u-monomials: it holds exactly when every key group of lhs - rhs sums to
+    zero.  rhs is negated term by term as it is grouped."""
+    groups = _by_key(itertools.chain(lhs, ((key, -num, dfac) for key, num, dfac in rhs)))
+    return all(terms_sum_to_zero(items) for items in groups.values())
 
 
 def keyed_sum(keyed_terms) -> RatFunc:
@@ -1271,7 +1257,6 @@ def core_sum(pairs, lcm: dict) -> RatFunc:
     acc = {}
     for scale, num in pairs:
         _mul_into(acc, num.terms, scale.terms)
-    _normalize(acc)
     return RatFunc(_product(acc), dict(lcm))
 
 

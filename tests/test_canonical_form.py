@@ -79,7 +79,7 @@ def test_returned_values_carry_the_factored_form():
 @pytest.fixture
 def failing_identities(monkeypatch):
     for module in (gklo, defect_embed):
-        monkeypatch.setattr(module, "identity_holds", lambda keyed: False)
+        monkeypatch.setattr(module, "identity_holds", lambda lhs, rhs=(): False)
 
 
 def test_failing_sides_carry_the_factored_form(failing_identities):

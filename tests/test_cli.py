@@ -356,13 +356,14 @@ def test_verify_orientation_takes_the_termwise_route(capsys, monkeypatch):
     assert json.loads(out)["checked"] > 0
 
 
-# 2 builds per (edge, charge): a2 has 1 edge and 9 charges, affine_sl2 2 and 6
+# 1 build per charge and 1 per (edge, charge): a2 has 1 edge and 9
+# charges, affine_sl2 2 and 6
 @pytest.mark.parametrize("quiver,w,v,builds", [("a2", "1,1", "2,2", 18),
-                                               ("affine_sl2", "2,2", "2,1", 24)])
+                                               ("affine_sl2", "2,2", "2,1", 18)])
 def test_verify_orientation_builds_subset_terms_twice_per_edge_and_charge(
         capsys, monkeypatch, quiver, w, v, builds):
-    # the flipped and the original M^+_m(1), once per (edge, charge); every
-    # dressing reuses that verdict
+    # the original M^+_m(1) once per charge and the flipped one once per
+    # (edge, charge); every dressing reuses that verdict
     from quiver_fmo import gklo
 
     calls = []
@@ -390,7 +391,7 @@ def test_failing_negative_restriction_takes_the_termwise_route(capsys, monkeypat
         if name.startswith("quiver_fmo") and getattr(module, "chevalley", None) is real:
             monkeypatch.setattr(module, "chevalley", _raise)
     monkeypatch.setattr(RatFunc, "subs_u", _raise)
-    monkeypatch.setattr(defect_embed, "identity_holds", lambda keyed: False)
+    monkeypatch.setattr(defect_embed, "identity_holds", lambda lhs, rhs=(): False)
     code, out, err = run(capsys, "verify", "restriction", "--quiver", "a2",
                          "--w", "2,2", "--v", "2,2", "--vprime", "1,1",
                          "--sign", "-", "--json")

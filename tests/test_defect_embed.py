@@ -158,7 +158,7 @@ def test_failing_adding_defect_builds_lhs_from_the_terms_it_has(monkeypatch):
         yield from real(*args)
 
     monkeypatch.setattr(defect_embed, "phi_fmo_terms", counted)
-    monkeypatch.setattr(defect_embed, "identity_holds", lambda keyed: False)
+    monkeypatch.setattr(defect_embed, "identity_holds", lambda lhs, rhs=(): False)
     checked = 0
     for quiver, v in [(a1_quiver(), (2,)), (a2_quiver(), (2, 1)),
                       (affine_sl2_quiver(), (1, 2))]:
@@ -226,7 +226,7 @@ def test_failing_negative_restriction_is_iota_of_the_plus_route(monkeypatch):
     # where tilde(f) = 0 (both sides vanish), and the negative side reports
     # the involution of the tail-at-zero route, as the substitution oracle
     # computes it
-    monkeypatch.setattr(defect_embed, "identity_holds", lambda keyed: False)
+    monkeypatch.setattr(defect_embed, "identity_holds", lambda lhs, rhs=(): False)
     checked = 0
     for quiver, v in [(a1_quiver(), (3,)), (a2_quiver(), (2, 1)),
                       (affine_sl2_quiver(), (2, 1))]:

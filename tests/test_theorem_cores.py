@@ -304,7 +304,7 @@ def test_zero_dressing_holds_without_a_core(capsys, argv):
 def test_zero_dressing_holds_when_every_core_fails(monkeypatch):
     # both sides of every identity vanish at f = 0, so no core is read
     for module in (gklo, defect_embed):
-        monkeypatch.setattr(module, "identity_holds", lambda keyed: False)
+        monkeypatch.setattr(module, "identity_holds", lambda lhs, rhs=(): False)
     for quiver, w, v in THEORIES:
         ctx = make_context(quiver, w, v)
         for m in itertools.product(*(range(vi + 1) for vi in v)):
@@ -376,9 +376,9 @@ def test_identities_run_once_per_charge_and_route(capsys, monkeypatch, argv, rou
     calls = Counter()
     real = gklo.identity_holds
 
-    def counted(keyed):
+    def counted(lhs, rhs=()):
         calls[sys._getframe(1).f_code.co_name] += 1
-        return real(keyed)
+        return real(lhs, rhs)
 
     for module in (gklo, defect_embed):
         monkeypatch.setattr(module, "identity_holds", counted)
