@@ -35,6 +35,7 @@ from .quiver import (
     affine_sl2_quiver,
     affine_classify,
     box_scan,
+    check_charge,
     level_check,
     mu_pairing,
 )
@@ -286,9 +287,10 @@ def _cases(args, ctx, signed: bool):
         charges = itertools.product(*(range(vi + 1) for vi in ctx.v))
     else:
         m = _csv_ints(args.m, ctx.quiver.n, "m")
-        if any(not 0 <= mi <= vi for mi, vi in zip(m, ctx.v)):
-            raise InputError("need 0 <= m <= v componentwise")
-        charges = [m]
+        try:
+            charges = [check_charge(m, ctx.v)]
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
     signs = [args.sign] if args.sign else ["+", "-"] if signed else [None]
     for m in charges:
         if args.f is not None:
@@ -380,19 +382,24 @@ def _verify_orientation(args, ctx):
             yield _case(m, f, sign, edge=edge, predicted_sign=rep.sign, holds=rep.matches)
 
 
+# Each subject's case rows and the options it reads; cmd_verify refuses the rest
 VERIFY_SUBJECTS = {
-    "restriction": _verify_restriction,
-    "adding-defect": _verify_adding_defect,
-    "involution": _verify_involution,
-    "d-identity": _verify_d_identity,
-    "km-embedding": _verify_km,
-    "orientation": _verify_orientation,
+    "restriction": (_verify_restriction, ("vprime", "m", "f", "sign")),
+    "adding-defect": (_verify_adding_defect, ("vprime", "m", "f")),
+    "involution": (_verify_involution, ("m", "f")),
+    "d-identity": (_verify_d_identity, ()),
+    "km-embedding": (_verify_km, ("vprime", "m", "f", "sign")),
+    "orientation": (_verify_orientation, ("m", "f")),
 }
 
 
 def cmd_verify(args) -> int:
+    subject_cases, reads = VERIFY_SUBJECTS[args.subject]
+    for name in ("vprime", "m", "f", "sign"):
+        if name not in reads and getattr(args, name) is not None:
+            raise InputError("verify %s does not read --%s" % (args.subject, name))
     ctx = _context(args)
-    cases = list(VERIFY_SUBJECTS[args.subject](args, ctx))
+    cases = list(subject_cases(args, ctx))
     checked = [c for c in cases if "holds" in c]
     all_hold = all(c["holds"] for c in checked)
     report = {

@@ -32,7 +32,8 @@ from .multipoly import (
     within_budget,
     wv,
 )
-from .quiver import DimData, EnumerationBudgetError, Quiver, cartan_matrix, compositions
+from .quiver import (DimData, EnumerationBudgetError, Quiver, cartan_matrix, check_charge,
+                     compositions)
 
 
 @dataclass(frozen=True)
@@ -96,13 +97,6 @@ def _gamma_tuples(v, m):
         for vi, mi in zip(v, m)
     ]
     return list(itertools.product(*per_vertex))
-
-
-def _check_m(ctx, m):
-    m = tuple(m)
-    if any(not 0 <= mi <= vi for mi, vi in zip(m, ctx.v)):
-        raise ValueError("need 0 <= m <= v componentwise")
-    return m
 
 
 def as_dressing(ctx, m, f) -> PartialSymPoly:
@@ -219,7 +213,7 @@ def fmo(ctx: GKLOContext, m, f, sign: str) -> RatFunc:
     to live in FMO_RING[sign]."""
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    m = _check_m(ctx, m)
+    m = check_charge(m, ctx.v)
     return _fmo_cached(ctx, m, as_dressing(ctx, m, f), sign)
 
 
@@ -397,7 +391,7 @@ def involution_fmo_report(ctx: GKLOContext, m, f: PartialSymPoly) -> InvolutionR
     nonzero f, and f = 0 swaps trivially.  The reported image is the sum of
     the transformed terms, built only when the swap fails.  Involutivity is
     checked on the ring generators."""
-    m = _check_m(ctx, m)
+    m = check_charge(m, ctx.v)
     f = as_dressing(ctx, m, f)
     minus = fmo(ctx, m, f, "-")
     swaps = f.is_zero() or _swap_core(ctx, m)
@@ -446,7 +440,7 @@ def orientation_flip_sign(ctx: GKLOContext, edge_index: int, m, f=None) -> Orien
     verdict for every nonzero f are _orientation_core's; f = 0 matches
     trivially.
     """
-    m = _check_m(ctx, m)
+    m = check_charge(m, ctx.v)
     f = as_dressing(ctx, m, MPoly.one() if f is None else f)
     sign, holds = _orientation_core(ctx, edge_index, m)
     return OrientationReport(sign, f.is_zero() or holds)
@@ -535,7 +529,7 @@ def dressing_basis(v, m, max_degree: int = 2):
     (lexicographically), then by block pattern.  Raises
     EnumerationBudgetError, before building any element, when the basis has
     more than DRESSING_BASIS_BUDGET elements."""
-    v, m = tuple(v), tuple(m)
+    v, m = tuple(v), check_charge(m, v)
     blocks = []  # (vertex, first slot, last slot) of each nonempty block
     for i, vi in enumerate(v):
         if m[i]:

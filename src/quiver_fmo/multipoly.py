@@ -29,6 +29,11 @@ monomial into its exponents over the variables sorted by (kind, vertex,
 slot), and compares (total degree, that exponent vector), so the output
 does not depend on the order in which variables were registered.
 
+Coefficients are normalized (n/1 to n, by _coeff) only where a number
+enters a polynomial; the loops of sums and products store what the
+arithmetic returns.  A Fraction n/1 equals n and hashes like it, and
+poly_text prints both as n, so no result can tell the two spellings apart.
+
 Rational functions are kept fully reduced in a canonical form, a numerator
 over a factored product of linear forms, so structural equality decides ring
 equality; that property is what every downstream theorem check relies on.
@@ -56,7 +61,7 @@ from functools import lru_cache
 from math import comb, gcd as int_gcd
 from operator import itemgetter
 
-from .quiver import EnumerationBudgetError
+from .quiver import EnumerationBudgetError, check_charge
 
 # ---------------------------------------------------------------------------
 # variables
@@ -87,7 +92,8 @@ def var_text(var) -> str:
 
 
 def _coeff(c):
-    """Prefer machine ints over Fractions with denominator 1."""
+    """Prefer machine ints over Fractions with denominator 1, where a number
+    enters a polynomial (see the module docstring)."""
     if type(c) is int:
         return c
     if isinstance(c, Fraction) and c.denominator == 1:
@@ -852,10 +858,13 @@ def power_factors(var, exp: int) -> dict:
 def _dfac_mul_into(num: MPoly, dfac: dict) -> MPoly:
     """num times the product of the forms of dfac, one form at a time: x_a
     shifts every monomial, and x_a - x_b is the shift by x_a minus the shift
-    by x_b."""
+    by x_b.  A multiplicity past EXPONENT_MAX, which could carry into the
+    next field, raises ExponentRangeError."""
     terms = num.terms
     for cand in sorted(dfac):
         mult = dfac[cand]
+        if mult > EXPONENT_MAX:
+            raise _range_error()
         if cand[0] == "var":
             shift = mult * _unit(cand[1])
             terms = {m + shift: c for m, c in terms.items()}
@@ -1374,8 +1383,7 @@ class PartialSymPoly:
         m, v = tuple(m), tuple(v)
         if len(m) != len(v):
             raise ValueError("m and v must have the same length")
-        if any(mi < 0 or mi > vi for mi, vi in zip(m, v)):
-            raise ValueError("need 0 <= m <= v componentwise")
+        check_charge(m, v)
         for var in value.variables():
             kind, i, r = var
             if kind == U_KIND:

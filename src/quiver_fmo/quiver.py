@@ -153,11 +153,16 @@ def mu_pairing(d: DimData, C) -> MuPairing:
     return MuPairing(vec, all(x >= 0 for x in vec))
 
 
+def check_charge(m, v) -> tuple:
+    """m as a tuple, checked to be a charge 0 <= m <= v: ValueError if not."""
+    if any(not 0 <= mi <= vi for mi, vi in zip(m, v)):
+        raise ValueError("need 0 <= m <= v componentwise")
+    return tuple(m)
+
+
 def two_delta_minuscule(d: DimData, C, m) -> int:
     """m.(w - Cv) + m.(Cm) for 0 <= m <= v."""
-    m = tuple(m)
-    if any(not 0 <= mi <= vi for mi, vi in zip(m, d.v)):
-        raise ValueError("need 0 <= m <= v componentwise")
+    m = check_charge(m, d.v)
     return dot(m, mu_pairing(d, C).vector) + dot(m, mat_vec(C, m))
 
 

@@ -408,9 +408,10 @@ def test_every_verify_subject_runs_without_gcd_or_substitution(capsys, monkeypat
     monkeypatch.setattr(multipoly, "poly_gcd", _raise)
     monkeypatch.setattr(multipoly.RatFunc, "subs_u", _raise)
     monkeypatch.setattr(gklo, "chevalley_u_image", _raise)
-    for subject in sorted(VERIFY_SUBJECTS):
+    for subject, (_, reads) in sorted(VERIFY_SUBJECTS.items()):
+        vprime = ["--vprime", "1,1"] if "vprime" in reads else []
         code, out, err = run(capsys, "verify", subject, "--quiver", "a2", "--w", "2,2",
-                             "--v", "2,2", "--vprime", "1,1", "--json")
+                             "--v", "2,2", *vprime, "--json")
         assert (code, err) == (0, ""), subject
         assert json.loads(out)["checked"] > 0, subject
 
@@ -447,6 +448,16 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     "hilbert --quiver a1 --w 2 --v 1 --order -1",
     "verify involution --quiver a1 --w 2 --v 1 --max-degree -1",
     "verify orientation --quiver a1 --w 2 --v 2 --m 5",
+    # options that the subject never reads
+    "verify adding-defect --quiver a1 --w 2 --v 1 --vprime 1 --sign +",
+    "verify involution --quiver a1 --w 2 --v 1 --sign -",
+    "verify involution --quiver a1 --w 2 --v 1 --vprime 1",
+    "verify orientation --quiver a2 --w 1,1 --v 1,1 --sign +",
+    "verify orientation --quiver a2 --w 1,1 --v 1,1 --vprime 1,1",
+    "verify d-identity --quiver a1 --w 2 --v 1 --vprime 1",
+    "verify d-identity --quiver a1 --w 2 --v 1 --m 5",
+    "verify d-identity --quiver a1 --w 2 --v 1 --f w[9,9]",
+    "verify d-identity --quiver a1 --w 2 --v 1 --sign -",
     # an exponent past the range of a packed monomial field
     "fmo --quiver a1 --w 2 --v 2 --m 1 --f w[1,1]^100000000000000000000000 --json",
     # dressings nested past the limit of the parser's AST construction and

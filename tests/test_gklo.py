@@ -179,6 +179,12 @@ def test_fmo_m_out_of_range():
         fmo(ctx, (-1,), MPoly.one(), "-")
 
 
+@pytest.mark.parametrize("m", [(5,), (-1,)])
+def test_dressing_basis_refuses_a_charge_outside_zero_to_v(m):
+    with pytest.raises(ValueError, match="^need 0 <= m <= v componentwise$"):
+        dressing_basis((2,), m, 1)
+
+
 def test_fmo_rejects_non_symmetric_dressing():
     ctx = make_context(a1_quiver(), (2,), (2,))
     with pytest.raises(ValueError):

@@ -24,6 +24,7 @@ from quiver_fmo.multipoly import (
     U_KIND,
     ZVAR,
     _POSITION,
+    _dfac_mul_into,
     _difference_divides,
     _encode,
     _order_key,
@@ -878,6 +879,41 @@ def test_expansion_bound_is_checked_before_expanding(monkeypatch):
                                   - RatFunc.from_poly(W12 - W13) ** -1)
 
 
+wz_monomials = st.lists(st.sampled_from([wv(0, 1), wv(0, 2), wv(1, 1), ZVAR]), unique=True,
+                        max_size=3).flatmap(lambda vs: st.tuples(
+                            *(st.integers(1, 3) for _ in vs)).map(lambda es: tuple(zip(vs, es))))
+int_coeffs = st.dictionaries(wz_monomials, st.integers(-5, 5).filter(bool), max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_coeffs, int_coeffs,
+       st.dictionaries(st.sampled_from(KEYED_FACTORS), st.integers(1, 2), max_size=2))
+def test_fraction_and_int_spellings_give_alike_results(a, b, dfac):
+    """Coefficients are normalized only where a number enters a polynomial,
+    so a product or sum of Fraction(n, 1) coefficients stays a Fraction: the
+    results equal those of the int spelling, hash alike and print alike."""
+    def results(kind):
+        x, y = (MPoly.from_items((mon, kind(c)) for mon, c in p.items()) for p in (a, b))
+        return {
+            "*": x * y * U11,
+            "+": x + y,
+            "restrict_to_gamma": restrict_to_gamma(PartialSymPoly(x, (1, 0), (2, 1)),
+                                                   ((2,), ())),
+            "_dfac_mul_into": _dfac_mul_into(x, dfac),
+            "core_sum": core_sum([(x, y), (y, U11)], dfac),
+            "keyed_sum": keyed_sum([(U11, x, dfac), (MPoly.one(), y, {}), (U11, y, dfac)]),
+        }
+
+    render = _poly_text.__wrapped__  # past the cache, which equal polynomials share
+    ints, fractions = results(int), results(Fraction)
+    for name, want in ints.items():
+        got = fractions[name]
+        assert got == want and hash(got) == hash(want), name
+        if isinstance(want, RatFunc):
+            got, want = got.num, want.num
+        assert render(got) == render(want), name
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(monomials, unique=True, max_size=12),
        st.lists(st.one_of(st.integers(-5, 5).filter(bool), nonzero), min_size=12, max_size=12))
@@ -958,6 +994,19 @@ def test_a_product_past_the_exponent_range_raises_and_spares_the_next_field():
         with pytest.raises(ParseError, match="range"):
             parse_poly(text)
     assert parse_poly("u[1,1]^%d" % EXPONENT_MIN) == MPoly.var(uv(0, 1), EXPONENT_MIN)
+
+
+@pytest.mark.parametrize("n", [EXPONENT_MAX, 20000, 50000])
+def test_a_factor_multiplicity_past_the_exponent_range_raises(n):
+    # x^n in a denominator: the shift by n is checked before it is taken,
+    # so a multiplicity past the range can neither wrap its field nor carry
+    # into the next one
+    den = RatFunc.make(1, MPoly.var(wv(60, 1))) ** n
+    if n <= EXPONENT_MAX:
+        assert poly_text(den.den) == "w[61,1]^%d" % n
+    else:
+        with pytest.raises(ExponentRangeError):
+            den.den
 
 
 def test_the_range_check_does_not_depend_on_how_an_operand_was_built():

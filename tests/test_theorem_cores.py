@@ -7,6 +7,7 @@ per-dressing oracles of ``identity_oracle`` on random nonzero dressings."""
 import hashlib
 import itertools
 import json
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -34,6 +35,8 @@ from quiver_fmo.defect_embed import (
 from quiver_fmo.gklo import (
     dressing_basis,
     fmo,
+    fmo_minus_terms,
+    fmo_plus_terms,
     involution_fmo_report,
     make_context,
     orientation_flip_sign,
@@ -150,6 +153,25 @@ def test_fmo_core_matches_the_per_f_oracle(case, sign):
         _difference_divides(f.value, wv(i, a), wv(i, b))
         for i, (mi, vi) in enumerate(zip(m, ctx.v))
         for a in range(1, mi + 1) for b in range(mi + 1, vi + 1))
+
+
+def test_fmo_core_expands_the_f1_terms_as_over_lcm_does():
+    # the core expands the plan that _unit_terms made for its bound; a fresh
+    # plan of the u-keyed f = 1 terms gives the same numerators and lcm
+    checked = 0
+    for quiver, w, v in THEORIES:
+        ctx = make_context(quiver, w, v)
+        for m in itertools.product(*(range(vi + 1) for vi in v)):
+            one = PartialSymPoly.make(1, m, v)
+            for sign, terms, exp in (("+", fmo_plus_terms(ctx, m, one), 1),
+                                     ("-", fmo_minus_terms(ctx, m, one), -1)):
+                terms = list(terms)
+                nums, lcm = multipoly.over_lcm(multipoly.lcm_plan(
+                    (gklo._u_gamma(gamma, exp) * num, dfac) for gamma, num, dfac in terms))
+                want = tuple(zip([gamma for gamma, _, _ in terms], nums))
+                assert gklo._fmo_core(ctx, m, sign) == (want, lcm), (w, v, m, sign)
+                checked += 1
+    assert checked == 2 * sum(math.prod(vi + 1 for vi in v) for _, _, v in THEORIES)
 
 
 # (quiver, w, v, m, dressing) with a head-tail form dividing the dressing
