@@ -296,7 +296,8 @@ def _cases(args, ctx, signed: bool):
         if args.f is not None:
             dressings = [_dressing(args, ctx, m)]
         else:
-            dressings = dressing_basis(ctx.v, m, args.max_degree)
+            max_degree = 2 if args.max_degree is None else args.max_degree
+            dressings = dressing_basis(ctx.v, m, max_degree)
         for f in dressings:
             for sign in signs:
                 yield m, f, sign
@@ -384,20 +385,21 @@ def _verify_orientation(args, ctx):
 
 # Each subject's case rows and the options it reads; cmd_verify refuses the rest
 VERIFY_SUBJECTS = {
-    "restriction": (_verify_restriction, ("vprime", "m", "f", "sign")),
-    "adding-defect": (_verify_adding_defect, ("vprime", "m", "f")),
-    "involution": (_verify_involution, ("m", "f")),
+    "restriction": (_verify_restriction, ("vprime", "m", "f", "sign", "max_degree")),
+    "adding-defect": (_verify_adding_defect, ("vprime", "m", "f", "max_degree")),
+    "involution": (_verify_involution, ("m", "f", "max_degree")),
     "d-identity": (_verify_d_identity, ()),
-    "km-embedding": (_verify_km, ("vprime", "m", "f", "sign")),
-    "orientation": (_verify_orientation, ("m", "f")),
+    "km-embedding": (_verify_km, ("vprime", "m", "f", "sign", "max_degree")),
+    "orientation": (_verify_orientation, ("m", "f", "max_degree")),
 }
 
 
 def cmd_verify(args) -> int:
     subject_cases, reads = VERIFY_SUBJECTS[args.subject]
-    for name in ("vprime", "m", "f", "sign"):
+    for name in ("vprime", "m", "f", "sign", "max_degree"):
         if name not in reads and getattr(args, name) is not None:
-            raise InputError("verify %s does not read --%s" % (args.subject, name))
+            raise InputError("verify %s does not read --%s"
+                             % (args.subject, name.replace("_", "-")))
     ctx = _context(args)
     cases = list(subject_cases(args, ctx))
     checked = [c for c in cases if "holds" in c]
@@ -453,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", help="restrict the sweep to one monopole charge")
     p.add_argument("--f", help="restrict the sweep to one dressing")
     p.add_argument("--sign", choices=["+", "-"])
-    p.add_argument("--max-degree", type=int, default=2,
+    p.add_argument("--max-degree", type=int,
                    help="dressing-basis degree bound for sweeps (default 2)")
     p.set_defaults(func=cmd_verify)
     return parser
@@ -463,7 +465,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         for name in ("order", "max_degree"):
-            if getattr(args, name, 0) < 0:
+            value = getattr(args, name, None)
+            if value is not None and value < 0:
                 raise InputError("--%s must be non-negative" % name.replace("_", "-"))
         code = args.func(args)
         sys.stdout.flush()

@@ -7,10 +7,16 @@ dominant coweight is a sum of per-vertex terms plus edge terms, and the edge
 terms are never negative.  The coweights are built one vertex at a time from
 candidate lists sorted by the vertex term, and a list is cut as soon as the
 partial degree plus the least vertex terms still to come passes the order,
-so only the coweights that can reach the order are evaluated in full.  The
-kept coweights are counted by (degree, block type): the stabilizer factor
-depends only on the block type (the multiset of equal-entry block lengths),
-so each type's Poincare factor is built once.
+so only the coweights that can reach the order are evaluated in full.
+
+The mirror sigma(gamma) = (-reversed(gamma_i))_i keeps the degree and the
+block type (the multiset of equal-entry block lengths, the only data the
+stabilizer factor depends on), so the search visits one coweight of each
+pair {gamma, sigma(gamma)} and counts it twice, or once when it is its own
+mirror.  It carries the block lengths of the vertices fixed so far, counts
+the kept coweights by (degree, block lengths), and sorts each distinct key
+into its block type after the search; each type's Poincare factor is built
+once.
 
 Degrees follow the doubled cohomological convention throughout: the series
 variable exponent is the cohomological degree, a polynomial dressing of
@@ -25,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
+from operator import itemgetter, mul, neg
 
 from .quiver import (BoxScan, EnumerationBudgetError, box_scan, compositions,
                      two_delta_minuscule)
@@ -193,8 +200,9 @@ def stabilizer_poincare(gamma, order: int) -> TruncSeries:
 
 
 def block_type(gamma) -> tuple:
-    """Sorted lengths of the equal-entry blocks over all vertices: the only
-    data of a dominant coweight that its stabilizer factor depends on."""
+    """Test oracle: sorted lengths of the equal-entry blocks over all
+    vertices, the only data of a dominant coweight that its stabilizer factor
+    depends on.  The search sorts the block lengths it carries instead."""
     return tuple(sorted(len(list(grp)) for tup in gamma
                         for _, grp in itertools.groupby(tup)))
 
@@ -206,7 +214,8 @@ ORDER_BUDGET = 1_000  # series order; read at call time
 def vertex_term(wi: int, tup) -> int:
     """The part of the doubled degree that sees one vertex alone, for a weakly
     decreasing tuple t: wi * sum |t_r| - 2 * sum_{r<s} (t_r - t_s).  It is
-    negative for some t when wi = 0."""
+    negative for some t when wi = 0.  Test oracle: the search computes it in
+    _vertex_terms, where the norm of t is known."""
     last = len(tup) - 1
     return wi * sum(abs(x) for x in tup) - 2 * sum(
         (last - 2 * r) * x for r, x in enumerate(tup))
@@ -221,61 +230,92 @@ def edge_term(tup_a, tup_b) -> int:
     return total
 
 
-def _vertex_candidates(wi: int, vi: int, max_norm: int) -> list:
-    """For each norm k <= max_norm, the weakly decreasing tuples of length vi
-    and norm k sorted by vertex term, as two parallel lists (terms, tuples)."""
-    out = []
-    for k in range(max_norm + 1):
-        tuples = _decreasing_tuples(vi, k)
-        terms = [vertex_term(wi, tup) for tup in tuples]
-        by_term = sorted(range(len(tuples)), key=terms.__getitem__)
-        out.append(([terms[j] for j in by_term], [tuples[j] for j in by_term]))
-    return out
+def _vertex_terms(wi: int, vi: int, max_norm: int) -> list:
+    """For each norm k <= max_norm, the pairs (vertex_term(wi, t), t) over
+    the weakly decreasing tuples t of length vi and norm k.  With the norm
+    known, a term is wi * k plus one dot product with fixed coefficients."""
+    coeffs = tuple(range(2 - 2 * vi, 2 * vi - 1, 4))  # -2 * (vi - 1 - 2r)
+    return [[(wi * k + sum(map(mul, coeffs, tup)), tup) for tup in _decreasing_tuples(vi, k)]
+            for k in range(max_norm + 1)]
 
 
-def _count_kept(ctx: GKLOContext, order: int, max_norm: int):
+def _candidates(pairs, top: int, tied: bool) -> list:
+    """The rows (term, t, block lengths of t, side) for the pairs (term, t)
+    with term <= top, sorted by term; side compares t with its mirror
+    -reversed(t): 1 above, 0 equal, -1 below.  With tied (no vertex fixed
+    yet) the tuples below their mirror are left out."""
+    rows = []
+    for term, tup in sorted((pair for pair in pairs if pair[0] <= top), key=itemgetter(0)):
+        mirror = tuple(map(neg, reversed(tup)))
+        side = (tup > mirror) - (tup < mirror)
+        if side >= 0 or not tied:
+            rows.append((term, tup, _blocks(tup), side))
+    return rows
+
+
+def _blocks(tup) -> tuple:
+    """Equal-entry block lengths of a weakly decreasing tuple, in order."""
+    return tuple(map(tup.count, dict.fromkeys(tup)))
+
+
+def _count_kept(ctx: GKLOContext, order: int, max_norm: int) -> Counter:
     """Count the dominant coweights of norm <= max_norm and degree <= order by
-    (degree, block type), with one representative coweight per block type.
+    (degree, block type).
 
     The vertices are fixed in order with the norm left tracked.  Each
     candidate list is walked in order of vertex term and cut once the partial
     degree plus the term plus the least terms of the later vertices passes
-    the order; the edge terms to the vertices already fixed are then added,
-    and a candidate whose sum passes the order is skipped."""
+    the order; the edge terms to the vertices already fixed (times the number
+    of parallel edges) are then added, and a candidate whose sum passes the
+    order is skipped.
+
+    The mirror sigma(gamma) = (-reversed(gamma_i))_i is an involution on
+    dominant coweights that keeps the norm, every vertex and edge term, and
+    the block type, so only the gamma >= sigma(gamma), compared vertex by
+    vertex, are visited: while every vertex fixed so far is its own mirror, a
+    candidate below its mirror is skipped.  A leaf counts 2, or 1 when every
+    vertex is its own mirror.  The block lengths of the fixed vertices are
+    carried down the search, the leaves are counted by (degree, prefix block
+    lengths, leaf block lengths), and each distinct key is sorted into its
+    block type once, after the search."""
     n = len(ctx.v)
-    cands = [_vertex_candidates(wi, vi, max_norm) for wi, vi in zip(ctx.w, ctx.v)]
-    floor = [0] * (n + 1)  # least sum of the vertex terms of vertices >= i
-    for i in reversed(range(n)):
-        floor[i] = floor[i + 1] + min(terms[0] for terms, _ in cands[i] if terms)
-    earlier = [[] for _ in range(n)]  # neighbours j < i, once per edge
-    for s, t in ctx.quiver.edges:
-        earlier[max(s, t)].append(min(s, t))
-    kept = Counter()
-    representative = {}
+    terms = [_vertex_terms(wi, vi, max_norm) for wi, vi in zip(ctx.w, ctx.v)]
+    least = [min(term for pairs in by_norm for term, _ in pairs) for by_norm in terms]
+    floor = [sum(least[i:]) for i in range(n + 1)]  # least vertex terms of vertices >= i
+    # the fixed vertices before i contribute at least floor[0] - floor[i], so
+    # no term above order - floor[0] + least[i] is ever visited
+    cands = [[_candidates(pairs, order - floor[0] + least[i], i == 0) for pairs in terms[i]]
+             for i in range(n)]
+    earlier = [[] for _ in range(n)]  # (neighbour j < i, number of edges)
+    for (i, j), mult in Counter((max(s, t), min(s, t)) for s, t in ctx.quiver.edges).items():
+        earlier[i].append((j, mult))
+    leaves = Counter()
     gamma = [()] * n
 
-    def visit(i, partial, left):
+    def visit(i, partial, left, prefix, tied):
         room = order - floor[i + 1] - partial
         for k in range(left + 1):
-            terms, tuples = cands[i][k]
-            for term, tup in zip(terms, tuples):
+            for term, tup, blocks, side in cands[i][k]:
                 if term > room:
                     break
-                for j in earlier[i]:
-                    term += edge_term(gamma[j], tup)
+                if tied and side < 0:
+                    continue
+                for j, mult in earlier[i]:
+                    term += mult * edge_term(gamma[j], tup)
                 if term > room:
                     continue
-                gamma[i] = tup
                 if i + 1 < n:
-                    visit(i + 1, partial + term, left - k)
+                    gamma[i] = tup
+                    visit(i + 1, partial + term, left - k, prefix + blocks,
+                          tied and not side)
                 else:
-                    btype = block_type(gamma)
-                    if btype not in representative:
-                        representative[btype] = tuple(gamma)
-                    kept[partial + term, btype] += 1
+                    leaves[partial + term, prefix, blocks] += 1 if tied and not side else 2
 
-    visit(0, 0, max_norm)
-    return kept, representative
+    visit(0, 0, max_norm, (), True)
+    kept = Counter()
+    for (deg, prefix, blocks), count in leaves.items():
+        kept[deg, tuple(sorted(prefix + blocks))] += count
+    return kept
 
 
 def hilbert_series(ctx: GKLOContext, order: int) -> TruncSeries:
@@ -287,9 +327,10 @@ def hilbert_series(ctx: GKLOContext, order: int) -> TruncSeries:
     order.  An order above ORDER_BUDGET, or more than POINT_BUDGET points of
     norm <= max_norm, raises EnumerationBudgetError before any point is
     evaluated or any series is allocated.  The vertex-pruned enumeration
-    counts every point of degree <= order under (degree, block type); each
-    block type's stabilizer factor is built once, from a representative
-    coweight, and the result is the sum of count * t^degree * factor.
+    visits one point of each mirror pair {gamma, sigma(gamma)} and counts
+    every point of degree <= order under (degree, block type); each block
+    type's stabilizer factor is built once, from a coweight with one vertex
+    per block, and the result is the sum of count * t^degree * factor.
     """
     scan = box_scan(ctx.dims, ctx.cartan)
     if not scan.conical:
@@ -310,9 +351,10 @@ def hilbert_series(ctx: GKLOContext, order: int) -> TruncSeries:
             raise EnumerationBudgetError(
                 "more than %d shell points needed up to norm %d"
                 % (POINT_BUDGET, max_norm))
-    kept, representative = _count_kept(ctx, order, max_norm)
-    factors = {btype: stabilizer_poincare(gamma, order).coeffs
-               for btype, gamma in representative.items()}
+    kept = _count_kept(ctx, order, max_norm)
+    # a coweight with one vertex per block has the block type btype
+    factors = {btype: stabilizer_poincare(tuple((0,) * k for k in btype), order).coeffs
+               for btype in {btype for _, btype in kept}}
     total = [0] * (order + 1)
     for (deg, btype), count in kept.items():
         factor = factors[btype]

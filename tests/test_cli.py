@@ -458,6 +458,7 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     "verify d-identity --quiver a1 --w 2 --v 1 --m 5",
     "verify d-identity --quiver a1 --w 2 --v 1 --f w[9,9]",
     "verify d-identity --quiver a1 --w 2 --v 1 --sign -",
+    "verify d-identity --quiver a1 --w 2 --v 1 --max-degree 7",
     # an exponent past the range of a packed monomial field
     "fmo --quiver a1 --w 2 --v 2 --m 1 --f w[1,1]^100000000000000000000000 --json",
     # dressings nested past the limit of the parser's AST construction and
@@ -473,6 +474,16 @@ def test_invalid_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv.split())
     assert code == 2 and out == ""
     assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+def test_max_degree_defaults_to_2_and_only_sweeps_read_it(capsys):
+    base = "verify involution --quiver a1 --w 2 --v 2 --json".split()
+    assert run(capsys, *base) == run(capsys, *base, "--max-degree", "2")
+    assert run(capsys, *base) != run(capsys, *base, "--max-degree", "1")
+    code, out, err = run(capsys, "verify", "d-identity", "--quiver", "a1", "--w", "2",
+                         "--v", "1", "--max-degree", "0")
+    assert (code, out) == (2, "")
+    assert err == "input error: verify d-identity does not read --max-degree\n"
 
 
 def test_flat_dressing_sum_is_parsed_without_recursion(capsys):

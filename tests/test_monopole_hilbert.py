@@ -295,7 +295,7 @@ def test_hilbert_budget_checked_before_any_point(monkeypatch):
     def evaluated(*args):
         raise AssertionError("a shell point was evaluated")
 
-    for name in ("two_delta_general", "vertex_term", "edge_term"):
+    for name in ("two_delta_general", "vertex_term", "_vertex_terms", "edge_term"):
         monkeypatch.setattr(mh, name, evaluated)
     monkeypatch.setattr(mh, "POINT_BUDGET", 3)
     ctx = make_context(affine_sl2_quiver(), (1, 0), (2, 2))
@@ -461,3 +461,60 @@ def test_vertex_and_edge_terms_sum_to_two_delta(tmp_path, name, w, v):
 def test_pruned_enumeration_matches_per_point_sum_at_high_order(tmp_path, name, w, v, order):
     ctx = make_context(_grouped_case_quiver(name, tmp_path), w, v)
     assert hilbert_series(ctx, order) == hilbert_series_by_points(ctx, order)
+
+
+def mirror(gamma):
+    """sigma(gamma) = (-reversed(gamma_i))_i, the action of -w_0 on a coweight."""
+    return tuple(tuple(-x for x in reversed(tup)) for tup in gamma)
+
+
+@pytest.mark.parametrize("name,w,v", GROUPED_CASES + [
+    ("affine_d4", (2, 0, 0, 0, 0), (2, 1, 1, 1, 1))])
+def test_mirror_is_an_involution_keeping_degree_and_block_type(tmp_path, name, w, v):
+    # the lemma the halved search rests on
+    ctx = make_context(_grouped_case_quiver(name, tmp_path), w, v)
+    for norm in range(7):
+        for gamma in dominant_shell(ctx.v, norm):
+            image = mirror(gamma)
+            assert all(list(tup) == sorted(tup, reverse=True) for tup in image), gamma
+            assert mirror(image) == gamma
+            assert two_delta_general(ctx, image) == two_delta_general(ctx, gamma), gamma
+            assert block_type(image) == block_type(gamma), gamma
+
+
+def test_search_visits_one_coweight_per_mirror_pair(monkeypatch):
+    # 58,515 edge terms before the search was halved
+    import quiver_fmo.monopole_hilbert as mh
+
+    calls = []
+    original = mh.edge_term
+
+    def counted(tup_a, tup_b):
+        calls.append(1)
+        return original(tup_a, tup_b)
+
+    monkeypatch.setattr(mh, "edge_term", counted)
+    hilbert_series(make_context(a2_quiver(), (2, 2), (2, 2)), 24)
+    assert 0 < len(calls) <= 0.51 * 58_515
+
+
+@pytest.mark.parametrize("wi,vi,top", [(0, 1, 3), (2, 2, 4), (4, 3, 10), (1, 3, -2), (3, 0, 0)])
+def test_candidates_are_the_sorted_vertex_terms_up_to_top(wi, vi, top):
+    from quiver_fmo.monopole_hilbert import _candidates, _decreasing_tuples, _vertex_terms
+
+    max_norm = 6
+    for k, pairs in enumerate(_vertex_terms(wi, vi, max_norm)):
+        assert pairs == [(vertex_term(wi, tup), tup) for tup in _decreasing_tuples(vi, k)]
+        for tied in (False, True):
+            rows = _candidates(pairs, top, tied)
+            expected = {tup for tup in _decreasing_tuples(vi, k)
+                        if vertex_term(wi, tup) <= top
+                        and not (tied and tup < mirror((tup,))[0])}
+            assert sorted(row[1] for row in rows) == sorted(expected)
+            assert [row[0] for row in rows] == sorted(row[0] for row in rows)
+            for term, tup, blocks, side in rows:
+                assert term == vertex_term(wi, tup)
+                assert tuple(sorted(blocks)) == block_type((tup,))
+                assert sum(blocks) == vi
+                flipped = mirror((tup,))[0]
+                assert side == (1 if tup > flipped else 0 if tup == flipped else -1)
