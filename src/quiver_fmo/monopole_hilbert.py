@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
-from operator import itemgetter, mul, neg
+from operator import mul, neg
 
 from .quiver import (BoxScan, EnumerationBudgetError, box_scan, compositions,
                      two_delta_minuscule)
@@ -231,26 +231,30 @@ def edge_term(tup_a, tup_b) -> int:
 
 
 def _vertex_terms(wi: int, vi: int, max_norm: int) -> list:
-    """For each norm k <= max_norm, the pairs (vertex_term(wi, t), t) over
-    the weakly decreasing tuples t of length vi and norm k.  With the norm
+    """For each norm k <= max_norm, the list of vertex_term(wi, t) over the
+    tuples t of _decreasing_tuples(vi, k), in that order.  With the norm
     known, a term is wi * k plus one dot product with fixed coefficients."""
     coeffs = tuple(range(2 - 2 * vi, 2 * vi - 1, 4))  # -2 * (vi - 1 - 2r)
-    return [[(wi * k + sum(map(mul, coeffs, tup)), tup) for tup in _decreasing_tuples(vi, k)]
+    return [[wi * k + sum(map(mul, coeffs, tup)) for tup in _decreasing_tuples(vi, k)]
             for k in range(max_norm + 1)]
 
 
-def _candidates(pairs, top: int, tied: bool) -> list:
-    """The rows (term, t, block lengths of t, side) for the pairs (term, t)
-    with term <= top, sorted by term; side compares t with its mirror
-    -reversed(t): 1 above, 0 equal, -1 below.  With tied (no vertex fixed
-    yet) the tuples below their mirror are left out."""
+def _candidates(terms, tuples, top: int, tied: bool, shapes: dict) -> tuple:
+    """The rows (term, t, block lengths of t, side) for the tuples t with
+    term <= top, sorted by term and transposed into columns (an empty tuple
+    when no row is left).  The block lengths are one shared tuple per shape,
+    kept in shapes; side compares t with its mirror -reversed(t): 1 above, 0
+    equal, -1 below.  With tied (no vertex fixed yet) the tuples below their
+    mirror are left out."""
     rows = []
-    for term, tup in sorted((pair for pair in pairs if pair[0] <= top), key=itemgetter(0)):
+    for j in sorted((j for j, term in enumerate(terms) if term <= top), key=terms.__getitem__):
+        tup = tuples[j]
         mirror = tuple(map(neg, reversed(tup)))
         side = (tup > mirror) - (tup < mirror)
         if side >= 0 or not tied:
-            rows.append((term, tup, _blocks(tup), side))
-    return rows
+            blocks = _blocks(tup)
+            rows.append((terms[j], tup, shapes.setdefault(blocks, blocks), side))
+    return tuple(zip(*rows))
 
 
 def _blocks(tup) -> tuple:
@@ -280,12 +284,15 @@ def _count_kept(ctx: GKLOContext, order: int, max_norm: int) -> Counter:
     block type once, after the search."""
     n = len(ctx.v)
     terms = [_vertex_terms(wi, vi, max_norm) for wi, vi in zip(ctx.w, ctx.v)]
-    least = [min(term for pairs in by_norm for term, _ in pairs) for by_norm in terms]
+    least = [min(term for ts in by_norm for term in ts) for by_norm in terms]
     floor = [sum(least[i:]) for i in range(n + 1)]  # least vertex terms of vertices >= i
     # the fixed vertices before i contribute at least floor[0] - floor[i], so
     # no term above order - floor[0] + least[i] is ever visited
-    cands = [[_candidates(pairs, order - floor[0] + least[i], i == 0) for pairs in terms[i]]
-             for i in range(n)]
+    shapes = {}
+    cands = [[_candidates(ts, _decreasing_tuples(vi, k), order - floor[0] + least[i], i == 0,
+                          shapes) for k, ts in enumerate(terms[i])]
+             for i, vi in enumerate(ctx.v)]
+    del terms  # the search reads only the candidate columns
     earlier = [[] for _ in range(n)]  # (neighbour j < i, number of edges)
     for (i, j), mult in Counter((max(s, t), min(s, t)) for s, t in ctx.quiver.edges).items():
         earlier[i].append((j, mult))
@@ -295,7 +302,7 @@ def _count_kept(ctx: GKLOContext, order: int, max_norm: int) -> Counter:
     def visit(i, partial, left, prefix, tied):
         room = order - floor[i + 1] - partial
         for k in range(left + 1):
-            for term, tup, blocks, side in cands[i][k]:
+            for term, tup, blocks, side in zip(*cands[i][k]):
                 if term > room:
                     break
                 if tied and side < 0:

@@ -502,14 +502,13 @@ def test_search_visits_one_coweight_per_mirror_pair(monkeypatch):
 def test_candidates_are_the_sorted_vertex_terms_up_to_top(wi, vi, top):
     from quiver_fmo.monopole_hilbert import _candidates, _decreasing_tuples, _vertex_terms
 
-    max_norm = 6
-    for k, pairs in enumerate(_vertex_terms(wi, vi, max_norm)):
-        assert pairs == [(vertex_term(wi, tup), tup) for tup in _decreasing_tuples(vi, k)]
+    for k, terms in enumerate(_vertex_terms(wi, vi, 6)):
+        tuples = _decreasing_tuples(vi, k)
+        assert terms == [vertex_term(wi, tup) for tup in tuples]
         for tied in (False, True):
-            rows = _candidates(pairs, top, tied)
-            expected = {tup for tup in _decreasing_tuples(vi, k)
-                        if vertex_term(wi, tup) <= top
-                        and not (tied and tup < mirror((tup,))[0])}
+            rows = list(zip(*_candidates(terms, tuples, top, tied, {})))
+            expected = [tup for tup in tuples if vertex_term(wi, tup) <= top
+                        and not (tied and tup < mirror((tup,))[0])]
             assert sorted(row[1] for row in rows) == sorted(expected)
             assert [row[0] for row in rows] == sorted(row[0] for row in rows)
             for term, tup, blocks, side in rows:
