@@ -2,21 +2,14 @@
 stabilizer Poincare factors, the truncated Hilbert series of the graded
 coordinate ring, the good/ugly/bad classifier, and operator degrees.
 
-The Hilbert series is a vertex-pruned enumeration.  The doubled degree of a
-dominant coweight is a sum of per-vertex terms plus edge terms, and the edge
-terms are never negative.  The coweights are built one vertex at a time from
-candidate lists sorted by the vertex term, and a list is cut as soon as the
-partial degree plus the least vertex terms still to come passes the order,
-so only the coweights that can reach the order are evaluated in full.
-
-The mirror sigma(gamma) = (-reversed(gamma_i))_i keeps the degree and the
-block type (the multiset of equal-entry block lengths, the only data the
-stabilizer factor depends on), so the search visits one coweight of each
-pair {gamma, sigma(gamma)} and counts it twice, or once when it is its own
-mirror.  It carries the block lengths of the vertices fixed so far, counts
-the kept coweights by (degree, block lengths), and sorts each distinct key
-into its block type after the search; each type's Poincare factor is built
-once.
+The Hilbert series is a path sum over cuts.  The doubled degree 2*Delta is
+linear on the cone of coweights whose entries, together with 0, come in a
+given order, and the stabilizer factor depends only on that order.  So the
+sum over dominant coweights is a sum over chains of cuts of that order: each
+inner cut contributes t^D / (1 - t^D), where D is the degree of its 0/+-1
+ray coweight, and each block of equal entries between two cuts contributes
+its stabilizer factor.  Both are strided prefix sums on a coefficient list;
+no coweight is enumerated.
 
 Degrees follow the doubled cohomological convention throughout: the series
 variable exponent is the cohomological degree, a polynomial dressing of
@@ -26,16 +19,15 @@ polynomial degree d sits in degree 2d.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
-from operator import mul, neg
+from operator import add, le, sub
 
-from .quiver import (BoxScan, EnumerationBudgetError, box_scan, compositions,
-                     two_delta_minuscule)
-from .gklo import GKLOContext
+from .quiver import (BoxScan, EnumerationBudgetError, box_scan, compositions, mu_pairing,
+                     ray_degree, two_delta_minuscule)
+from .gklo import GKLOContext, InternalError
 
 
 class BadTheoryError(ValueError):
@@ -61,7 +53,7 @@ class TruncSeries:
 
     @staticmethod
     def zero(order) -> "TruncSeries":
-        """Test oracle, as are __add__ and shift."""
+        """Test oracle, as are __add__, __mul__ and shift."""
         return TruncSeries.make([], order)
 
     @staticmethod
@@ -76,6 +68,7 @@ class TruncSeries:
                            self.order)
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
+        """Test oracle; the benchmark tracer binds it."""
         if self.order != other.order:
             raise ValueError("order mismatch")
         out = [0] * (self.order + 1)
@@ -100,7 +93,7 @@ class TruncSeries:
 
 
 def geometric(k: int, order: int) -> TruncSeries:
-    """Expansion of 1/(1 - t^k), k >= 1."""
+    """Test oracle: expansion of 1/(1 - t^k), k >= 1."""
     if k <= 0:
         raise ValueError("geometric series needs a positive exponent")
     out = [0] * (order + 1)
@@ -116,8 +109,9 @@ def geometric(k: int, order: int) -> TruncSeries:
 
 
 def two_delta_general(ctx: GKLOContext, gamma) -> int:
-    """Doubled monopole degree of an arbitrary torus coweight: minus twice the
-    root pairings plus the matter weight pairings, all in absolute value."""
+    """Test oracle: doubled monopole degree of an arbitrary torus coweight:
+    minus twice the root pairings plus the matter weight pairings, all in
+    absolute value.  The benchmark tracer binds it."""
     v, w = ctx.v, ctx.w
     gamma = tuple(tuple(t) for t in gamma)
     if any(len(t) != vi for t, vi in zip(gamma, v)):
@@ -187,7 +181,8 @@ def dominant_shell(v, norm: int):
 
 
 def stabilizer_poincare(gamma, order: int) -> TruncSeries:
-    """Product over equal-entry blocks of prod_{d=1}^{k} 1/(1 - t^{2d})."""
+    """Test oracle: product over equal-entry blocks of prod_{d=1}^{k}
+    1/(1 - t^{2d}).  The path sum applies it block by block in _block_step."""
     out = TruncSeries.one(order)
     for tup in gamma:
         if list(tup) != sorted(tup, reverse=True):
@@ -199,130 +194,80 @@ def stabilizer_poincare(gamma, order: int) -> TruncSeries:
     return out
 
 
-def block_type(gamma) -> tuple:
-    """Test oracle: sorted lengths of the equal-entry blocks over all
-    vertices, the only data of a dominant coweight that its stabilizer factor
-    depends on.  The search sorts the block lengths it carries instead."""
-    return tuple(sorted(len(list(grp)) for tup in gamma
-                        for _, grp in itertools.groupby(tup)))
-
-
 POINT_BUDGET = 2_000_000  # shell points; read at call time
 ORDER_BUDGET = 1_000  # series order; read at call time
 
 
-def vertex_term(wi: int, tup) -> int:
-    """The part of the doubled degree that sees one vertex alone, for a weakly
-    decreasing tuple t: wi * sum |t_r| - 2 * sum_{r<s} (t_r - t_s).  It is
-    negative for some t when wi = 0.  Test oracle: the search computes it in
-    _vertex_terms, where the norm of t is known."""
-    last = len(tup) - 1
-    return wi * sum(abs(x) for x in tup) - 2 * sum(
-        (last - 2 * r) * x for r, x in enumerate(tup))
+def _block_step(coeffs: list, k: int) -> None:
+    """Multiply the truncated series coeffs in place by the stabilizer factor
+    of one block of k equal entries, prod_{d=1}^{k} 1/(1 - t^{2d}): one
+    strided prefix sum per d."""
+    for step in range(2, 2 * k + 1, 2):
+        for j in range(step, len(coeffs)):
+            coeffs[j] += coeffs[j - step]
 
 
-def edge_term(tup_a, tup_b) -> int:
-    """The part of the doubled degree from one edge: sum |b - a| >= 0."""
-    total = 0
-    for a in tup_a:
-        for b in tup_b:
-            total += b - a if b > a else a - b
-    return total
+def _cuts(ctx: GKLOContext, max_norm: int) -> list:
+    """The inner cuts (k, z, degree) whose ray has L1 norm at most max_norm.
+
+    A cut splits the entries of a dominant coweight, together with 0, into
+    the ones above and the ones below it: k_i entries of vertex i are above,
+    and z = 1 when 0 is too.  Its ray is the coweight that is 1 above and 0
+    below the cut (z = 0) or 0 above and -1 below (z = 1); it has u = k or
+    u = v - k nonzero entries, and its doubled degree is ray_degree at u.
+    Each u with 0 < |u| <= max_norm gives one cut of each kind."""
+    v, cartan = ctx.v, ctx.cartan
+    pairing = mu_pairing(ctx.dims, cartan).vector
+    cuts = []
+    for u in itertools.product(*(range(min(vi, max_norm) + 1) for vi in v)):
+        if 0 < sum(u) <= max_norm:
+            degree = ray_degree(pairing, cartan, u)
+            if degree <= 0:
+                raise InternalError("ray degree %d at u=%r on a conical theory"
+                                    % (degree, u))
+            cuts.append((u, 0, degree))
+            cuts.append((tuple(map(sub, v, u)), 1, degree))
+    return cuts
 
 
-def _vertex_terms(wi: int, vi: int, max_norm: int) -> list:
-    """For each norm k <= max_norm, the list of vertex_term(wi, t) over the
-    tuples t of _decreasing_tuples(vi, k), in that order.  With the norm
-    known, a term is wi * k plus one dot product with fixed coefficients."""
-    coeffs = tuple(range(2 - 2 * vi, 2 * vi - 1, 4))  # -2 * (vi - 1 - 2r)
-    return [[wi * k + sum(map(mul, coeffs, tup)) for tup in _decreasing_tuples(vi, k)]
-            for k in range(max_norm + 1)]
+def _path_sum(ctx: GKLOContext, order: int, max_norm: int) -> list:
+    """The coefficients of the Hilbert series to order, as a sum over chains
+    of cuts from (0; z = 0) to (v; z = 1).
 
-
-def _candidates(terms, tuples, top: int, tied: bool, shapes: dict) -> tuple:
-    """The rows (term, t, block lengths of t, side) for the tuples t with
-    term <= top, sorted by term and transposed into columns (an empty tuple
-    when no row is left).  The block lengths are one shared tuple per shape,
-    kept in shapes; side compares t with its mirror -reversed(t): 1 above, 0
-    equal, -1 below.  With tied (no vertex fixed yet) the tuples below their
-    mirror are left out."""
-    rows = []
-    for j in sorted((j for j, term in enumerate(terms) if term <= top), key=terms.__getitem__):
-        tup = tuples[j]
-        mirror = tuple(map(neg, reversed(tup)))
-        side = (tup > mirror) - (tup < mirror)
-        if side >= 0 or not tied:
-            blocks = _blocks(tup)
-            rows.append((terms[j], tup, shapes.setdefault(blocks, blocks), side))
-    return tuple(zip(*rows))
-
-
-def _blocks(tup) -> tuple:
-    """Equal-entry block lengths of a weakly decreasing tuple, in order."""
-    return tuple(map(tup.count, dict.fromkeys(tup)))
-
-
-def _count_kept(ctx: GKLOContext, order: int, max_norm: int) -> Counter:
-    """Count the dominant coweights of norm <= max_norm and degree <= order by
-    (degree, block type).
-
-    The vertices are fixed in order with the norm left tracked.  Each
-    candidate list is walked in order of vertex term and cut once the partial
-    degree plus the term plus the least terms of the later vertices passes
-    the order; the edge terms to the vertices already fixed (times the number
-    of parallel edges) are then added, and a candidate whose sum passes the
-    order is skipped.
-
-    The mirror sigma(gamma) = (-reversed(gamma_i))_i is an involution on
-    dominant coweights that keeps the norm, every vertex and edge term, and
-    the block type, so only the gamma >= sigma(gamma), compared vertex by
-    vertex, are visited: while every vertex fixed so far is its own mirror, a
-    candidate below its mirror is skipped.  A leaf counts 2, or 1 when every
-    vertex is its own mirror.  The block lengths of the fixed vertices are
-    carried down the search, the leaves are counted by (degree, prefix block
-    lengths, leaf block lengths), and each distinct key is sorted into its
-    block type once, after the search."""
-    n = len(ctx.v)
-    terms = [_vertex_terms(wi, vi, max_norm) for wi, vi in zip(ctx.w, ctx.v)]
-    least = [min(term for ts in by_norm for term in ts) for by_norm in terms]
-    floor = [sum(least[i:]) for i in range(n + 1)]  # least vertex terms of vertices >= i
-    # the fixed vertices before i contribute at least floor[0] - floor[i], so
-    # no term above order - floor[0] + least[i] is ever visited
-    shapes = {}
-    cands = [[_candidates(ts, _decreasing_tuples(vi, k), order - floor[0] + least[i], i == 0,
-                          shapes) for k, ts in enumerate(terms[i])]
-             for i, vi in enumerate(ctx.v)]
-    del terms  # the search reads only the candidate columns
-    earlier = [[] for _ in range(n)]  # (neighbour j < i, number of edges)
-    for (i, j), mult in Counter((max(s, t), min(s, t)) for s, t in ctx.quiver.edges).items():
-        earlier[i].append((j, mult))
-    leaves = Counter()
-    gamma = [()] * n
-
-    def visit(i, partial, left, prefix, tied):
-        room = order - floor[i + 1] - partial
-        for k in range(left + 1):
-            for term, tup, blocks, side in zip(*cands[i][k]):
-                if term > room:
-                    break
-                if tied and side < 0:
-                    continue
-                for j, mult in earlier[i]:
-                    term += mult * edge_term(gamma[j], tup)
-                if term > room:
-                    continue
-                if i + 1 < n:
-                    gamma[i] = tup
-                    visit(i + 1, partial + term, left - k, prefix + blocks,
-                          tied and not side)
+    A dominant coweight is the chain of cuts between its distinct values
+    (with 0) and a gap g >= 1 across each inner cut; it is the sum of g times
+    the ray over the inner cuts, and its degree is the sum of g times the ray
+    degree, since no entry changes order along the cone.  Summing the gaps
+    gives t^D / (1 - t^D) per inner cut of ray degree D, and each block of
+    entries between two consecutive cuts contributes its stabilizer factor.
+    The cuts are visited in order of size, each holding the series summed
+    over the chains that end at it; a cut of ray degree above order ends no
+    chain of degree <= order and is left out."""
+    v = ctx.v
+    cuts = sorted((cut for cut in _cuts(ctx, max_norm) if cut[2] <= order),
+                  key=lambda cut: sum(cut[0]) + cut[1])
+    done = [((0,) * len(v), 0, [1] + [0] * order)]
+    for k, z, degree in cuts + [(v, 1, None)]:
+        # the chains into k, grouped by the block type k - k0 they end with
+        groups = {}
+        for k0, z0, series in done:
+            if z0 <= z and all(map(le, k0, k)):
+                btype = tuple(sorted(b - a for a, b in zip(k0, k) if b > a))
+                if btype in groups:
+                    groups[btype] = list(map(add, groups[btype], series))
                 else:
-                    leaves[partial + term, prefix, blocks] += 1 if tied and not side else 2
-
-    visit(0, 0, max_norm, (), True)
-    kept = Counter()
-    for (deg, prefix, blocks), count in leaves.items():
-        kept[deg, tuple(sorted(prefix + blocks))] += count
-    return kept
+                    groups[btype] = list(series)
+        into = [0] * (order + 1)
+        for btype, acc in groups.items():
+            for size in btype:
+                _block_step(acc, size)
+            into = list(map(add, into, acc))
+        if degree is None:
+            return into
+        series = [0] * (order + 1)  # times t^degree / (1 - t^degree)
+        for j in range(degree, order + 1):
+            series[j] = into[j - degree] + series[j - degree]
+        done.append((k, z, series))
 
 
 def hilbert_series(ctx: GKLOContext, order: int) -> TruncSeries:
@@ -331,13 +276,11 @@ def hilbert_series(ctx: GKLOContext, order: int) -> TruncSeries:
 
     One box_scan refuses bad theories and gives the degree bound: no
     coweight of L1 norm above max_norm = order / min_ratio has degree <=
-    order.  An order above ORDER_BUDGET, or more than POINT_BUDGET points of
-    norm <= max_norm, raises EnumerationBudgetError before any point is
-    evaluated or any series is allocated.  The vertex-pruned enumeration
-    visits one point of each mirror pair {gamma, sigma(gamma)} and counts
-    every point of degree <= order under (degree, block type); each block
-    type's stabilizer factor is built once, from a coweight with one vertex
-    per block, and the result is the sum of count * t^degree * factor.
+    order.  An order above ORDER_BUDGET, or more than POINT_BUDGET dominant
+    coweights of norm <= max_norm, raises EnumerationBudgetError before any
+    series work.  The sum itself is the path sum over cuts of _path_sum,
+    which reads only the cuts whose ray has norm <= max_norm: a coweight
+    with a gap across any other cut has degree above order.
     """
     scan = box_scan(ctx.dims, ctx.cartan)
     if not scan.conical:
@@ -358,13 +301,4 @@ def hilbert_series(ctx: GKLOContext, order: int) -> TruncSeries:
             raise EnumerationBudgetError(
                 "more than %d shell points needed up to norm %d"
                 % (POINT_BUDGET, max_norm))
-    kept = _count_kept(ctx, order, max_norm)
-    # a coweight with one vertex per block has the block type btype
-    factors = {btype: stabilizer_poincare(tuple((0,) * k for k in btype), order).coeffs
-               for btype in {btype for _, btype in kept}}
-    total = [0] * (order + 1)
-    for (deg, btype), count in kept.items():
-        factor = factors[btype]
-        for j in range(order + 1 - deg):
-            total[deg + j] += count * factor[j]
-    return TruncSeries(tuple(total), order)
+    return TruncSeries(tuple(_path_sum(ctx, order, max_norm)), order)

@@ -160,10 +160,17 @@ def check_charge(m, v) -> tuple:
     return tuple(m)
 
 
+def ray_degree(pairing, C, u) -> int:
+    """u.(w - Cv) + u.(Cu) for the pairing w - Cv: the doubled monopole degree
+    of the coweight with u_i entries 1 and the rest 0 at each vertex i, and
+    of its mirror with v_i - u_i entries 0 and the rest -1."""
+    return dot(u, pairing) + dot(u, mat_vec(C, u))
+
+
 def two_delta_minuscule(d: DimData, C, m) -> int:
     """m.(w - Cv) + m.(Cm) for 0 <= m <= v."""
     m = check_charge(m, d.v)
-    return dot(m, mu_pairing(d, C).vector) + dot(m, mat_vec(C, m))
+    return ray_degree(mu_pairing(d, C).vector, C, m)
 
 
 class BoxScan(NamedTuple):
@@ -211,7 +218,7 @@ def box_scan(d: DimData, C) -> BoxScan:
         norm = sum(u)
         if not norm:
             continue
-        val = dot(u, pairing) + dot(u, mat_vec(C, u))
+        val = ray_degree(pairing, C, u)
         if best is None or val < best:
             best, witness = val, u
         if not ratio[1] or val * ratio[1] < ratio[0] * norm:

@@ -540,15 +540,14 @@ CHEAP_VERIFY_SUBJECTS = ("restriction", "adding-defect", "km-embedding", "involu
 
 
 def _table_ops():
-    """classify, fmo and verify d-identity ops, hilbert ops up to order 10
-    and the ops of the other verify subjects recorded at <= 0.1 s from the
-    benchmark table, with the stdout sha256 and exit code recorded there."""
+    """classify, fmo, hilbert and verify d-identity ops and the ops of the
+    other verify subjects recorded at <= 0.1 s from the benchmark table, with
+    the stdout sha256 and exit code recorded there."""
     path = Path(__file__).resolve().parent.parent / "bench" / "table.json"
     ops = json.loads(path.read_text())["ops"]
     for key, row in sorted(ops.items()):
         argv = key.split()
-        if argv[0] in ("classify", "fmo") or argv[:2] == ["verify", "d-identity"] or (
-                argv[0] == "hilbert" and int(argv[argv.index("--order") + 1]) <= 10) or (
+        if argv[0] in ("classify", "fmo", "hilbert") or argv[:2] == ["verify", "d-identity"] or (
                 argv[0] == "verify" and argv[1] in CHEAP_VERIFY_SUBJECTS
                 and row["cost_s"] <= 0.1):
             yield argv, row["sha256"], row["exit"]
@@ -558,6 +557,7 @@ def test_table_ops_byte_identical(capsys):
     ops = list(_table_ops())
     assert {argv[1] for argv, _, _ in ops if argv[0] == "verify"} == \
         {"d-identity", *CHEAP_VERIFY_SUBJECTS}
+    assert sum(argv[0] == "hilbert" for argv, _, _ in ops) == 196
     for argv, sha, exit_code in ops:
         code, out, err = run(capsys, *argv)
         assert (hashlib.sha256(out.encode()).hexdigest(), code, err) == (sha, exit_code, ""), argv
@@ -576,7 +576,7 @@ def _costliest_ops(workload, count):
 def test_costliest_table_ops_byte_identical(capsys):
     # the a2 (3,3) ops that _table_ops leaves out: their large u-Laurent
     # values exercise the print order most; the hilbert ops of orders 14-44,
-    # where the vertex pruning cuts the most
+    # the longest paths over cuts
     ops = [*_costliest_ops("termwise", 10), *_costliest_ops("substitution", 5),
            *_costliest_ops("hilbert", 15)]
     assert len(ops) == 30
@@ -588,18 +588,37 @@ def test_costliest_table_ops_byte_identical(capsys):
 # stdout sha256 of the affine D4 run below, recorded when the Hilbert series
 # still evaluated every shell point up to the norm bound
 AFFINE_D4_ORDER_10_SHA256 = "feb77b235713f872cb6e92a5dfc8f02e206ccfa74ce875113249c35083c2753d"
+# stdout sha256 of the runs below, recorded with the vertex-pruned enumeration
+# that preceded the path sum over cuts
+AFFINE_D4_ORDER_11_SHA256 = "69ba53da8f577a44ba4dbf0810f930239abcc7d0079d17a630e7974d41a97943"
+A2_22_ORDER_40_SHA256 = "27e84c53799412ce1afd30c384f753d8595b54fecae6c2cdf092cabc8bc5a159"
 
 
-def test_affine_d4_hilbert_golden(capsys, tmp_path):
+def _affine_d4_hilbert_sha256(capsys, tmp_path, order):
     path = tmp_path / "affine_d4.json"
     path.write_text(json.dumps({
         "vertices": ["0", "1", "2", "3", "4"],
         "edges": [{"source": "0", "target": str(k)} for k in range(1, 5)],
     }))
     code, out, err = run(capsys, "hilbert", "--quiver", str(path), "--w", "2,0,0,0,0",
-                         "--v", "2,1,1,1,1", "--order", "10", "--json")
+                         "--v", "2,1,1,1,1", "--order", str(order), "--json")
     assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == AFFINE_D4_ORDER_10_SHA256
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+def test_affine_d4_hilbert_golden(capsys, tmp_path):
+    assert _affine_d4_hilbert_sha256(capsys, tmp_path, 10) == AFFINE_D4_ORDER_10_SHA256
+
+
+def test_affine_d4_hilbert_order_11_golden(capsys, tmp_path):
+    assert _affine_d4_hilbert_sha256(capsys, tmp_path, 11) == AFFINE_D4_ORDER_11_SHA256
+
+
+def test_a2_hilbert_order_40_golden(capsys):
+    code, out, err = run(capsys, "hilbert", "--quiver", "a2", "--w", "2,2", "--v", "2,2",
+                         "--order", "40", "--json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == A2_22_ORDER_40_SHA256
 
 
 REGISTRATION_SCRIPT = """

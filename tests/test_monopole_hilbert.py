@@ -1,5 +1,5 @@
-"""Monopole degrees, stabilizer factors, truncated Hilbert series with the
-vertex-pruned enumerator against a naive brute-force oracle and against the
+"""Monopole degrees, stabilizer factors, truncated Hilbert series from the
+path sum over cuts against a naive brute-force oracle and against the
 per-point sum over the certified shells, closed forms, and classification."""
 
 import itertools
@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quiver_fmo.quiver import (
+    BoxScan,
     DimData,
     Quiver,
     a1_quiver,
@@ -19,24 +20,23 @@ from quiver_fmo.quiver import (
     check_conicity,
     check_good,
     cartan_matrix,
+    mu_pairing,
+    ray_degree,
     two_delta_minuscule,
 )
-from quiver_fmo.gklo import make_context
+from quiver_fmo.gklo import InternalError, make_context
 from quiver_fmo.km_embedding import omega
 from quiver_fmo.monopole_hilbert import (
     BadTheoryError,
     EnumerationBudgetError,
     TruncSeries,
-    block_type,
     classify_theory,
     dominant_shell,
-    edge_term,
     fmo_degree,
     geometric,
     hilbert_series,
     stabilizer_poincare,
     two_delta_general,
-    vertex_term,
 )
 
 
@@ -90,6 +90,26 @@ def hilbert_series_by_points(ctx, order):
                 continue
             total = total + stabilizer_poincare(gamma, order).shift(deg)
     return total
+
+
+def block_type(gamma):
+    """Sorted lengths of the equal-entry blocks over all vertices, the only
+    data of a dominant coweight that its stabilizer factor depends on."""
+    return tuple(sorted(len(list(grp)) for tup in gamma
+                        for _, grp in itertools.groupby(tup)))
+
+
+def vertex_term(wi, tup):
+    """The part of the doubled degree that sees one vertex alone, for a weakly
+    decreasing tuple t: wi * sum |t_r| - 2 * sum_{r<s} (t_r - t_s)."""
+    last = len(tup) - 1
+    return wi * sum(abs(x) for x in tup) - 2 * sum(
+        (last - 2 * r) * x for r, x in enumerate(tup))
+
+
+def edge_term(tup_a, tup_b):
+    """The part of the doubled degree from one edge: sum |b - a| >= 0."""
+    return sum(abs(b - a) for a in tup_a for b in tup_b)
 
 
 def cyclic_quotient_series(n, order):
@@ -293,9 +313,9 @@ def test_hilbert_budget_checked_before_any_point(monkeypatch):
     import quiver_fmo.monopole_hilbert as mh
 
     def evaluated(*args):
-        raise AssertionError("a shell point was evaluated")
+        raise AssertionError("a degree or a series was computed")
 
-    for name in ("two_delta_general", "vertex_term", "_vertex_terms", "edge_term"):
+    for name in ("two_delta_general", "ray_degree", "_cuts", "_path_sum", "_block_step"):
         monkeypatch.setattr(mh, name, evaluated)
     monkeypatch.setattr(mh, "POINT_BUDGET", 3)
     ctx = make_context(affine_sl2_quiver(), (1, 0), (2, 2))
@@ -360,7 +380,7 @@ def test_series_against_brute_force(quiver, w, v):
 
 def test_a1_cyclic_quotient_closed_form():
     # a1 with w = n, v = 1 is C^2/Z_n: H = (1 - t^{2n}) / ((1 - t^2)(1 - t^n)^2)
-    order = 16
+    order = 120
     for n in range(2, 6):
         ctx = make_context(a1_quiver(), (n,), (1,))
         assert hilbert_series(ctx, order).coeffs == cyclic_quotient_series(n, order), n
@@ -418,30 +438,85 @@ def test_grouped_cases_cover_good_and_ugly(tmp_path):
     assert kinds == {"good", "ugly"}
 
 
-def test_one_stabilizer_factor_per_block_type(monkeypatch):
+def test_one_stabilizer_factor_per_block_type():
+    # the strided block step on 1 is the stabilizer factor of one block of k
+    from quiver_fmo.monopole_hilbert import _block_step
+
+    for k in range(5):
+        for order in (0, 1, 7, 16):
+            coeffs = [1] + [0] * order
+            _block_step(coeffs, k)
+            assert tuple(coeffs) == stabilizer_poincare(((0,) * k,), order).coeffs, (k, order)
+
+
+def ray(v, k, z):
+    """The ray coweight of the cut (k, z): 1 above and 0 below the cut when 0
+    is below it (z = 0), 0 above and -1 below when 0 is above it (z = 1)."""
+    top, bottom = (1, 0) if z == 0 else (0, -1)
+    return tuple((top,) * ki + (bottom,) * (vi - ki) for ki, vi in zip(k, v))
+
+
+@pytest.mark.parametrize("name,w,v", GROUPED_CASES + [
+    ("affine_d4", (2, 0, 0, 0, 0), (2, 1, 1, 1, 1))])
+def test_ray_degree_is_two_delta_of_the_cut_coweight(tmp_path, name, w, v):
+    from quiver_fmo.monopole_hilbert import _cuts
+
+    ctx = make_context(_grouped_case_quiver(name, tmp_path), w, v)
+    cuts = _cuts(ctx, sum(v))
+    box = list(itertools.product(*(range(vi + 1) for vi in v)))
+    # every cut but the first (0; z = 0) and the last (v; z = 1)
+    assert sorted((k, z) for k, z, _ in cuts) == sorted(
+        {(k, z) for k in box for z in (0, 1)} - {(tuple(0 for _ in v), 0), (tuple(v), 1)})
+    for k, z, degree in cuts:
+        assert degree == two_delta_general(ctx, ray(v, k, z)), (k, z)
+        u = k if z == 0 else tuple(vi - ki for vi, ki in zip(v, k))
+        assert degree == ray_degree(mu_pairing(ctx.dims, ctx.cartan).vector, ctx.cartan, u)
+
+
+# the bound leaves cuts out at a1 order 3, a2 order 3 and affine_sl2 order 1
+@pytest.mark.parametrize("quiver,w,v,order", [
+    (a1_quiver(), (8,), (4,), 3),
+    (a1_quiver(), (8,), (4,), 44),
+    (a2_quiver(), (2, 2), (2, 2), 3),
+    (a2_quiver(), (3, 3), (3, 3), 8),
+    (affine_sl2_quiver(), (1, 0), (2, 2), 1),
+    (affine_sl2_quiver(), (1, 1), (2, 2), 6),
+])
+def test_path_sum_visits_only_cuts_within_the_norm_bound(monkeypatch, quiver, w, v, order):
     import quiver_fmo.monopole_hilbert as mh
 
-    ctx = make_context(a2_quiver(), (2, 2), (2, 2))
-    order = 12
-    expected = hilbert_series_by_points(ctx, order)
-    kept_types = set()
+    ctx = make_context(quiver, w, v)
     max_norm = int(Fraction(order) / box_scan(ctx.dims, ctx.cartan).min_ratio)
-    for norm in range(max_norm + 1):
-        for gamma in dominant_shell(ctx.v, norm):
-            if two_delta_general(ctx, gamma) <= order:
-                kept_types.add(block_type(gamma))
-    assert len(kept_types) > 1
-
+    within = [u for u in itertools.product(*(range(vi + 1) for vi in v))
+              if 0 < sum(u) <= max_norm]
     seen = []
-    original = mh.stabilizer_poincare
+    real = mh.ray_degree
 
-    def counting(gamma, order):
-        seen.append(block_type(gamma))
-        return original(gamma, order)
+    def counted(pairing, C, u):
+        seen.append(u)
+        return real(pairing, C, u)
 
-    monkeypatch.setattr(mh, "stabilizer_poincare", counting)
-    assert hilbert_series(ctx, order) == expected
-    assert len(seen) == len(set(seen)) and set(seen) == kept_types
+    monkeypatch.setattr(mh, "ray_degree", counted)
+    assert hilbert_series(ctx, order) == hilbert_series_by_points(ctx, order)
+    assert sorted(seen) == within
+    # two cuts per u, no more than the pre-counted points (the zero coweight
+    # is a point but no inner cut)
+    points = sum(len(dominant_shell(v, norm)) for norm in range(max_norm + 1))
+    assert 2 * len(seen) < points
+
+
+def test_non_positive_ray_degree_raises_internal_error(monkeypatch):
+    # a bad theory never reaches the path sum; if a ray degree <= 0 did, it
+    # would be an InternalError, not an assert
+    import quiver_fmo.monopole_hilbert as mh
+
+    with pytest.raises(InternalError, match="ray degree 0 at u=\\(1,\\)"):
+        mh._cuts(make_context(a1_quiver(), (2,), (2,)), 2)
+    ctx = make_context(a1_quiver(), (2,), (1,))
+    monkeypatch.setattr(mh, "box_scan", lambda d, C: BoxScan(2, (1,), Fraction(1)))
+    monkeypatch.setattr(mh, "ray_degree", lambda pairing, C, u: 0)
+    with pytest.raises(InternalError):
+        hilbert_series(ctx, 4)
 
 
 @pytest.mark.parametrize("name,w,v", GROUPED_CASES)
@@ -471,7 +546,7 @@ def mirror(gamma):
 @pytest.mark.parametrize("name,w,v", GROUPED_CASES + [
     ("affine_d4", (2, 0, 0, 0, 0), (2, 1, 1, 1, 1))])
 def test_mirror_is_an_involution_keeping_degree_and_block_type(tmp_path, name, w, v):
-    # the lemma the halved search rests on
+    # the mirror lemma: sigma(gamma) is dominant with the same degree and block type
     ctx = make_context(_grouped_case_quiver(name, tmp_path), w, v)
     for norm in range(7):
         for gamma in dominant_shell(ctx.v, norm):
@@ -480,40 +555,3 @@ def test_mirror_is_an_involution_keeping_degree_and_block_type(tmp_path, name, w
             assert mirror(image) == gamma
             assert two_delta_general(ctx, image) == two_delta_general(ctx, gamma), gamma
             assert block_type(image) == block_type(gamma), gamma
-
-
-def test_search_visits_one_coweight_per_mirror_pair(monkeypatch):
-    # 58,515 edge terms before the search was halved
-    import quiver_fmo.monopole_hilbert as mh
-
-    calls = []
-    original = mh.edge_term
-
-    def counted(tup_a, tup_b):
-        calls.append(1)
-        return original(tup_a, tup_b)
-
-    monkeypatch.setattr(mh, "edge_term", counted)
-    hilbert_series(make_context(a2_quiver(), (2, 2), (2, 2)), 24)
-    assert 0 < len(calls) <= 0.51 * 58_515
-
-
-@pytest.mark.parametrize("wi,vi,top", [(0, 1, 3), (2, 2, 4), (4, 3, 10), (1, 3, -2), (3, 0, 0)])
-def test_candidates_are_the_sorted_vertex_terms_up_to_top(wi, vi, top):
-    from quiver_fmo.monopole_hilbert import _candidates, _decreasing_tuples, _vertex_terms
-
-    for k, terms in enumerate(_vertex_terms(wi, vi, 6)):
-        tuples = _decreasing_tuples(vi, k)
-        assert terms == [vertex_term(wi, tup) for tup in tuples]
-        for tied in (False, True):
-            rows = list(zip(*_candidates(terms, tuples, top, tied, {})))
-            expected = [tup for tup in tuples if vertex_term(wi, tup) <= top
-                        and not (tied and tup < mirror((tup,))[0])]
-            assert sorted(row[1] for row in rows) == sorted(expected)
-            assert [row[0] for row in rows] == sorted(row[0] for row in rows)
-            for term, tup, blocks, side in rows:
-                assert term == vertex_term(wi, tup)
-                assert tuple(sorted(blocks)) == block_type((tup,))
-                assert sum(blocks) == vi
-                flipped = mirror((tup,))[0]
-                assert side == (1 if tup > flipped else 0 if tup == flipped else -1)
