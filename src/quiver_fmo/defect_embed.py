@@ -148,7 +148,7 @@ def _defect_comparison(ctx: GKLOContext, split: DefectSplit, m, at_zero: bool) -
     keys are distinct and the ring is a domain, so for f != 0 (tilde(f) != 0
     at zero) the comparison holds exactly when it does at f = 1."""
     sub_ctx = _rhs_context(ctx, split, m)
-    rhs = () if sub_ctx is None else _unit_terms(sub_ctx, m, "+")[0]
+    rhs = () if sub_ctx is None else _unit_terms(sub_ctx, m, "+")
     unit = PartialSymPoly(MPoly.one(), m, ctx.v)
     return identity_holds(_defect_lhs(ctx, split, m, unit, at_zero), rhs)
 

@@ -240,13 +240,12 @@ def fmo_value(ctx: GKLOContext, m, f: PartialSymPoly, sign: str) -> RatFunc:
     _fmo_core; otherwise the subset terms are summed.  M^sign_m(0) = 0.
 
     The keyed sum of those terms expands at most len(f) times the f = 1
-    bound of _unit_terms, and so does the core's sum; above the budget the
+    bound of _unit_plan, and so does the core's sum; above the budget the
     subset terms are summed too, and keyed_sum checks its own bound."""
     if f.is_zero():
         return RatFunc.zero()
     if not head_tail_divides(f, ctx.v):
-        _, bound, _ = _unit_terms(ctx, m, sign)
-        if within_budget(len(f.value.terms) * bound):
+        if within_budget(len(f.value.terms) * _unit_plan(ctx, m, sign).bound):
             pairs, lcm = _fmo_core(ctx, m, sign)
             return core_sum(((restrict_to_gamma(f, gamma), num) for gamma, num in pairs),
                             lcm)
@@ -254,26 +253,29 @@ def fmo_value(ctx: GKLOContext, m, f: PartialSymPoly, sign: str) -> RatFunc:
 
 
 @lru_cache(maxsize=1024)
-def _unit_terms(ctx: GKLOContext, m, sign: str):
+def _unit_terms(ctx: GKLOContext, m, sign: str) -> tuple:
     """The subset terms of M^sign_m(1) over ctx, as a tuple of (Gamma,
-    numerator, factored-denominator) triples that callers must not mutate,
-    the bound on their expansion over the lcm of their denominators, and the
-    lcm_plan behind it, which _fmo_core expands; nothing is expanded here."""
-    terms = tuple(_signed_terms(ctx, m, PartialSymPoly(MPoly.one(), m, ctx.v), sign))
-    plan = lcm_plan((num, dfac) for _, num, dfac in terms)
-    return terms, plan.bound, plan
+    numerator, factored-denominator) triples that callers must not mutate."""
+    return tuple(_signed_terms(ctx, m, PartialSymPoly(MPoly.one(), m, ctx.v), sign))
+
+
+@lru_cache(maxsize=1024)
+def _unit_plan(ctx: GKLOContext, m, sign: str):
+    """The lcm_plan of the f = 1 subset terms: the bound on their expansion
+    over the lcm of their denominators, which fmo_value reads, and the plan
+    that _fmo_core expands; nothing is expanded here."""
+    return lcm_plan((num, dfac) for _, num, dfac in _unit_terms(ctx, m, sign))
 
 
 @lru_cache(maxsize=1024)
 def _fmo_core(ctx: GKLOContext, m, sign: str):
     """The f = 1 core of M^sign_m over ctx: the pairs (Gamma, N_Gamma), N_Gamma
     = A_Gamma u_Gamma^{+-1} L / D_Gamma expanded, and the lcm L of the D_Gamma.
-    Expanded by the plan of _unit_terms, whose budget refuses it first."""
-    terms, _, plan = _unit_terms(ctx, m, sign)
-    nums, lcm = over_lcm(plan)
+    Expanded by _unit_plan, whose budget refuses it first."""
+    nums, lcm = over_lcm(_unit_plan(ctx, m, sign))
     # no numerator is zero at f = 1, so the plan keeps them all, in order
     return tuple((gamma, _u_gamma(gamma, 1 if sign == "+" else -1) * num)
-                 for (gamma, _, _), num in zip(terms, nums)), lcm
+                 for (gamma, _, _), num in zip(_unit_terms(ctx, m, sign), nums)), lcm
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +413,8 @@ def _swap_core(ctx: GKLOContext, m) -> bool:
     dressing enters both sides of each one only as the factor f|_Gamma (the
     involution fixes the w's), and the ring is a domain, so for f != 0 it
     holds exactly when it does at f = 1."""
-    iota_terms = transport_terms(_unit_terms(ctx, m, "+")[0], partial(iota_image, ctx))
-    return identity_holds(iota_terms, _unit_terms(ctx, m, "-")[0])
+    iota_terms = transport_terms(_unit_terms(ctx, m, "+"), partial(iota_image, ctx))
+    return identity_holds(iota_terms, _unit_terms(ctx, m, "-"))
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +483,8 @@ def _orientation_core(ctx: GKLOContext, edge_index: int, m):
         loss = [(wv(t, r), wv(s, p)) for p in range(1, ctx.v[s] + 1)] if i == t else ()
         return (linear_product(gain),) + linear_factors(loss)
 
-    flipped = transport_terms(_unit_terms(flipped_ctx, m, "+")[0], transport)
-    original = _unit_terms(ctx, m, "+")[0]
+    flipped = transport_terms(_unit_terms(flipped_ctx, m, "+"), transport)
+    original = _unit_terms(ctx, m, "+")
     if sign < 0:  # flipped = -original: the two sum to zero
         return sign, identity_holds(itertools.chain(flipped, original))
     return sign, identity_holds(flipped, original)

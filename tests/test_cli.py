@@ -13,6 +13,11 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 from quiver_fmo import cli, gklo, multipoly
 from quiver_fmo.cli import EXIT_CLOSED_STDOUT, main
 from quiver_fmo.multipoly import RatFunc
@@ -496,7 +501,8 @@ def test_flat_dressing_sum_is_parsed_without_recursion(capsys):
 @pytest.mark.parametrize("argv", [
     "classify --quiver a2 --w 1,1 --v 4000,4000",
     "verify involution --quiver a2 --w 2,2 --v 3,3 --max-degree 100000",
-    "hilbert --quiver a2 --w 2,2 --v 2,2 --order 60",
+    # 1,252 cuts to order 1000: the path sum alone would take minutes
+    "hilbert --quiver a2 --w 30,30 --v 30,30 --order 1000",
     # the series accumulation is quadratic in the order; v = 0 allocated it
     "hilbert --quiver a1 --w 4 --v 1 --order 100000",
     "hilbert --quiver a1 --w 4 --v 0 --order 1000000",
@@ -594,7 +600,7 @@ AFFINE_D4_ORDER_11_SHA256 = "69ba53da8f577a44ba4dbf0810f930239abcc7d0079d17a630e
 A2_22_ORDER_40_SHA256 = "27e84c53799412ce1afd30c384f753d8595b54fecae6c2cdf092cabc8bc5a159"
 
 
-def _affine_d4_hilbert_sha256(capsys, tmp_path, order):
+def _affine_d4_hilbert(capsys, tmp_path, order):
     path = tmp_path / "affine_d4.json"
     path.write_text(json.dumps({
         "vertices": ["0", "1", "2", "3", "4"],
@@ -603,22 +609,47 @@ def _affine_d4_hilbert_sha256(capsys, tmp_path, order):
     code, out, err = run(capsys, "hilbert", "--quiver", str(path), "--w", "2,0,0,0,0",
                          "--v", "2,1,1,1,1", "--order", str(order), "--json")
     assert (code, err) == (0, "")
+    return out
+
+
+def _a2_hilbert(capsys, order):
+    code, out, err = run(capsys, "hilbert", "--quiver", "a2", "--w", "2,2", "--v", "2,2",
+                         "--order", str(order), "--json")
+    assert (code, err) == (0, "")
+    return out
+
+
+def _sha256(out):
     return hashlib.sha256(out.encode()).hexdigest()
 
 
 def test_affine_d4_hilbert_golden(capsys, tmp_path):
-    assert _affine_d4_hilbert_sha256(capsys, tmp_path, 10) == AFFINE_D4_ORDER_10_SHA256
+    assert _sha256(_affine_d4_hilbert(capsys, tmp_path, 10)) == AFFINE_D4_ORDER_10_SHA256
 
 
 def test_affine_d4_hilbert_order_11_golden(capsys, tmp_path):
-    assert _affine_d4_hilbert_sha256(capsys, tmp_path, 11) == AFFINE_D4_ORDER_11_SHA256
+    assert _sha256(_affine_d4_hilbert(capsys, tmp_path, 11)) == AFFINE_D4_ORDER_11_SHA256
 
 
 def test_a2_hilbert_order_40_golden(capsys):
-    code, out, err = run(capsys, "hilbert", "--quiver", "a2", "--w", "2,2", "--v", "2,2",
-                         "--order", "40", "--json")
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == A2_22_ORDER_40_SHA256
+    assert _sha256(_a2_hilbert(capsys, 40)) == A2_22_ORDER_40_SHA256
+
+
+# both orders were refused by the shell-point pre-count that preceded the
+# cut budget
+@pytest.mark.parametrize("quiver,golden,order", [("a2", 40, 60), ("affine_d4", 11, 20)])
+def test_higher_order_hilbert_extends_the_pinned_golden(capsys, tmp_path, quiver, golden,
+                                                        order):
+    def at(n):
+        return _a2_hilbert(capsys, n) if quiver == "a2" else _affine_d4_hilbert(
+            capsys, tmp_path, n)
+
+    short = at(golden)
+    assert _sha256(short) == {"a2": A2_22_ORDER_40_SHA256,
+                              "affine_d4": AFFINE_D4_ORDER_11_SHA256}[quiver]
+    longer = json.loads(at(order))
+    assert longer["order"] == order and len(longer["coeffs"]) == order + 1
+    assert longer["coeffs"][:golden + 1] == json.loads(short)["coeffs"]
 
 
 REGISTRATION_SCRIPT = """
@@ -761,6 +792,35 @@ def test_closed_stdout_exits_quietly_with_its_own_code(argv, lines):
     assert proc.wait(timeout=60) == EXIT_CLOSED_STDOUT
     assert err == b""
     assert head == [b"{\n", b'  "all_hold": true,\n'][:lines]
+
+
+def _one_gigabyte_address_space():
+    # runs in the child between fork and exec; the limit is the child's own
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"),
+                    reason="no RLIMIT_AS here to cap the child's address space")
+@pytest.mark.parametrize("argv,code", [
+    # the shell-point pre-count that preceded the cut budget ran out of
+    # memory here and crashed with a traceback
+    ("hilbert --quiver a1 --w 120 --v 60 --order 200 --json", 0),
+    ("hilbert --quiver a2 --w 30,30 --v 30,30 --order 1000 --json", 2),
+])
+def test_hilbert_under_a_memory_cap_computes_or_refuses(argv, code):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "quiver_fmo.cli", *argv.split()],
+                          capture_output=True, text=True, env=env, timeout=60,
+                          preexec_fn=_one_gigabyte_address_space)
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert proc.stderr == "" and len(json.loads(proc.stdout)["coeffs"]) == 201
+    else:
+        assert elapsed < 1.0 and proc.stdout == ""
+        assert proc.stderr.startswith("refused: ") and proc.stderr.count("\n") == 1
 
 
 json_scalars = (st.none() | st.booleans() | st.integers()

@@ -301,23 +301,26 @@ def test_hilbert_refuses_bad():
 def test_hilbert_budget(monkeypatch):
     import quiver_fmo.monopole_hilbert as mh
 
-    monkeypatch.setattr(mh, "POINT_BUDGET", 3)
+    monkeypatch.setattr(mh, "PATH_BUDGET", 3)
     ctx = make_context(affine_sl2_quiver(), (1, 0), (2, 2))
     with pytest.raises(EnumerationBudgetError):
         hilbert_series(ctx, 10)
 
 
 def test_hilbert_budget_checked_before_any_point(monkeypatch):
+    # the cuts are read first, since the budget counts them; no shell point
+    # is counted and no series is built
     import quiver_fmo.monopole_hilbert as mh
 
     def evaluated(*args):
-        raise AssertionError("a degree or a series was computed")
+        raise AssertionError("a shell point was counted or a series computed")
 
-    for name in ("two_delta_general", "ray_degree", "_cuts", "_path_sum", "_block_step"):
+    for name in ("two_delta_general", "_decreasing_tuples", "compositions", "_path_sum",
+                 "_block_step", "TruncSeries"):
         monkeypatch.setattr(mh, name, evaluated)
-    monkeypatch.setattr(mh, "POINT_BUDGET", 3)
+    monkeypatch.setattr(mh, "PATH_BUDGET", 3)
     ctx = make_context(affine_sl2_quiver(), (1, 0), (2, 2))
-    with pytest.raises(EnumerationBudgetError, match="more than 3 shell points"):
+    with pytest.raises(EnumerationBudgetError, match="could take [0-9]+ steps, more than 3"):
         hilbert_series(ctx, 10)
 
 
@@ -460,13 +463,18 @@ def test_ray_degree_is_two_delta_of_the_cut_coweight(tmp_path, name, w, v):
     from quiver_fmo.monopole_hilbert import _cuts
 
     ctx = make_context(_grouped_case_quiver(name, tmp_path), w, v)
-    cuts = _cuts(ctx, sum(v))
+    cuts = _cuts(ctx, sum(v), 10 ** 6)
     box = list(itertools.product(*(range(vi + 1) for vi in v)))
     # every cut but the first (0; z = 0) and the last (v; z = 1)
     assert sorted((k, z) for k, z, _ in cuts) == sorted(
         {(k, z) for k in box for z in (0, 1)} - {(tuple(0 for _ in v), 0), (tuple(v), 1)})
     for k, z, degree in cuts:
         assert degree == two_delta_general(ctx, ray(v, k, z)), (k, z)
+    # in order of size, and an order bound keeps the cuts of degree <= order
+    sizes = [sum(k) + z for k, z, _ in cuts]
+    assert sizes == sorted(sizes)
+    for order in range(6):
+        assert _cuts(ctx, sum(v), order) == [cut for cut in cuts if cut[2] <= order], order
 
 
 # the bound leaves cuts out at a1 order 3, a2 order 3 and affine_sl2 order 1
@@ -495,10 +503,6 @@ def test_path_sum_visits_only_cuts_within_the_norm_bound(monkeypatch, quiver, w,
     monkeypatch.setattr(mh, "ray_degree", counted)
     assert hilbert_series(ctx, order) == hilbert_series_by_points(ctx, order)
     assert sorted(seen) == within
-    # two cuts per u, no more than the pre-counted points (the zero coweight
-    # is a point but no inner cut)
-    points = sum(len(dominant_shell(v, norm)) for norm in range(max_norm + 1))
-    assert 2 * len(seen) < points
 
 
 def test_non_positive_ray_degree_raises_internal_error(monkeypatch):
@@ -507,7 +511,7 @@ def test_non_positive_ray_degree_raises_internal_error(monkeypatch):
     import quiver_fmo.monopole_hilbert as mh
 
     with pytest.raises(InternalError, match="ray degree 0 at u=\\(1,\\)"):
-        mh._cuts(make_context(a1_quiver(), (2,), (2,)), 2)
+        mh._cuts(make_context(a1_quiver(), (2,), (2,)), 2, 2)
     ctx = make_context(a1_quiver(), (2,), (1,))
     monkeypatch.setattr(mh, "box_scan", lambda d, C: BoxScan(2, (1,), Fraction(1)))
     monkeypatch.setattr(mh, "ray_degree", lambda pairing, C, u: 0)

@@ -115,6 +115,26 @@ def test_oracle_routes_stay_out_of_the_library():
     assert not found, found
 
 
+# the Hilbert series oracles, which enumerate dominant coweights one by one:
+# each maps to the only functions that may call it, the oracles themselves
+HILBERT_ORACLE_CALLERS = {
+    "_decreasing_tuples": {"_decreasing_tuples", "dominant_shell"},
+    "dominant_shell": set(),
+    "two_delta_general": set(),
+    "stabilizer_poincare": set(),
+    "geometric": {"stabilizer_poincare"},
+}
+
+
+def test_no_library_route_calls_a_hilbert_oracle():
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("**/*.py")):
+        for function, name, line, _ in _calls(ast.parse(path.read_text(), filename=str(path))):
+            if name in HILBERT_ORACLE_CALLERS and function not in HILBERT_ORACLE_CALLERS[name]:
+                found.append("%s:%d %s calls %s" % (path.name, line, function, name))
+    assert not found, found
+
+
 def test_only_multipoly_calls_the_ratfunc_constructor():
     # RatFunc(num, dfac) trusts its arguments to be canonical; every other
     # module builds through make, from_poly or ratfunc_sum, which establish

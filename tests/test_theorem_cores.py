@@ -156,7 +156,7 @@ def test_fmo_core_matches_the_per_f_oracle(case, sign):
 
 
 def test_fmo_core_expands_the_f1_terms_as_over_lcm_does():
-    # the core expands the plan that _unit_terms made for its bound; a fresh
+    # the core expands the plan that _unit_plan made for its bound; a fresh
     # plan of the u-keyed f = 1 terms gives the same numerators and lcm
     checked = 0
     for quiver, w, v in THEORIES:
@@ -205,7 +205,7 @@ def test_dressing_over_the_core_budget_sums_its_own_terms(monkeypatch, sign):
     m = (1, 1)
     f = PartialSymPoly.make(parse_poly("w[1,1]+w[1,2]+w[2,1]+w[2,2]"), m, ctx.v)
     expected = fmo_value_per_f(ctx, m, f, sign)
-    assert len(f.value.terms) * gklo._unit_terms(ctx, m, sign)[1] == 48
+    assert len(f.value.terms) * gklo._unit_plan(ctx, m, sign).bound == 48
 
     def no_core(*args):
         raise AssertionError("the f = 1 core was read")
@@ -382,6 +382,19 @@ def test_failing_tail_zero_identity_matches_the_per_f_oracle(monkeypatch):
             else:
                 seen[rep.holds] += 1
     assert seen[False] > 20 and seen[True] > 20 and seen["vanishing"] > 20, seen
+
+
+def test_orientation_verdicts_build_no_lcm_plan(capsys, monkeypatch):
+    # the orientation verdicts read the f = 1 subset terms, never the plan
+    # that only the printed values' bound and core expansion need
+    def planned(terms):
+        raise AssertionError("an lcm plan was built")
+
+    monkeypatch.setattr(gklo, "lcm_plan", planned)
+    code, out, err = run(capsys, "verify", "orientation", "--quiver", "a2", "--w", "2,2",
+                         "--v", "3,3", "--json")
+    assert (code, err) == (0, "") and json.loads(out)["all_hold"] is True
+    assert gklo._unit_terms.cache_info().misses > 0
 
 
 @pytest.mark.parametrize("argv,routes", [
