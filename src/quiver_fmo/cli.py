@@ -1,6 +1,11 @@
 """Command-line interface: classification, monopole operators, Hilbert
 series, and the theorem-verification sweeps, with deterministic JSON output.
 
+The grammar is written once, in GRAMMAR.  A well-formed command line is read
+from it directly; the argparse tree built from it is used only for help,
+the other accepted spellings (abbreviations, ``--x=y``, repeats) and usage
+errors, whose text and exit codes are argparse's.
+
 Exit codes: 0 all checks pass, 1 a verification failed, 2 bad input, an
 unsatisfied precondition or an enumeration over its point budget, 3 internal
 inconsistency (a theorem-level check the library itself guarantees came out
@@ -418,51 +423,119 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# The command-line grammar, read by build_parser and by _read_argv: for each
+# command the function it runs, its help, the choices of its subject (None
+# for no subject) and its long options as (flag, required, kind, help), where
+# kind is str, int, bool for a flag, or a tuple of choices.
+COMMON_OPTIONS = (
+    ("--quiver", True, str, "path to a quiver JSON file, or one of: %s"
+     % ", ".join(sorted(BUILTIN_QUIVERS))),
+    ("--w", True, str, "framing vector, comma-separated"),
+    ("--v", True, str, "gauge vector, comma-separated"),
+    ("--json", False, bool, "emit JSON"),
+)
+GRAMMAR = {
+    "classify": (cmd_classify, "conicity / goodness / affine level", None,
+                 COMMON_OPTIONS),
+    "fmo": (cmd_fmo, "one dressed monopole operator in coordinates", None,
+            COMMON_OPTIONS + (
+                ("--m", False, str, "monopole charge, comma-separated"),
+                ("--f", False, str, "dressing polynomial, e.g. 'w[1,1]^2 + w[1,2]'"),
+                ("--sign", False, ("+", "-"), None))),
+    "hilbert": (cmd_hilbert, "truncated monopole-formula Hilbert series", None,
+                COMMON_OPTIONS + (("--order", True, int, None),)),
+    "verify": (cmd_verify, "symbolic verification sweeps", tuple(sorted(VERIFY_SUBJECTS)),
+               COMMON_OPTIONS + (
+                   ("--vprime", False, str, "target gauge vector, comma-separated"),
+                   ("--m", False, str, "restrict the sweep to one monopole charge"),
+                   ("--f", False, str, "restrict the sweep to one dressing"),
+                   ("--sign", False, ("+", "-"), None),
+                   ("--max-degree", False, int,
+                    "dressing-basis degree bound for sweeps (default 2)"))),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quiver-fmo",
         description="Exact monopole-operator computations for quiver gauge theories.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--quiver", required=True,
-                       help="path to a quiver JSON file, or one of: %s"
-                       % ", ".join(sorted(BUILTIN_QUIVERS)))
-        p.add_argument("--w", required=True, help="framing vector, comma-separated")
-        p.add_argument("--v", required=True, help="gauge vector, comma-separated")
-        p.add_argument("--json", action="store_true", help="emit JSON")
-
-    p = sub.add_parser("classify", help="conicity / goodness / affine level")
-    common(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("fmo", help="one dressed monopole operator in coordinates")
-    common(p)
-    p.add_argument("--m", help="monopole charge, comma-separated")
-    p.add_argument("--f", help="dressing polynomial, e.g. 'w[1,1]^2 + w[1,2]'")
-    p.add_argument("--sign", choices=["+", "-"])
-    p.set_defaults(func=cmd_fmo)
-
-    p = sub.add_parser("hilbert", help="truncated monopole-formula Hilbert series")
-    common(p)
-    p.add_argument("--order", type=int, required=True)
-    p.set_defaults(func=cmd_hilbert)
-
-    p = sub.add_parser("verify", help="symbolic verification sweeps")
-    p.add_argument("subject", choices=sorted(VERIFY_SUBJECTS))
-    common(p)
-    p.add_argument("--vprime", help="target gauge vector, comma-separated")
-    p.add_argument("--m", help="restrict the sweep to one monopole charge")
-    p.add_argument("--f", help="restrict the sweep to one dressing")
-    p.add_argument("--sign", choices=["+", "-"])
-    p.add_argument("--max-degree", type=int,
-                   help="dressing-basis degree bound for sweeps (default 2)")
-    p.set_defaults(func=cmd_verify)
+    for command, (func, summary, subjects, options) in GRAMMAR.items():
+        p = sub.add_parser(command, help=summary)
+        if subjects is not None:
+            p.add_argument("subject", choices=subjects)
+        for flag, required, kind, text in options:
+            if kind is bool:
+                p.add_argument(flag, action="store_true", help=text)
+            else:
+                p.add_argument(flag, required=required, help=text,
+                               type=int if kind is int else None,
+                               choices=kind if isinstance(kind, tuple) else None)
+        p.set_defaults(func=func)
     return parser
 
 
+def _read_argv(argv):
+    """The namespace build_parser().parse_args(argv) gives, read directly
+    from a line of the form ``command [subject] (--option value | --json)*``
+    with each option by its exact long name and at most once, and each value
+    either ``-`` or not starting with ``-``; None for any other line, which
+    argparse then reads (help, abbreviations, ``--x=y``, usage errors)."""
+    if not argv or argv[0] not in GRAMMAR:
+        return None
+    func, _, subjects, options = GRAMMAR[argv[0]]
+    values = {"command": argv[0], "func": func}
+    k = 1
+    if subjects is not None:
+        if len(argv) < 2 or argv[1] not in subjects:
+            return None
+        values["subject"] = argv[1]
+        k = 2
+    kinds = {}
+    for flag, _, kind, _ in options:
+        dest = flag[2:].replace("-", "_")
+        kinds[flag] = dest, kind
+        values[dest] = False if kind is bool else None
+    seen = set()
+    while k < len(argv):
+        flag = argv[k]
+        if flag not in kinds or flag in seen:
+            return None
+        seen.add(flag)
+        dest, kind = kinds[flag]
+        if kind is bool:
+            values[dest] = True
+            k += 1
+            continue
+        if k + 1 == len(argv):
+            return None
+        value = argv[k + 1]
+        if value.startswith("-") and value != "-":
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif isinstance(kind, tuple) and value not in kind:
+            return None
+        values[dest] = value
+        k += 2
+    if any(required and flag not in seen for flag, required, _, _ in options):
+        return None
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line (sys.argv[1:] when argv is None) and return its
+    exit code.  A well-formed line is read from GRAMMAR by _read_argv; the
+    argparse tree is built only for the rest, so help, abbreviations and
+    usage errors keep argparse's text and exit code."""
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         for name in ("order", "max_degree"):
             value = getattr(args, name, None)

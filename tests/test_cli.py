@@ -8,6 +8,8 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
@@ -839,3 +841,142 @@ json_values = st.recursive(
           "empty": [{}, [], (), ""], "": {"nested": {"a": [[], {}]}}})
 def test_json_writer_matches_json_dumps(value):
     assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+# the token alphabet of the reader's equivalence test: near-miss commands and
+# subjects, every long option with the spellings only argparse reads, and
+# values that argparse classifies in different ways
+READER_COMMANDS = [*cli.GRAMMAR, "verif", "bogus"]
+READER_SUBJECTS = [*cli.VERIFY_SUBJECTS, "restrict"]
+READER_OPTIONS = sorted({flag for _, _, _, options in cli.GRAMMAR.values()
+                         for flag, _, _, _ in options}) + [
+    "--ord", "--max", "--max_degree", "--order=3", "--w=2", "--sign=+", "-h", "--", "--bogus"]
+READER_VALUES = ["", "-", "-5", "-w[1,1]", "- 1", " 5", "5_0", "+", "x", "2", "2,2", "a1"]
+
+
+@st.composite
+def command_lines(draw):
+    """A command, a subject for verify and now and then for the others, the
+    command's required options in among a few others (mostly its own), each
+    with a value (--json only now and then), and now and then one stray
+    token."""
+    argv = [draw(st.sampled_from(READER_COMMANDS))]
+    if argv[0] == "verify" or draw(st.integers(0, 9)) == 0:
+        argv.append(draw(st.sampled_from(READER_SUBJECTS)))
+    own = cli.GRAMMAR[argv[0]][3] if argv[0] in cli.GRAMMAR else ()
+    options = [flag for flag, required, _, _ in own if required] or ["--quiver", "--w", "--v"]
+    extra = st.sampled_from([flag for flag, _, _, _ in own] or READER_OPTIONS)
+    options += draw(st.lists(extra | st.sampled_from(READER_OPTIONS), max_size=4))
+    for option in draw(st.permutations(options)):
+        argv.append(option)
+        if option != "--json" or draw(st.integers(0, 9)) == 0:
+            argv.append(draw(st.sampled_from(["1", "2,2", "+"]) | st.sampled_from(READER_VALUES)))
+    if draw(st.integers(0, 4)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))),
+                    draw(st.sampled_from(READER_SUBJECTS + READER_OPTIONS + READER_VALUES)))
+    return argv
+
+
+def _argparse_namespace(argv):
+    """build_parser().parse_args(argv), or None where argparse exits."""
+    with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+        try:
+            return cli.build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+@example(["hilbert", "--quiver", "a2", "--w", "2,2", "--v", "2,2", "--order", " 5", "--json"])
+@example(["fmo", "--m", "1", "--quiver", "a1", "--w", "2", "--v", "2", "--sign", "-"])
+@example(["verify", "involution", "--quiver", "a1", "--w", "2", "--v", "", "--max-degree", "5_0"])
+def test_direct_reader_gives_argparse_namespace_or_declines(argv):
+    read = cli._read_argv(argv)
+    if read is not None:
+        assert read == _argparse_namespace(argv), argv
+
+
+def test_direct_reader_accepts_every_table_op():
+    ops = json.loads((Path(__file__).resolve().parent.parent / "bench"
+                      / "table.json").read_text())["ops"]
+    parser = cli.build_parser()
+    for op in ops:
+        read = cli._read_argv(op.split())
+        assert read is not None and read == parser.parse_args(op.split()), op
+
+
+def _main_bytes(argv):
+    """(stdout, stderr, exit code) of main(argv) in-process, where an argparse
+    exit gives ("exit", its code)."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+    return out.getvalue(), err.getvalue(), code
+
+
+# lines outside the reader's form: argparse reads, or refuses, every one
+DECLINED_LINES = [
+    "", "-h", "--help", "hilbert -h", "verify --help", "verify restriction -h",
+    "hilbert --quiver a1 --w 2 --v 1 --ord 3 --json",
+    "hilbert --quiver a1 --w 2 --v 1 --order=3 --json",
+    "hilbert --quiver a1 --w 2 --v 1 --order 3 --order 4 --json",
+    "verify --quiver a1 --w 2 --v 1 d-identity --json",
+    "fmo --quiver a1 --w 2 --v 2 --m -1 --json",
+    "fmo --quiver a1 --w 2 --v 2 --m 1 --f -w[1,1] --json",
+    "hilbert --quiver a1 --w 2 --v 1 --order -3",
+    "hilbert --quiver a1 --w 2 --v 1 --order x",
+    "hilbert --quiver a1 --w 2 --v 1",
+    "verify bogus --quiver a1 --w 2 --v 1",
+    "fmo --quiver a1 --w 2 --v 1 --sign x",
+    "bogus --quiver a1",
+    "classify --quiver a1 --w 2 --v 1 --bogus",
+    "classify --quiver a1 --w 2 --v 1 -- --json",
+    "verify involution --quiver a1 --w 2 --v 1 --max_degree 1 --json",
+]
+
+
+@pytest.mark.parametrize("line", DECLINED_LINES)
+def test_declined_lines_keep_the_argparse_bytes(monkeypatch, line):
+    argv = line.split()
+    assert cli._read_argv(argv) is None
+    direct = _main_bytes(argv)
+    monkeypatch.setattr(cli, "_read_argv", lambda argv: None)
+    assert _main_bytes(argv) == direct
+
+
+def test_module_run_reads_sys_argv_like_main():
+    argv = "hilbert --quiver a2 --w 2,2 --v 2,2 --order 10 --json".split()
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "quiver_fmo.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.stdout, proc.stderr, proc.returncode) == _main_bytes(argv)
+
+
+def _cheapest_table_op_per_route():
+    """The table op of least recorded cost for each command and each verify
+    subject, with its stdout sha256 and exit code."""
+    ops = json.loads((Path(__file__).resolve().parent.parent / "bench"
+                      / "table.json").read_text())["ops"]
+    cheapest = {}
+    for op, row in sorted(ops.items(), key=lambda item: (item[1]["cost_s"], item[0])):
+        argv = op.split()
+        cheapest.setdefault(tuple(argv[:2] if argv[0] == "verify" else argv[:1]),
+                            (argv, row["sha256"], row["exit"]))
+    return list(cheapest.values())
+
+
+def test_well_formed_lines_build_no_parser(capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("the argparse tree was built")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    ops = _cheapest_table_op_per_route()
+    assert len(ops) == 3 + len(cli.VERIFY_SUBJECTS)
+    for argv, sha, exit_code in ops:
+        code, out, err = run(capsys, *argv)
+        assert (hashlib.sha256(out.encode()).hexdigest(), code, err) == (sha, exit_code, ""), argv

@@ -22,6 +22,7 @@ from quiver_fmo.quiver import (
     cartan_matrix,
     two_delta_minuscule,
 )
+from quiver_fmo.defect_embed import slice_target_context
 from quiver_fmo.gklo import InternalError, make_context
 from quiver_fmo.km_embedding import omega
 from quiver_fmo.monopole_hilbert import (
@@ -555,3 +556,33 @@ def test_mirror_is_an_involution_keeping_degree_and_block_type(tmp_path, name, w
             assert mirror(image) == gamma
             assert two_delta_general(ctx, image) == two_delta_general(ctx, gamma), gamma
             assert block_type(image) == block_type(gamma), gamma
+
+
+def test_slice_restriction_target_series_is_dominated_by_the_source():
+    """Restriction to the smaller slice (framing w - C v'', gauge v' < v) is
+    a surjection of coordinate rings, so if it respects the grading the
+    target's Hilbert series is at most the source's in every degree.  This
+    checks that necessary condition for a graded surjection at order 12 over
+    a1, a2 and affine_sl2 with 0 <= w, v <= 3, on every admissible v' whose
+    source and target are both good; it does not prove surjectivity."""
+    pairs = 0
+    for make in (a1_quiver, a2_quiver, affine_sl2_quiver):
+        quiver = make()
+        for w, v in itertools.product(itertools.product(range(4), repeat=quiver.n), repeat=2):
+            ctx = make_context(quiver, w, v)
+            if classify_theory(ctx).kind != "good":
+                continue
+            source = hilbert_series(ctx, 12).coeffs
+            for v_prime in itertools.product(*(range(vi + 1) for vi in v)):
+                if v_prime == v:
+                    continue
+                try:
+                    target_ctx = slice_target_context(ctx, v_prime)
+                except ValueError:
+                    continue
+                if classify_theory(target_ctx).kind != "good":
+                    continue
+                target = hilbert_series(target_ctx, 12).coeffs
+                assert all(t <= s for t, s in zip(target, source)), (quiver, w, v, v_prime)
+                pairs += 1
+    assert pairs == 434
