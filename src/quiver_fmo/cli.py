@@ -107,18 +107,42 @@ def _ratfunc_json(value: RatFunc):
 
 def _json_text(report) -> str:
     """json.dumps(report, sort_keys=True, indent=2), written directly for a
-    report of dicts with str keys, lists, str, int, bool and None."""
+    report of dicts with str keys, lists, tuples, str, int, bool, None and
+    RatFunc values, a RatFunc written as _ratfunc_json's object.
+
+    Each RatFunc and each tuple is written once per indent in one report.
+    A RatFunc is keyed by value, since equal ones print alike; a tuple by
+    identity, since (1,) == (True,) print apart, and its key puts the
+    indent first, so it never compares equal to a RatFunc's key."""
     out = []
-    _json_into(out, report, "\n")
+    _json_into(out, report, "\n", {})
     return "".join(out)
 
 
-def _json_into(out, value, newline):
+def _json_into(out, value, newline, memo):
     """Append the text of value to out; newline is the line break and the
-    indent in front of value's closing bracket."""
-    if type(value) is str:
+    indent in front of value's closing bracket, and memo holds the texts of
+    the report's RatFuncs and tuples written so far."""
+    kind = type(value)
+    if kind is str:
         out.append(encode_basestring_ascii(value))
         return
+    if kind is RatFunc or kind is tuple:
+        key = (value, newline) if kind is RatFunc else (newline, id(value))
+        text = memo.get(key)
+        if text is None:
+            piece = []
+            _json_value(piece, _ratfunc_json(value) if kind is RatFunc else value,
+                        newline, memo)
+            text = memo[key] = "".join(piece)
+        out.append(text)
+        return
+    _json_value(out, value, newline, memo)
+
+
+def _json_value(out, value, newline, memo):
+    """_json_into for a value that is not a str, RatFunc or tuple, or for a
+    tuple or the object of a RatFunc whose text is not yet in memo."""
     inner = newline + "  "
     if isinstance(value, dict):
         if not value:
@@ -131,7 +155,7 @@ def _json_into(out, value, newline):
                 out.append(head + encode_basestring_ascii(val))
             else:
                 out.append(head)
-                _json_into(out, val, inner)
+                _json_into(out, val, inner, memo)
             sep = "," + inner
         out.append(newline + "}")
     elif isinstance(value, (list, tuple)):
@@ -141,7 +165,7 @@ def _json_into(out, value, newline):
         sep = "[" + inner
         for val in value:
             out.append(sep)
-            _json_into(out, val, inner)
+            _json_into(out, val, inner, memo)
             sep = "," + inner
         out.append(newline + "]")
     elif value is None:
@@ -168,15 +192,17 @@ def _emit_human(report, indent=""):
     if isinstance(report, dict):
         for k in sorted(report):
             val = report[k]
-            if isinstance(val, (dict, list)):
+            if isinstance(val, RatFunc):
+                val = _ratfunc_json(val)
+            if isinstance(val, (dict, list, tuple)):
                 print("%s%s:" % (indent, k))
                 _emit_human(val, indent + "  ")
             else:
                 print("%s%s: %s" % (indent, k, val))
-    elif isinstance(report, list):
+    elif isinstance(report, (list, tuple)):
         for item in report:
             _emit_human(item, indent)
-            if isinstance(item, (dict, list)):
+            if isinstance(item, (dict, list, tuple)):
                 print("%s--" % indent)
     else:
         print("%s%s" % (indent, report))
@@ -310,12 +336,10 @@ def _cases(args, ctx, signed: bool):
 
 def _case(m, f, sign, **fields):
     """One case row: the charge, the dressing, the sign when there is one,
-    and the given fields with every RatFunc rendered."""
-    row = {"m": list(m), "f": poly_text(f.value)}
+    and the given fields; _json_text renders the RatFunc values."""
+    row = {"m": m, "f": poly_text(f.value), **fields}
     if sign is not None:
         row["sign"] = sign
-    for key, val in fields.items():
-        row[key] = _ratfunc_json(val) if isinstance(val, RatFunc) else val
     return row
 
 
@@ -371,7 +395,7 @@ def _verify_km(args, ctx):
             yield _case(m, f, sign, skipped="conicity fails: %s" % exc)
             continue
         stages = [{"stage": st.stage,
-                   "gamma": [list(t) for t in st.mmo.gamma] if st.mmo else None,
+                   "gamma": st.mmo.gamma if st.mmo else None,
                    "dressing": ratfunc_text(st.mmo.dressing) if st.mmo else "0",
                    "factor": st.factor}
                   for st in rep.states]

@@ -197,8 +197,13 @@ def restrict_fmo_slice(ctx: GKLOContext, v_prime, m, f, sign: str) -> RatFunc:
     f = as_dressing(ctx, m, f)
     if any(mi > vp for mi, vp in zip(m, v_prime)):
         return localized(RatFunc.zero(), FMO_RING[sign])
-    target = slice_target_context(ctx, v_prime)
-    return fmo(target, m, tilde(f, v_prime), sign)
+    return restricted_fmo(ctx, tilde(f, v_prime), sign)
+
+
+def restricted_fmo(ctx: GKLOContext, f_tilde: PartialSymPoly, sign: str) -> RatFunc:
+    """restrict_fmo_slice for m <= v', read from the restricted dressing
+    f_tilde = tilde(f, v'): M^sign_m(f_tilde) over the target slice."""
+    return fmo(slice_target_context(ctx, f_tilde.v), f_tilde.m, f_tilde, sign)
 
 
 def _tail_zero_term(num: MPoly, dfac: dict, split: DefectSplit):
@@ -236,7 +241,7 @@ def verify_restriction(ctx: GKLOContext, v_prime, m, f, sign: str) -> VerifyRepo
     holds = f_tilde.is_zero() or _plus_restriction_route(ctx, v_prime, m)
     split = DefectSplit.make(ctx.v, v_prime)
     route_terms = () if holds else _defect_lhs(ctx, split, m, f, True)
-    rhs = restrict_fmo_slice(ctx, v_prime, m, f, sign)
+    rhs = restricted_fmo(ctx, f_tilde, sign)
     if sign == "+":
         return VerifyReport(holds, rhs if holds else terms_value(route_terms, 1), rhs)
 

@@ -8,6 +8,7 @@ serve as cross-checks in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .multipoly import (
     MPoly,
@@ -20,7 +21,12 @@ from .multipoly import (
 )
 from .quiver import DimData, check_conicity
 from .gklo import GKLOContext, as_dressing, fmo, fmo_sign
-from .defect_embed import DefectSplit, restrict_fmo_slice, slice_target_context
+from .defect_embed import (
+    DefectSplit,
+    restrict_fmo_slice,
+    restricted_fmo,
+    slice_target_context,
+)
 
 
 class ConicityError(ValueError):
@@ -213,8 +219,45 @@ class ChainReport:
     states: tuple
 
 
+@lru_cache(maxsize=1024)
+def _chain_plan(ctx: GKLOContext, split: DefectSplit, m, sign: str) -> tuple:
+    """The chain's states on the f = 1 dressing of charge m.  Every stage
+    factor (the split's head powers, the Fourier signs, the forget factor)
+    reads only (split, m, sign), so this is the stage work of every
+    dressing; raises ConicityError, uncached, when the split is not conical."""
+    states = [split_and_project(ctx, split, m, PartialSymPoly(MPoly.one(), m, ctx.v), sign)]
+    states.append(fourier_step(ctx, states[-1], 1))
+    states.append(fourier_step(ctx, states[-1], 2))
+    states.append(forget_matter_step(ctx, states[-1]))
+    return tuple(states)
+
+
+def _scaled_states(plan: tuple, scale: RatFunc) -> tuple:
+    """The plan's states with every dressing times scale, in canonical form,
+    checked.  The Fourier steps only change signs, so each f = 1 dressing
+    that equals an earlier one up to sign reuses that one's product."""
+    products = {}
+    states = []
+    for st in plan:
+        unit = st.mmo.dressing
+        value = products.get(unit)
+        if value is None:
+            value = products[unit] = unit * scale
+            products[-unit] = -value
+        new = ChainState(st.stage, DressedMMO(st.mmo.gamma, value), st.v_prime,
+                         st.v_dprime, st.factor)
+        _check_stage_denominator(new)
+        states.append(new)
+    return tuple(states)
+
+
 def compose_embedding(ctx: GKLOContext, split: DefectSplit, m, f, sign: str) -> ChainReport:
     """Run the whole chain and compare with the direct slice restriction.
+
+    The chain runs on the input dressing f0 (f, with the sign of fmo_sign
+    for M^-).  Its stages run once per (split, m, sign), on f0 = 1
+    (_chain_plan), and each stage's dressing at f0 is its dressing at
+    f0 = 1 times tilde(f0), which is tilde(f) up to that sign.
 
     The chain ends in M^sign_m(g) over the target slice, g the final
     dressing (with the sign of fmo_sign for M^-), and the restriction is
@@ -224,24 +267,22 @@ def compose_embedding(ctx: GKLOContext, split: DefectSplit, m, f, sign: str) -> 
     exactly when g = tilde(f), and M^sign_m(g) is built only when not."""
     m = tuple(m)
     f = as_dressing(ctx, m, f)
-    if sign == "-":
-        f0 = PartialSymPoly(-f.value if fmo_sign(ctx, m) else f.value, m, ctx.v)
-    else:
-        f0 = f
-    states = [split_and_project(ctx, split, m, f0, sign)]
-    states.append(fourier_step(ctx, states[-1], 1))
-    states.append(fourier_step(ctx, states[-1], 2))
-    states.append(forget_matter_step(ctx, states[-1]))
+    plan = _chain_plan(ctx, split, m, sign)
+    if plan[-1].mmo is None:  # m > v': both sides are zero
+        expected = restrict_fmo_slice(ctx, split.v_prime, m, f, sign)
+        return ChainReport(expected, expected, True, plan)
+    f_tilde = tilde(f, split.v_prime)
+    f0 = -f_tilde.value if sign == "-" and fmo_sign(ctx, m) else f_tilde.value
+    states = _scaled_states(plan, RatFunc.from_poly(f0))
+    final = states[-1].mmo.dressing
+    if not final.is_poly():
+        raise ValueError("chain ended with a non-polynomial dressing: %r" % final)
+    g = final.as_poly()
     target = slice_target_context(ctx, split.v_prime)
-    final = states[-1].mmo
-    matches = final is None  # m > v': both sides are zero
-    if not matches:
-        if not final.dressing.is_poly():
-            raise ValueError("chain ended with a non-polynomial dressing: %r" % final.dressing)
-        g = final.dressing.as_poly()
-        if sign == "-" and fmo_sign(target, m):
-            g = -g
-        matches = g == tilde(f, split.v_prime).value
-    result = None if matches else fmo(target, m, PartialSymPoly.make(g, m, target.v), sign)
-    expected = restrict_fmo_slice(ctx, split.v_prime, m, f, sign)
-    return ChainReport(expected if matches else result, expected, matches, tuple(states))
+    if sign == "-" and fmo_sign(target, m):
+        g = -g
+    expected = restricted_fmo(ctx, f_tilde, sign)
+    if g == f_tilde.value:
+        return ChainReport(expected, expected, True, states)
+    result = fmo(target, m, PartialSymPoly.make(g, m, target.v), sign)
+    return ChainReport(result, expected, False, states)

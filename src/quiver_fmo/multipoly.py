@@ -855,12 +855,68 @@ def power_factors(var, exp: int) -> dict:
     return {("var", var): exp} if exp else {}
 
 
+# The fewest variables whose Vandermonde product _vandermonde expands faster
+# than one form at a time (measured: 4 variables take 16 against 39 us, 3
+# take 7 against 5 us)
+_VANDERMONDE_MIN = 4
+
+
+def _vandermonde_blocks(dfac: dict) -> list:
+    """The vertices whose forms x_a - x_b in dfac are all the pairs of at
+    least _VANDERMONDE_MIN variables, each once, as the sorted list of each
+    one's variables."""
+    if len(dfac) < _VANDERMONDE_MIN * (_VANDERMONDE_MIN - 1) // 2:
+        return []
+    by_vertex = {}
+    for cand, mult in dfac.items():
+        if cand[0] == "diff" and cand[1][:2] == cand[2][:2]:
+            by_vertex.setdefault(cand[1][:2], []).append((cand, mult))
+    blocks = []
+    for forms in by_vertex.values():
+        variables = sorted({v for cand, _ in forms for v in cand[1:]})
+        n = len(variables)
+        if (n >= _VANDERMONDE_MIN and len(forms) == n * (n - 1) // 2
+                and all(mult == 1 for _, mult in forms)):
+            blocks.append(variables)
+    return blocks
+
+
+def _vandermonde(variables) -> dict:
+    """The terms of prod_{j<k} (x_j - x_k) over the variables x_0 < ... <
+    x_{n-1}: sum over permutations s of sgn(s) prod_k x_{s(k)}^{n-1-k}.  The
+    permutations are built slot by slot, choosing the variable of exponent
+    n-1-k among those left, whose position among them is the parity the
+    choice adds."""
+    units = [_unit(v) for v in variables]
+    n = len(units)
+    partial = [(0, 1, tuple(range(n)))]
+    for k in range(n - 1):
+        e = n - 1 - k
+        grown = []
+        for m, c, left in partial:
+            for j, p in enumerate(left):
+                grown.append((m + e * units[p], -c if j & 1 else c, left[:j] + left[j + 1:]))
+        partial = grown
+    return {m: c for m, c, _ in partial}
+
+
 def _dfac_mul_into(num: MPoly, dfac: dict) -> MPoly:
-    """num times the product of the forms of dfac, one form at a time: x_a
-    shifts every monomial, and x_a - x_b is the shift by x_a minus the shift
-    by x_b.  A multiplicity past EXPONENT_MAX, which could carry into the
-    next field, raises ExponentRangeError."""
+    """num times the product of the forms of dfac.  A vertex whose forms are
+    all the pairs of its variables, each once, is a Vandermonde product,
+    expanded by _vandermonde and multiplied in.  The other forms come one at
+    a time: x_a shifts every monomial, and x_a - x_b is the shift by x_a
+    minus the shift by x_b.  A multiplicity past EXPONENT_MAX, which could
+    carry into the next field, raises ExponentRangeError."""
     terms = num.terms
+    blocks = _vandermonde_blocks(dfac)
+    if blocks:
+        dfac = dict(dfac)
+        for variables in blocks:
+            for a, b in itertools.combinations(variables, 2):
+                del dfac[("diff", a, b)]
+            out = {}
+            _mul_into(out, terms, _vandermonde(variables))
+            terms = out
     for cand in sorted(dfac):
         mult = dfac[cand]
         if mult > EXPONENT_MAX:

@@ -22,7 +22,7 @@ except ImportError:  # not on every platform
 
 from quiver_fmo import cli, gklo, multipoly
 from quiver_fmo.cli import EXIT_CLOSED_STDOUT, main
-from quiver_fmo.multipoly import RatFunc
+from quiver_fmo.multipoly import MPoly, RatFunc
 
 
 def run(capsys, *argv):
@@ -323,6 +323,32 @@ def test_human_output_bytes(capsys, argv):
     assert (code, out, err) == (0, HUMAN_GOLDENS[argv], "")
 
 
+# stdout sha256 of one human-readable (no --json) run per verify subject,
+# recorded while the rows still held rendered values
+HUMAN_VERIFY_SHA256 = {
+    "verify restriction --quiver a1 --w 2 --v 2 --vprime 1":
+        "6e1b05a75fb0f64fda7c0aac0be0f2a2717e058713c535da4aa7e1bfd2789d4b",
+    "verify adding-defect --quiver a2 --w 1,1 --v 1,1 --vprime 1,0":
+        "af4b3e4716b1c5fb7b42347e78931267d2b68e96274c5bde343300840e0fbc6a",
+    "verify involution --quiver a1 --w 2 --v 2":
+        "3b38d3a3c9f665a6ab877e88506576742e7bcb8358dfffa82b80a49cc90c9b9d",
+    "verify d-identity --quiver a1 --w 2 --v 2":
+        "56998ca51f4197279ece60f3880ff1afe79d6da203202cf99a9063f78dc30490",
+    "verify km-embedding --quiver a2 --w 2,2 --v 2,2 --vprime 1,1 --max-degree 1":
+        "4d25d4dc365990833f6bb31e18674de405c3570fdfafbe3d1d6b556385b13f4c",
+    "verify orientation --quiver a2 --w 1,1 --v 1,1":
+        "06fd621ea7eacfe51eb4f3376a5f502ebf7d65956aad31f59e24711d71b96b14",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(HUMAN_VERIFY_SHA256))
+def test_human_verify_output_bytes(capsys, argv):
+    assert set(cli.VERIFY_SUBJECTS) == {line.split()[1] for line in HUMAN_VERIFY_SHA256}
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == HUMAN_VERIFY_SHA256[argv]
+
+
 def test_classify_disagreeing_prediction_exits_3(capsys, monkeypatch):
     from quiver_fmo import quiver
 
@@ -543,28 +569,21 @@ def test_small_budget_refuses_a_sweep_before_the_core_expands(capsys, monkeypatc
                   "more than 6143\n"
 
 
-CHEAP_VERIFY_SUBJECTS = ("restriction", "adding-defect", "km-embedding", "involution",
-                         "orientation")
-
-
 def _table_ops():
-    """classify, fmo, hilbert and verify d-identity ops and the ops of the
-    other verify subjects recorded at <= 0.1 s from the benchmark table, with
-    the stdout sha256 and exit code recorded there."""
+    """Every op of the benchmark table, with the stdout sha256 and exit code
+    recorded there."""
     path = Path(__file__).resolve().parent.parent / "bench" / "table.json"
     ops = json.loads(path.read_text())["ops"]
     for key, row in sorted(ops.items()):
-        argv = key.split()
-        if argv[0] in ("classify", "fmo", "hilbert") or argv[:2] == ["verify", "d-identity"] or (
-                argv[0] == "verify" and argv[1] in CHEAP_VERIFY_SUBJECTS
-                and row["cost_s"] <= 0.1):
-            yield argv, row["sha256"], row["exit"]
+        yield key.split(), row["sha256"], row["exit"]
 
 
 def test_table_ops_byte_identical(capsys):
+    # every op, the costliest a2 (3,3) verify ops and the longest paths over
+    # cuts included: each replays in well under 0.1 s
     ops = list(_table_ops())
-    assert {argv[1] for argv, _, _ in ops if argv[0] == "verify"} == \
-        {"d-identity", *CHEAP_VERIFY_SUBJECTS}
+    assert len(ops) == 442
+    assert {argv[1] for argv, _, _ in ops if argv[0] == "verify"} == set(cli.VERIFY_SUBJECTS)
     assert sum(argv[0] == "hilbert" for argv, _, _ in ops) == 196
     for argv, sha, exit_code in ops:
         code, out, err = run(capsys, *argv)
@@ -579,18 +598,6 @@ def _costliest_ops(workload, count):
     ops = {op for cell in table["workloads"][workload]["cells"] for op in cell}
     for op in sorted(ops, key=lambda op: (-table["ops"][op]["cost_s"], op))[:count]:
         yield op.split(), table["ops"][op]["sha256"], table["ops"][op]["exit"]
-
-
-def test_costliest_table_ops_byte_identical(capsys):
-    # the a2 (3,3) ops that _table_ops leaves out: their large u-Laurent
-    # values exercise the print order most; the hilbert ops of orders 14-44,
-    # the longest paths over cuts
-    ops = [*_costliest_ops("termwise", 10), *_costliest_ops("substitution", 5),
-           *_costliest_ops("hilbert", 15)]
-    assert len(ops) == 30
-    for argv, sha, exit_code in ops:
-        code, out, err = run(capsys, *argv)
-        assert (hashlib.sha256(out.encode()).hexdigest(), code, err) == (sha, exit_code, ""), argv
 
 
 # stdout sha256 of the affine D4 run below, recorded when the Hilbert series
@@ -841,6 +848,39 @@ json_values = st.recursive(
           "empty": [{}, [], (), ""], "": {"nested": {"a": [[], {}]}}})
 def test_json_writer_matches_json_dumps(value):
     assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def _plain(value):
+    """The report with each RatFunc replaced by the object _json_text writes
+    for it, which json.dumps can then write."""
+    if isinstance(value, RatFunc):
+        return cli._ratfunc_json(value)
+    if isinstance(value, dict):
+        return {key: _plain(val) for key, val in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(val) for val in value]
+    return value
+
+
+def test_json_writer_writes_shared_and_equal_values_at_each_depth():
+    # one RatFunc and one tuple object at several depths, an equal but
+    # distinct RatFunc, and a tuple equal to another but printed apart
+    # ((1,) == (True,)): each text is reused only at its own indent
+    W11, W12 = (MPoly.var(multipoly.wv(0, r)) for r in (1, 2))
+    ratio = RatFunc.make(W11 ** 2 - 3 * W12, W11 - W12)
+    again = RatFunc.make(W11 ** 2 - 3 * W12, W11 - W12)
+    assert again == ratio and again is not ratio
+    poly = RatFunc.from_poly(W11 * W12)
+    ints, flags = (1, (2, 0)), (True, (2, False))
+    assert ints == flags
+    reports = [
+        {"a": ratio, "b": [ratio, {"c": ratio, "d": [[ratio, again]]}], "e": again},
+        {"t": ints, "u": [ints, {"t": ints}], "v": flags, "w": (ints, ints, flags)},
+        {"x": [poly, ints, (poly, ints)], "y": {"z": (poly, (poly,))}, "m": ints[1]},
+        [ratio, [ratio, [ratio, ratio]], (ints, [ints, (ints,)])],
+    ]
+    for report in reports:
+        assert cli._json_text(report) == json.dumps(_plain(report), sort_keys=True, indent=2)
 
 
 # the token alphabet of the reader's equivalence test: near-miss commands and

@@ -4,6 +4,7 @@ restriction."""
 
 import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -391,6 +392,60 @@ def test_stage_dressings_scale_by_the_restricted_dressing():
             assert st.mmo.dressing == st1.mmo.dressing * scale, (st.stage, m, f0, sign)
         checked += not scale.is_zero()
     assert checked > 100
+
+
+def _stage_fields(states):
+    return [(st.stage, st.mmo and st.mmo.gamma, st.factor, st.mmo and st.mmo.dressing)
+            for st in states]
+
+
+def _head_dressings(v, m):
+    """Dressings with head-variable factors: the product of the head slots
+    of each vertex, squared and times a dressing-basis element; they cancel
+    the head powers that the split divides by."""
+    head = MPoly.one()
+    for i, mi in enumerate(m):
+        for a in range(1, mi + 1):
+            head = head * MPoly.var(wv(i, a))
+    if head == MPoly.one():
+        return []
+    return [PartialSymPoly.make(head * g.value, m, v)
+            for g in (PartialSymPoly.make(head, m, v), *dressing_basis(v, m, 1))]
+
+
+def test_per_charge_chain_matches_the_per_stage_oracle():
+    # compose_embedding reads each stage from the f = 1 chain of its charge;
+    # chain_states runs every stage on the input dressing itself
+    checked = heads = 0
+    for ctx, split, m, f, sign in chain_sweep(max_degree=2):
+        dressings = [f]
+        if f.value == MPoly.one():
+            dressings += _head_dressings(ctx.v, m)
+        for g in dressings:
+            flip = sign == "-" and fmo_sign(ctx, m)
+            f0 = PartialSymPoly(-g.value if flip else g.value, m, ctx.v)
+            rep = compose_embedding(ctx, split, m, g, sign)
+            assert _stage_fields(rep.states) == _stage_fields(
+                chain_states(ctx, split, m, f0, sign)), (ctx.v, split.v_prime, m, g, sign)
+            checked += 1
+            heads += g is not f
+    assert checked > 600 and heads > 200, (checked, heads)
+
+
+def test_km_verify_runs_the_stages_once_per_charge(capsys, monkeypatch):
+    real = km_embedding.split_and_project
+    calls = []
+
+    def counted(ctx, split, m, f, sign):
+        calls.append((split, m, sign))
+        return real(ctx, split, m, f, sign)
+
+    monkeypatch.setattr(km_embedding, "split_and_project", counted)
+    code = main("verify km-embedding --quiver a2 --w 2,2 --v 2,2 --vprime 1,1 --json".split())
+    out = capsys.readouterr()
+    assert (code, out.err) == (0, "")
+    rows = len(json.loads(out.out)["cases"])
+    assert len(calls) == len(set(calls)) == 18 and rows > 10 * len(calls), (len(calls), rows)
 
 
 def test_degree_preserved_by_restriction():

@@ -24,8 +24,10 @@ from quiver_fmo.multipoly import (
     U_KIND,
     ZVAR,
     _POSITION,
+    _VANDERMONDE_MIN,
     _dfac_mul_into,
     _difference_divides,
+    _vandermonde_blocks,
     _encode,
     _order_key,
     _pairs,
@@ -728,6 +730,44 @@ def test_linear_forms_against_a_direct_expansion(pairs):
     for key, e in dfac.items():
         back = back * candidate_poly(key) ** e
     assert back == direct
+
+
+def _form_by_form(num, dfac):
+    """Test oracle: num times candidate_poly(k)^e over dfac, one form at a
+    time through MPoly products."""
+    for cand, e in sorted(dfac.items()):
+        num = num * candidate_poly(cand) ** e
+    return num
+
+
+def _all_pairs(vertex, n):
+    return {diff_key(wv(vertex, a), wv(vertex, b))[0]: 1
+            for a, b in itertools.combinations(range(1, n + 1), 2)}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_vandermonde_blocks_against_the_form_by_form_product(n):
+    # every pair of a vertex's n >= _VANDERMONDE_MIN slots, each once, is one
+    # block, expanded by the permutation formula; fewer slots, a missing
+    # pair or a pair taken twice keep the form-by-form path.  Forms across
+    # vertices, single variables and a second complete vertex ride along.
+    slots = [wv(0, r) for r in range(1, n + 1)]
+    block = [slots] if n >= _VANDERMONDE_MIN else []
+    second = [wv(1, r) for r in range(1, _VANDERMONDE_MIN + 1)]
+    complete = _all_pairs(0, n)
+    others = {diff_key(wv(1, 1), wv(0, 1))[0]: 1, ("var", wv(1, 2)): 2,
+              diff_key(ZVAR, wv(1, 3))[0]: 1, **_all_pairs(1, _VANDERMONDE_MIN)}
+    cases = [(complete, block), ({**complete, **others}, block + [second])]
+    if complete:
+        first = min(complete)
+        cases += [({k: e for k, e in complete.items() if k != first}, []),
+                  ({**complete, first: 2}, []),
+                  ({**complete, first: 2, **others}, [second])]
+    nums = [MPoly.one(), (W11 - 3 * MPoly.var(wv(1, 1)) * U11) ** 2 + Fraction(1, 2)]
+    for dfac, blocks in cases:
+        assert sorted(_vandermonde_blocks(dfac)) == sorted(blocks), dfac
+        for num in nums[:1 if len(dfac) > 18 else 2]:
+            assert _dfac_mul_into(num, dfac) == _form_by_form(num, dfac), (dfac, num)
 
 
 DIVISION_VARS = [wv(0, 1), wv(0, 2), wv(1, 1), ZVAR]
