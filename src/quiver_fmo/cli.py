@@ -132,17 +132,11 @@ def _json_into(out, value, newline, memo):
         text = memo.get(key)
         if text is None:
             piece = []
-            _json_value(piece, _ratfunc_json(value) if kind is RatFunc else value,
-                        newline, memo)
+            _json_into(piece, _ratfunc_json(value) if kind is RatFunc else list(value),
+                       newline, memo)
             text = memo[key] = "".join(piece)
         out.append(text)
         return
-    _json_value(out, value, newline, memo)
-
-
-def _json_value(out, value, newline, memo):
-    """_json_into for a value that is not a str, RatFunc or tuple, or for a
-    tuple or the object of a RatFunc whose text is not yet in memo."""
     inner = newline + "  "
     if isinstance(value, dict):
         if not value:
