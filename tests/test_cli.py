@@ -600,6 +600,17 @@ def _costliest_ops(workload, count):
         yield op.split(), table["ops"][op]["sha256"], table["ops"][op]["exit"]
 
 
+def test_costliest_table_ops_byte_identical(capsys):
+    # the a2 (3,3) ops whose large u-Laurent values exercise the print order
+    # most, and the hilbert ops of orders 14-44, the longest paths over cuts
+    ops = [*_costliest_ops("termwise", 10), *_costliest_ops("substitution", 5),
+           *_costliest_ops("hilbert", 15)]
+    assert len(ops) == 30
+    for argv, sha, exit_code in ops:
+        code, out, err = run(capsys, *argv)
+        assert (hashlib.sha256(out.encode()).hexdigest(), code, err) == (sha, exit_code, ""), argv
+
+
 # stdout sha256 of the affine D4 run below, recorded when the Hilbert series
 # still evaluated every shell point up to the norm bound
 AFFINE_D4_ORDER_10_SHA256 = "feb77b235713f872cb6e92a5dfc8f02e206ccfa74ce875113249c35083c2753d"

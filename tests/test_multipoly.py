@@ -542,7 +542,9 @@ AT_ZERO_FACTORS = ([diff_key(a, b)[0] for a, b in itertools.combinations(AT_ZERO
 @given(poly_strategy(AT_ZERO_VARS),
        st.dictionaries(st.sampled_from(AT_ZERO_FACTORS), st.integers(1, 3), max_size=3),
        st.sets(st.sampled_from(AT_ZERO_VARS), max_size=2),
-       st.randoms(use_true_random=False))
+       # a seeded random.Random: hypothesis's own random may draw one value
+       # throughout, which puts every point on a form of the denominator
+       st.randoms(use_true_random=True))
 @example(W12, {diff_key(wv(0, 1), wv(1, 1))[0]: 1}, {wv(0, 1)}, random.Random(0))
 @example(W12, {diff_key(wv(0, 1), wv(1, 1))[0]: 2}, {wv(0, 1)}, random.Random(0))
 def test_at_zero_against_point_evaluation(num, dfac, dead, rnd):
